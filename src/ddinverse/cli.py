@@ -8,8 +8,8 @@ sizes nests per-mesh output directories under the output root and aggregates
 the table rows.
 
 Exit codes: 0 converged, 1 configuration error (nothing written), 2 a run
-hit the iteration cap (partial artifacts kept; in a sweep the failed row is
-flagged with k = -1).
+hit the iteration cap, turned non-finite or failed in a solver (partial
+artifacts kept; the row of a failed run is flagged with k = -1).
 
 Numbers in CSV files carry 6 significant digits; identical configurations,
 including the seed, reproduce byte-identical files.
@@ -31,9 +31,13 @@ import numpy as np
 from . import dd, problems
 from .mesh import build_mesh, dump_mesh
 
-_CONFIG_KEYS = ("experiment", "algorithm", "nx", "ny", "beta", "delta", "A",
-                "lambda", "seed", "tol", "max_iter", "nt", "sigma", "out",
-                "target_rel_error", "eps1")
+# Every key a config file may set, with its default.
+_DEFAULTS = {
+    "experiment": None, "algorithm": "msa", "nx": None, "ny": None,
+    "beta": None, "delta": None, "A": 1.0, "lambda": 0.5, "seed": 0,
+    "tol": 1e-10, "max_iter": 200, "nt": None, "sigma": None,
+    "out": "runs", "target_rel_error": 0.1, "eps1": None,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,12 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file and flags (flags win)."""
-    cfg = {
-        "experiment": None, "algorithm": "msa", "nx": None, "ny": None,
-        "beta": None, "delta": None, "A": 1.0, "lambda": 0.5, "seed": 0,
-        "tol": 1e-10, "max_iter": 200, "nt": None, "sigma": None,
-        "out": "runs", "target_rel_error": 0.1, "eps1": None,
-    }
+    cfg = dict(_DEFAULTS)
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -82,7 +81,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path} is not valid JSON: {exc}")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
@@ -131,9 +130,8 @@ def _table_row(algorithm, nx, ny, beta, error, k) -> str:
     return f"{algorithm},{nx},{ny},{_fmt(beta)},{err_txt},{k}"
 
 
-def _write_profile(path: Path, problem) -> None:
+def _write_profile(path: Path, problem, recon) -> None:
     mesh = problem.ops.mesh
-    recon = problem.last_iterate
     exact = problem.exact
     if problem.kind == "flux":
         nodes = problem.ops.gamma1_nodes
@@ -146,38 +144,35 @@ def _write_profile(path: Path, problem) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_one(spec, cfg, nx, outdir: Path):
-    beta = cfg["beta"] if cfg["beta"] is not None else spec.beta
-    config = dd.DDConfig(beta=beta, A=cfg["A"], lam=cfg["lambda"],
-                         eps1=cfg["eps1"], max_iter=cfg["max_iter"],
-                         target_rel_error=cfg["target_rel_error"],
-                         seed=cfg["seed"])
+def _run_one(spec, cfg, config, nx, outdir: Path):
     problem = problems.make_problem(
         spec, nx, ny=cfg["ny"], seed=cfg["seed"], tol=cfg["tol"],
         delta=cfg["delta"], nt=cfg["nt"], sigma=cfg["sigma"])
     runner = dd.run_msa if cfg["algorithm"] == "msa" else dd.run_asa
-    state, report = runner(problem, config)
-    problem.last_iterate = state.iterate
+    # The loop stops on a non-finite increment or objective and main reports
+    # it in one line, so numpy's overflow warnings on the way add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, report = runner(problem, config)
 
     outdir.mkdir(parents=True, exist_ok=True)
     ny = problem.ops.mesh.ny
     final_err = report.rows[-1]["rel_error"] if report.rows else float("nan")
+    row = _table_row(cfg["algorithm"], nx, ny, config.beta, final_err,
+                     report.n_iterations)
     (outdir / "history.csv").write_text(report.to_csv())
     (outdir / "table.csv").write_text(
-        "algorithm,N,M,beta,error,k\n"
-        + _table_row(cfg["algorithm"], nx, ny, beta, final_err,
-                     report.n_iterations) + "\n")
-    _write_profile(outdir / "profile.csv", problem)
+        "algorithm,N,M,beta,error,k\n" + row + "\n")
+    _write_profile(outdir / "profile.csv", problem, state.iterate)
     meta = dict(cfg)
     meta["nx"] = nx
     meta["ny"] = ny
-    meta["beta"] = beta
+    meta["beta"] = config.beta
     meta["converged"] = report.converged
     meta["stop_reason"] = report.reason
     meta["iterations"] = report.n_iterations
     (outdir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2)
                                       + "\n")
-    return report, final_err, ny
+    return report, row
 
 
 def main(argv=None) -> int:
@@ -200,10 +195,11 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         _validate(cfg)
         spec = problems.example_catalog()[cfg["experiment"]]
-        dd.DDConfig(beta=cfg["beta"] if cfg["beta"] is not None else spec.beta,
-                    A=cfg["A"], lam=cfg["lambda"], eps1=cfg["eps1"],
-                    max_iter=cfg["max_iter"],
-                    target_rel_error=cfg["target_rel_error"], seed=cfg["seed"])
+        config = dd.DDConfig(
+            beta=cfg["beta"] if cfg["beta"] is not None else spec.beta,
+            A=cfg["A"], lam=cfg["lambda"], eps1=cfg["eps1"],
+            max_iter=cfg["max_iter"],
+            target_rel_error=cfg["target_rel_error"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -215,20 +211,21 @@ def main(argv=None) -> int:
     for nx in cfg["nx"]:
         outdir = out_root / f"N{nx}" if sweep else out_root
         try:
-            report, err, ny = _run_one(spec, cfg, nx, outdir)
-        except Exception as exc:  # solver failure mid-sweep
+            report, row = _run_one(spec, cfg, config, nx, outdir)
+        except (RuntimeError, ValueError) as exc:  # solver failure mid-sweep
             print(f"error: run at N={nx} failed: {exc}", file=sys.stderr)
-            rows.append(_table_row(cfg["algorithm"], nx, 2 * nx,
-                                   cfg["beta"] if cfg["beta"] is not None
-                                   else spec.beta, float("nan"), -1))
+            rows.append(_table_row(cfg["algorithm"], nx, 2 * nx, config.beta,
+                                   float("nan"), -1))
             failed = True
             break
-        rows.append(_table_row(cfg["algorithm"], nx, ny,
-                               cfg["beta"] if cfg["beta"] is not None
-                               else spec.beta, err, report.n_iterations))
+        rows.append(row)
         if not report.converged:
-            print(f"warning: run at N={nx} stopped at the iteration cap",
-                  file=sys.stderr)
+            if report.reason == "non_finite":
+                print(f"error: run at N={nx} turned non-finite at iteration "
+                      f"{report.n_iterations}", file=sys.stderr)
+            else:
+                print(f"warning: run at N={nx} stopped at the iteration cap",
+                      file=sys.stderr)
             failed = True
             if sweep:
                 break

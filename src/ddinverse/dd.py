@@ -56,7 +56,6 @@ class DDConfig:
     eps1: float | None = None
     max_iter: int = 200
     target_rel_error: float | None = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.A <= 0:
@@ -73,23 +72,24 @@ class DDConfig:
 
 @dataclass
 class DDState:
-    """Iteration state: per-subdomain components, inner-boundary values,
-    assembled iterate and history rows."""
+    """Final iteration state: per-subdomain components, inner-boundary
+    values and the assembled iterate."""
 
     components: list
     traces: list
     iterate: np.ndarray
-    n: int
-    history: list
 
 
 @dataclass
 class IterationReport:
+    """Outcome of a Schwarz loop.  reason is why it stopped:
+    "target_rel_error" or "increment" (converged), "max_iter", or
+    "non_finite" (the increment or objective overflowed)."""
+
     algorithm: str
     converged: bool
     reason: str
     rows: list
-    initial_global_solves: int = 1
     solve_calls: int = 0
 
     @property
@@ -172,12 +172,11 @@ def _push_selectors(problem):
     ]
 
 
-def _msa_sweep(problem, config, components, traces):
+def _msa_sweep(problem, config, components, traces, push):
     """One multiplicative sweep; mutates copies and returns them."""
     nsub = problem.decomp.n_subdomains
     components = [c.copy() for c in components]
     traces = [t.copy() for t in traces]
-    push = problem.push_selectors
     for i in range(nsub):
         components[i] = problem.local_minimize(
             i, components, components[i], traces[i], config)
@@ -191,8 +190,7 @@ def _msa_sweep(problem, config, components, traces):
 
 def _run(problem, config, initial, algorithm):
     nsub = problem.decomp.n_subdomains
-    if not hasattr(problem, "push_selectors"):
-        problem.push_selectors = _push_selectors(problem)
+    push = _push_selectors(problem)
 
     start = problem.default_initial() if initial is None else np.asarray(initial, float)
     components = problem.split(start)
@@ -209,7 +207,8 @@ def _run(problem, config, initial, algorithm):
     for it in range(1, config.max_iter + 1):
         previous = iterate
         if algorithm == "msa":
-            components, traces = _msa_sweep(problem, config, components, traces)
+            components, traces = _msa_sweep(problem, config, components,
+                                             traces, push)
             iterate = total_component(components)
         else:
             fresh = [
@@ -223,6 +222,9 @@ def _run(problem, config, initial, algorithm):
         obj = problem.objective(iterate, config)
         rows.append({"iter": it, "increment_norm": increment,
                      "rel_error": rel, "objective": obj})
+        if not (math.isfinite(increment) and math.isfinite(obj)):
+            reason = "non_finite"
+            break
         if eps1 is None:
             eps1 = 1e-4 * increment
         if (config.target_rel_error is not None and math.isfinite(rel)
@@ -244,8 +246,7 @@ def _run(problem, config, initial, algorithm):
 
     if algorithm == "asa":
         components = problem.split(iterate)
-    state = DDState(components=components, traces=traces, iterate=iterate,
-                    n=len(rows), history=rows)
+    state = DDState(components=components, traces=traces, iterate=iterate)
     report = IterationReport(algorithm=algorithm, converged=converged,
                              reason=reason, rows=rows,
                              solve_calls=problem.solve_calls() - solves0)
@@ -308,11 +309,27 @@ def check_surrogate_constant(problem, config: DDConfig, *, max_iter=200,
 
 
 class _InversionBase:
-    """Shared plumbing of the three inversion adapters."""
+    """Shared plumbing of the three inversion adapters.
+
+    The defaults fit the volume parameters (source, initial temperature):
+    components live on the open-subdomain node sets, inner-boundary values
+    on the interfaces, and parameters are paired with the lumped mass.
+    """
+
+    def __init__(self, ops, z0, exact=None, initial_value=0.0):
+        self.ops = ops
+        self.decomp = ops.decomp
+        self.z0 = np.asarray(z0, dtype=float)
+        self.exact = None if exact is None else np.asarray(exact, dtype=float)
+        self.initial_value = float(initial_value)
+        self.weight = ops.lumped
+        self.supports = list(self.decomp.interior_masks)
+        self.trace_nodes = list(self.decomp.interfaces)
+        self.box_weight = [loc.embed(loc.lumped) for loc in ops.locals]
+        self.surrogate_scale = 1.0
 
     def solve_calls(self):
-        return self.ops.solve_count if hasattr(self.ops, "solve_count") \
-            else self.ops.step_count
+        return self.ops.solve_count
 
     def param_inner(self, u, v) -> float:
         return fem.inner_product(u, v, self.weight)
@@ -326,63 +343,69 @@ class _InversionBase:
         return self.param_norm(param - self.exact) / self.param_norm(self.exact)
 
     def split(self, param) -> list:
+        """Components of param: the partition of unity restricted to each
+        support.  On the right side, where the flux supports lie, chi is
+        one over the number of closed boxes containing the node."""
         comps = []
         for i in range(self.decomp.n_subdomains):
-            c = self.chi_param[i] * param
+            c = self.decomp.chi[i] * param
             c[~self.supports[i]] = 0.0
             comps.append(c)
         return comps
-
-
-class SourceInversion(_InversionBase):
-    """Volume-source identification wired for the Schwarz loops.
-
-    Components live on the open-subdomain node sets; inner-boundary values
-    are Dirichlet data for the local solves.  The local update with anchor a
-    and neighbour sum s is (A a + G(z0 - F(s + a)) - beta s) / (A + beta) on
-    the support, where F is the local forward solve with the current trace
-    and G the same solve with zero trace acting on the residual.
-    """
-
-    kind = "source"
-
-    def __init__(self, ops, z0, exact=None, initial_value=0.0):
-        self.ops = ops
-        self.decomp = ops.decomp
-        self.z0 = np.asarray(z0, dtype=float)
-        self.exact = None if exact is None else np.asarray(exact, dtype=float)
-        self.initial_value = float(initial_value)
-        self.weight = ops.lumped
-        self.supports = [self.decomp.interior_masks[i]
-                         for i in range(self.decomp.n_subdomains)]
-        self.chi_param = self.decomp.chi
-        self.trace_nodes = [self.decomp.interfaces[i]
-                            for i in range(self.decomp.n_subdomains)]
-        self.box_weight = [loc.embed(loc.lumped) for loc in ops.locals]
-        self.surrogate_scale = 1.0
 
     def default_initial(self) -> np.ndarray:
         out = np.zeros(self.ops.mesh.n_nodes)
         out[self.decomp.multiplicity > 0] = self.initial_value
         return out
 
+    def random_param(self, rng) -> np.ndarray:
+        v = rng.standard_normal(self.ops.mesh.n_nodes)
+        v[self.decomp.multiplicity == 0] = 0.0
+        return v
+
     def global_solution(self, param, warm="obj"):
         return self.ops.forward_global(param, warm=warm)
+
+    def _local_update(self, i, components, anchor, config, propagate,
+                      back_project):
+        """Closed-form minimizer of the augmented local functional of box i.
+
+        With a the anchor, n the sum of the other components, F = `propagate`
+        the local forward map with the current inner-boundary values and
+        B = `back_project` the adjoint of its zero-trace part, the minimizer
+        is (s a + B(z0 - F(n + a)) - beta n) / (s + beta) on the support of
+        box i and zero elsewhere, with s = A * surrogate_scale.
+        """
+        s = config.A * self.surrogate_scale
+        neighbours = total_component([components[j]
+                                      for j in range(len(components)) if j != i])
+        back = back_project(self.z0 - propagate(neighbours + anchor))
+        out = np.zeros_like(anchor)
+        sup = self.supports[i]
+        out[sup] = (s * anchor[sup] + back[sup]
+                    - config.beta * neighbours[sup]) / (s + config.beta)
+        return out
+
+
+class SourceInversion(_InversionBase):
+    """Volume-source identification wired for the Schwarz loops.
+
+    Components live on the open-subdomain node sets; inner-boundary values
+    are Dirichlet data for the local solves.  The back-projection of the
+    local update is the same local solve with zero trace (the operator is
+    self-adjoint in the lumped product).
+    """
+
+    kind = "source"
 
     def local_solution(self, i, param, trace):
         return self.ops.forward_local(i, param, trace, warm="sweep")
 
     def local_minimize(self, i, components, anchor, trace, config):
-        s = total_component([components[j] for j in range(len(components))
-                             if j != i])
-        propagated = self.ops.forward_local(i, s + anchor, trace, warm="min")
-        residual = self.z0 - propagated
-        back = self.ops.forward_local(i, residual, None, warm="res")
-        out = np.zeros_like(anchor)
-        sup = self.supports[i]
-        out[sup] = (config.A * anchor[sup] + back[sup]
-                    - config.beta * s[sup]) / (config.A + config.beta)
-        return out
+        return self._local_update(
+            i, components, anchor, config,
+            lambda f: self.ops.forward_local(i, f, trace, warm="min"),
+            lambda r: self.ops.forward_local(i, r, None, warm="res"))
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -404,11 +427,6 @@ class SourceInversion(_InversionBase):
         value -= fem.inner_product(ud, ud, w)
         return value
 
-    def random_param(self, rng) -> np.ndarray:
-        v = rng.standard_normal(self.ops.mesh.n_nodes)
-        v[self.decomp.multiplicity == 0] = 0.0
-        return v
-
     def surrogate_normal_apply(self, v) -> np.ndarray:
         return self.ops.forward_global(self.ops.forward_global(v, warm=None),
                                        warm=None)
@@ -420,35 +438,21 @@ class FluxInversion(_InversionBase):
     Components live on the right-side node sets of the subdomains that reach
     x = 1; the misfit is measured on the rest of the boundary.  Inner
     boundary values are carried on the interface closures so the local
-    mixed solves reproduce restrictions of global solves exactly.
+    mixed solves reproduce restrictions of global solves exactly.  The
+    back-projection of the local update is the local adjoint solve.
     """
 
     kind = "flux"
 
     def __init__(self, ops, z0, exact=None, initial_value=0.0):
-        self.ops = ops
-        self.decomp = ops.decomp
-        self.z0 = np.asarray(z0, dtype=float)
-        self.exact = None if exact is None else np.asarray(exact, dtype=float)
-        self.initial_value = float(initial_value)
+        super().__init__(ops, z0, exact, initial_value)
         self.weight = ops.bmass1
-        n = ops.mesh.n_nodes
-        sets = flux_support(ops.mesh, ops.decomp)
         self.supports = []
-        count = np.zeros(n)
-        for nodes in sets:
-            mask = np.zeros(n, dtype=bool)
+        for nodes in flux_support(ops.mesh, ops.decomp):
+            mask = np.zeros(ops.mesh.n_nodes, dtype=bool)
             mask[nodes] = True
             self.supports.append(mask)
-            count += mask
-        self.chi_param = []
-        for mask in self.supports:
-            chi = np.zeros(n)
-            chi[mask] = 1.0 / count[mask]
-            self.chi_param.append(chi)
-        self.trace_nodes = [self.decomp.interface_closures[i]
-                            for i in range(self.decomp.n_subdomains)]
-        self.surrogate_scale = 1.0
+        self.trace_nodes = list(self.decomp.interface_closures)
         self._warned_empty = False
 
     def default_initial(self) -> np.ndarray:
@@ -456,29 +460,21 @@ class FluxInversion(_InversionBase):
         out[self.ops.gamma1_nodes] = self.initial_value
         return out
 
-    def global_solution(self, param, warm="obj"):
-        return self.ops.forward_global(param, warm=warm)
-
     def local_solution(self, i, param, trace):
         return self.ops.forward_local(i, param, trace, warm="sweep")
 
     def local_minimize(self, i, components, anchor, trace, config):
-        sup = self.supports[i]
-        if not sup.any():
+        # A box without flux support runs no solve: its component stays zero.
+        if not self.supports[i].any():
             if not self._warned_empty:
                 logger.info("subdomain %d carries no flux support; its "
                             "component stays zero", i)
                 self._warned_empty = True
             return components[i].copy()
-        s = total_component([components[j] for j in range(len(components))
-                             if j != i])
-        propagated = self.ops.forward_local(i, s + anchor, trace, warm="min")
-        residual = self.z0 - propagated
-        back = self.ops.adjoint_local(i, residual, None, warm="res")
-        out = np.zeros_like(anchor)
-        out[sup] = (config.A * anchor[sup] + back[sup]
-                    - config.beta * s[sup]) / (config.A + config.beta)
-        return out
+        return self._local_update(
+            i, components, anchor, config,
+            lambda h: self.ops.forward_local(i, h, trace, warm="min"),
+            lambda r: self.ops.adjoint_local(i, r, None, warm="res"))
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -531,31 +527,11 @@ class InitialValueInversion(_InversionBase):
     kind = "initial_value"
 
     def __init__(self, ops, z0, exact=None, initial_value=0.0):
-        self.ops = ops
-        self.decomp = ops.decomp
-        self.z0 = np.asarray(z0, dtype=float)
-        self.exact = None if exact is None else np.asarray(exact, dtype=float)
-        self.initial_value = float(initial_value)
-        self.weight = ops.lumped
-        self.supports = [self.decomp.interior_masks[i]
-                         for i in range(self.decomp.n_subdomains)]
-        self.chi_param = self.decomp.chi
-        self.trace_nodes = [self.decomp.interfaces[i]
-                            for i in range(self.decomp.n_subdomains)]
-        self.box_weight = []
-        for loc in ops.locals:
-            w = np.zeros(ops.mesh.n_nodes)
-            w[loc.nodes] = loc.lumped
-            self.box_weight.append(w)
+        super().__init__(ops, z0, exact, initial_value)
         self.surrogate_scale = ops.grid.sigma
 
     def solve_calls(self):
         return self.ops.step_count
-
-    def default_initial(self) -> np.ndarray:
-        out = np.zeros(self.ops.mesh.n_nodes)
-        out[self.decomp.multiplicity > 0] = self.initial_value
-        return out
 
     def global_solution(self, param, warm=None):
         return self.ops.forward_global(param)
@@ -564,17 +540,10 @@ class InitialValueInversion(_InversionBase):
         return self.ops.forward_local(i, param, trace)
 
     def local_minimize(self, i, components, anchor, trace, config):
-        s = total_component([components[j] for j in range(len(components))
-                             if j != i])
-        propagated = self.ops.forward_local(i, s + anchor, trace)
-        residual = self.z0 - propagated
-        acc = self.ops.accumulate(i, residual)
-        scale = config.A * self.ops.grid.sigma
-        out = np.zeros_like(anchor)
-        sup = self.supports[i]
-        out[sup] = (scale * anchor[sup] + acc[sup]
-                    - config.beta * s[sup]) / (scale + config.beta)
-        return out
+        return self._local_update(
+            i, components, anchor, config,
+            lambda phi: self.ops.forward_local(i, phi, trace),
+            lambda r: self.ops.accumulate(i, r))
 
     def objective(self, param, config) -> float:
         traj = self.ops.forward_global(param)
@@ -597,11 +566,6 @@ class InitialValueInversion(_InversionBase):
         td = self.ops.forward_local(i, diff, None)
         value -= float(np.einsum("k,kn,n,kn->", wk, td, wbox, td))
         return value
-
-    def random_param(self, rng) -> np.ndarray:
-        v = rng.standard_normal(self.ops.mesh.n_nodes)
-        v[self.decomp.multiplicity == 0] = 0.0
-        return v
 
     def surrogate_normal_apply(self, v) -> np.ndarray:
         traj = self.ops.forward_global(v)

@@ -26,47 +26,13 @@ import numpy as np
 from . import fem
 
 
-def _nodes_of_edges(edges: np.ndarray) -> np.ndarray:
-    return np.unique(edges.ravel())
-
-
-class _BoxSystem:
-    """Operator restriction to one subdomain box with a fixed Dirichlet set."""
-
-    def __init__(self, mesh, decomp, index, diffusion, reaction, dirichlet):
-        emask = decomp.element_masks[index]
-        K_full, _ = fem.assemble(mesh, diffusion, reaction, emask)
-        self.nodes = np.flatnonzero(decomp.masks[index])
-        self.K = K_full[np.ix_(self.nodes, self.nodes)].tocsr()
-        self.lumped = fem.lumped_mass(mesh, emask)[self.nodes]
-        self.n_full = mesh.n_nodes
-
-        if dirichlet == "box-boundary":
-            fixed_global = self.nodes[~decomp.interior_masks[index][self.nodes]]
-            self.trace_nodes = decomp.interfaces[index]
-        elif dirichlet == "interface-closure":
-            fixed_global = decomp.interface_closures[index]
-            self.trace_nodes = decomp.interface_closures[index]
-        else:
-            raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
-        self.fixed_local = np.searchsorted(self.nodes, fixed_global)
-        self.trace_local = np.searchsorted(self.nodes, self.trace_nodes)
-        self.system = fem.DirichletSystem(self.K, self.fixed_local)
-
-    def localize(self, field: np.ndarray) -> np.ndarray:
-        return field[self.nodes]
-
-    def embed(self, local: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_full)
-        out[self.nodes] = local
-        return out
-
-    def solve(self, rhs_local, trace_values, *, tol, x0=None):
-        vals = np.zeros(self.nodes.size)
-        if trace_values is not None:
-            vals[self.trace_local] = trace_values
-        return self.system.solve(rhs_local, vals[self.system.fixed],
-                                 tol=tol, x0=x0)
+def _box_boundary_mass(mesh, edges, inside, nodes):
+    """Boundary mass of the edges lying in a box, restricted to the box
+    nodes; None when no edge lies in the box."""
+    edges = edges[np.all(inside[edges], axis=1)]
+    if not edges.size:
+        return None
+    return fem.assemble_boundary_mass(mesh, edges)[np.ix_(nodes, nodes)].tocsr()
 
 
 class SourceOperators:
@@ -90,7 +56,7 @@ class SourceOperators:
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
         self.global_system = fem.DirichletSystem(K, self.boundary_nodes)
         self.locals = [
-            _BoxSystem(mesh, decomp, i, diffusion, reaction, "box-boundary")
+            fem.BoxSystem(mesh, decomp, i, diffusion, reaction, "box-boundary")
             for i in range(decomp.n_subdomains)
         ]
         self._warm: dict = {}
@@ -130,8 +96,8 @@ class SourceOperators:
         loc = self.locals[i]
         rhs = loc.lumped * loc.localize(f)
         self.solve_count += 1
-        x = loc.solve(rhs, trace, tol=self.tol,
-                      x0=self._warm_get(("l", i, warm)))
+        x = loc.system.solve(rhs, loc.fixed_values(trace), tol=self.tol,
+                             x0=self._warm_get(("l", i, warm)))
         self._warm_put(("l", i, warm), x)
         return loc.embed(x)
 
@@ -161,7 +127,7 @@ class FluxOperators:
         gamma0_edges = np.vstack([mesh.side_edges(s)
                                   for s in ("left", "bottom", "top")])
         self.gamma1_nodes = mesh.side_nodes("right")
-        self.gamma0_nodes = _nodes_of_edges(gamma0_edges)
+        self.gamma0_nodes = np.unique(gamma0_edges.ravel())
         self.bmass1 = fem.assemble_boundary_mass(mesh, gamma1_edges)
         self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
 
@@ -170,19 +136,13 @@ class FluxOperators:
         self.bmass1_loc = []
         self.bmass0_loc = []
         for i in range(decomp.n_subdomains):
-            loc = _BoxSystem(mesh, decomp, i, diffusion, reaction,
-                             "interface-closure")
+            loc = fem.BoxSystem(mesh, decomp, i, diffusion, reaction,
+                                "interface-closure")
             self.locals.append(loc)
-            inside = decomp.masks[i]
-            e1 = gamma1_edges[np.all(inside[gamma1_edges], axis=1)]
-            e0 = gamma0_edges[np.all(inside[gamma0_edges], axis=1)]
-            ix = np.ix_(loc.nodes, loc.nodes)
-            self.bmass1_loc.append(
-                fem.assemble_boundary_mass(mesh, e1)[ix].tocsr() if e1.size
-                else None)
-            self.bmass0_loc.append(
-                fem.assemble_boundary_mass(mesh, e0)[ix].tocsr() if e0.size
-                else None)
+            self.bmass1_loc.append(_box_boundary_mass(
+                mesh, gamma1_edges, decomp.masks[i], loc.nodes))
+            self.bmass0_loc.append(_box_boundary_mass(
+                mesh, gamma0_edges, decomp.masks[i], loc.nodes))
         self._warm: dict = {}
         self.solve_count = 0
 
@@ -230,11 +190,15 @@ class FluxOperators:
         """Adjoint map as a trace: values on the right-side nodes."""
         return self.adjoint_volume(w, warm=warm)[self.gamma1_nodes]
 
-    def _local_solve(self, i, rhs_local, trace, warm):
+    def _local_solve(self, i, bmass_loc, field, trace, warm):
+        """Local solve on box i loaded by `field` through the box boundary
+        mass `bmass_loc` (no load when the box misses that boundary part)."""
         loc = self.locals[i]
+        rhs_local = (np.zeros(loc.nodes.size) if bmass_loc is None
+                     else bmass_loc @ loc.localize(field))
         self.solve_count += 1
-        x = loc.solve(rhs_local, trace, tol=self.tol,
-                      x0=self._warm_get(warm))
+        x = loc.system.solve(rhs_local, loc.fixed_values(trace), tol=self.tol,
+                             x0=self._warm_get(warm))
         self._warm_put(warm, x)
         return loc.embed(x)
 
@@ -243,20 +207,12 @@ class FluxOperators:
         """Local solve on box i with Neumann flux h on its right-side part,
         zero data on its measurement part and Dirichlet `trace` on the inner
         boundary closure."""
-        loc = self.locals[i]
-        if self.bmass1_loc[i] is not None:
-            rhs = self.bmass1_loc[i] @ loc.localize(h)
-        else:
-            rhs = np.zeros(loc.nodes.size)
-        return self._local_solve(i, rhs, trace, ("lf", i, warm))
+        return self._local_solve(i, self.bmass1_loc[i], h, trace,
+                                 ("lf", i, warm))
 
     def adjoint_local(self, i: int, w: np.ndarray, trace=None, *,
                       warm=None) -> np.ndarray:
         """Local adjoint solve on box i: Neumann data w on its measurement
         part, zero flux, Dirichlet `trace` on the inner boundary closure."""
-        loc = self.locals[i]
-        if self.bmass0_loc[i] is not None:
-            rhs = self.bmass0_loc[i] @ loc.localize(w)
-        else:
-            rhs = np.zeros(loc.nodes.size)
-        return self._local_solve(i, rhs, trace, ("la", i, warm))
+        return self._local_solve(i, self.bmass0_loc[i], w, trace,
+                                 ("la", i, warm))

@@ -93,11 +93,9 @@ def assemble(mesh, diffusion, reaction, elements=None):
 
 def lumped_mass(mesh, elements=None) -> np.ndarray:
     """Diagonal (lumped) mass over a set of elements: area/3 per vertex."""
-    elems = mesh.elements if elements is None else mesh.elements[elements]
-    p = mesh.nodes[elems]
-    x, y = p[..., 0], p[..., 1]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    elems, area = mesh.elements, mesh.element_areas()
+    if elements is not None:
+        elems, area = elems[elements], area[elements]
     m = np.zeros(mesh.n_nodes)
     np.add.at(m, elems.ravel(), np.repeat(area / 3.0, 3))
     return m
@@ -232,6 +230,64 @@ class DirichletSystem:
         return x
 
 
+class BoxSystem:
+    """The restriction of an operator to one subdomain box.
+
+    The operator K of -div(a grad u) + c u is assembled over the box's
+    elements and restricted to its nodes.  `system` solves with K, or with
+    the Crank-Nicolson matrix S = M + dt/2 K when dt is given; the explicit
+    half step Stilde = M - dt/2 K is kept next to it (M the lumped mass).
+    The fixed Dirichlet set is the box nodes off the open box
+    ("box-boundary") or the inner boundary closure ("interface-closure").
+    Inner-boundary values arrive on the interfaces (or their closures); the
+    rest of the fixed set is held at zero.
+    """
+
+    def __init__(self, mesh, decomp, index, diffusion, reaction,
+                 dirichlet="box-boundary", dt=None):
+        emask = decomp.element_masks[index]
+        K_full, _ = assemble(mesh, diffusion, reaction, emask)
+        self.nodes = np.flatnonzero(decomp.masks[index])
+        self.lumped = lumped_mass(mesh, emask)[self.nodes]
+        self.n_full = mesh.n_nodes
+        K = K_full[np.ix_(self.nodes, self.nodes)].tocsr()
+        matrix = K
+        if dt is not None:
+            matrix = (sp.diags(self.lumped) + 0.5 * dt * K).tocsr()
+            self.Stilde = (sp.diags(self.lumped) - 0.5 * dt * K).tocsr()
+
+        if dirichlet == "box-boundary":
+            fixed = self.nodes[~decomp.interior_masks[index][self.nodes]]
+            trace_nodes = decomp.interfaces[index]
+        elif dirichlet == "interface-closure":
+            fixed = trace_nodes = decomp.interface_closures[index]
+        else:
+            raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
+        self.trace_local = np.searchsorted(self.nodes, trace_nodes)
+        self.system = DirichletSystem(matrix, np.searchsorted(self.nodes, fixed))
+
+    def localize(self, field: np.ndarray) -> np.ndarray:
+        """Box part of full-length fields of shape (..., n_nodes)."""
+        return field[..., self.nodes]
+
+    def embed(self, local: np.ndarray) -> np.ndarray:
+        """Full-length fields, zero off the box, from box fields (..., n)."""
+        out = np.zeros(local.shape[:-1] + (self.n_full,))
+        out[..., self.nodes] = local
+        return out
+
+    def fixed_values(self, trace):
+        """Values on the fixed set: `trace` on the inner-boundary nodes,
+        zero on the rest.  trace has shape (..., number of inner-boundary
+        nodes), e.g. one row per time level; None (homogeneous values) is
+        passed through."""
+        if trace is None:
+            return None
+        vals = np.zeros(np.shape(trace)[:-1] + (self.nodes.size,))
+        vals[..., self.trace_local] = trace
+        return vals[..., self.system.fixed]
+
+
 def solve(K, rhs, dirichlet_nodes=None, dirichlet_values=None, *,
           tol=1e-10, max_iter=None, x0=None):
     """One-shot solve of K x = rhs with optional Dirichlet data.
@@ -245,10 +301,3 @@ def solve(K, rhs, dirichlet_nodes=None, dirichlet_values=None, *,
     system = DirichletSystem(K.tocsr(), dirichlet_nodes)
     return system.solve(rhs, dirichlet_values, tol=tol, max_iter=max_iter, x0=x0)
 
-
-def export_coo(A) -> str:
-    """Matrix in coordinate text format, one 'row col value' line per nonzero."""
-    coo = A.tocoo()
-    return "\n".join(
-        f"{r} {c} {v:.17g}" for r, c, v in zip(coo.row, coo.col, coo.data)
-    ) + "\n"

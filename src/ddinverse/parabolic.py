@@ -66,26 +66,6 @@ class TimeGrid:
         return w
 
 
-class _BoxHeatSystem:
-    """Crank-Nicolson matrices restricted to one subdomain box."""
-
-    def __init__(self, mesh, decomp, index, diffusion, dt):
-        emask = decomp.element_masks[index]
-        K_full, _ = fem.assemble(mesh, diffusion, 0.0, emask)
-        self.nodes = np.flatnonzero(decomp.masks[index])
-        lump = fem.lumped_mass(mesh, emask)[self.nodes]
-        K = K_full[np.ix_(self.nodes, self.nodes)].tocsr()
-        self.lumped = lump
-        self.S = (sp.diags(lump) + 0.5 * dt * K).tocsr()
-        self.Stilde = (sp.diags(lump) - 0.5 * dt * K).tocsr()
-        fixed_global = self.nodes[~decomp.interior_masks[index][self.nodes]]
-        self.fixed_local = np.searchsorted(self.nodes, fixed_global)
-        self.trace_nodes = decomp.interfaces[index]
-        self.trace_local = np.searchsorted(self.nodes, self.trace_nodes)
-        self.system = fem.DirichletSystem(self.S, self.fixed_local)
-        self.n_full = mesh.n_nodes
-
-
 class HeatOperators:
     """Forward and backward heat evolutions with homogeneous Dirichlet walls.
 
@@ -107,7 +87,7 @@ class HeatOperators:
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
         self.global_system = fem.DirichletSystem(self.S, self.boundary_nodes)
         self.locals = [
-            _BoxHeatSystem(mesh, decomp, i, diffusion, dt)
+            fem.BoxSystem(mesh, decomp, i, diffusion, 0.0, dt=dt)
             for i in range(decomp.n_subdomains)
         ]
         self.step_count = 0
@@ -148,33 +128,17 @@ class HeatOperators:
         boundary per level (shape (nt+1, len(interface)); zero when None).
         Returns a full-length trajectory supported on the box."""
         loc = self.locals[i]
-        fixed_series = self._fixed_series(loc, trace)
-        traj = self._march(loc.system, loc.Stilde, phi[loc.nodes], fixed_series)
-        return self._embed(loc, traj)
+        return loc.embed(self._march(loc.system, loc.Stilde, loc.localize(phi),
+                                     loc.fixed_values(trace)))
 
     def adjoint_local(self, i: int, omega: np.ndarray, trace=None) -> np.ndarray:
         """Local backward evolution on box i from terminal value omega; trace
         values per level are indexed by forward time like the result."""
         loc = self.locals[i]
-        rev = trace[::-1] if trace is not None else None
-        fixed_series = self._fixed_series(loc, rev)
-        traj = self._march(loc.system, loc.Stilde, omega[loc.nodes], fixed_series)
-        return self._embed(loc, traj[::-1].copy())
-
-    def _fixed_series(self, loc, trace):
-        if trace is None:
-            return None
-        series = np.zeros((self.grid.nt + 1, loc.system.fixed.size))
-        vals = np.zeros((self.grid.nt + 1, loc.nodes.size))
-        vals[:, loc.trace_local] = trace
-        series[:] = vals[:, loc.system.fixed]
-        return series
-
-    @staticmethod
-    def _embed(loc, traj_local):
-        out = np.zeros((traj_local.shape[0], loc.n_full))
-        out[:, loc.nodes] = traj_local
-        return out
+        rev = None if trace is None else trace[::-1]
+        traj = self._march(loc.system, loc.Stilde, loc.localize(omega),
+                           loc.fixed_values(rev))
+        return loc.embed(traj[::-1])
 
     # -- adjoint accumulation ----------------------------------------------
 
@@ -186,14 +150,14 @@ class HeatOperators:
         the observation-window weights; computed as a single backward sweep.
         """
         loc = self.locals[i]
-        return self._accumulate(loc.system, loc.Stilde,
-                                residual[:, loc.nodes], loc)
+        return loc.embed(self._accumulate(loc.system, loc.Stilde,
+                                          loc.localize(residual)))
 
     def accumulate_global(self, residual: np.ndarray) -> np.ndarray:
         """Global variant of `accumulate` (whole-domain boxless operator)."""
-        return self._accumulate(self.global_system, self.Stilde, residual, None)
+        return self._accumulate(self.global_system, self.Stilde, residual)
 
-    def _accumulate(self, system, Stilde, residual, loc):
+    def _accumulate(self, system, Stilde, residual):
         w = self.grid.weights()
         psi = np.zeros(residual.shape[1])
         free = system.free
@@ -203,8 +167,4 @@ class HeatOperators:
                 self.step_count += 1
             if w[k] != 0.0:
                 psi[free] += w[k] * residual[k, free]
-        if loc is None:
-            return psi
-        out = np.zeros(loc.n_full)
-        out[loc.nodes] = psi
-        return out
+        return psi

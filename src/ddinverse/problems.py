@@ -121,15 +121,12 @@ def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None) -> dict:
     """
     delta = spec.delta if delta is None else float(delta)
     exact = exact_parameter_field(spec, ops)
-    if spec.kind == "source":
-        clean = ops.forward_global(exact, warm=None)
-        u0 = ops.solve_u0()
-    elif spec.kind == "flux":
-        clean = ops.forward_global(exact, warm=None)
-        u0 = ops.solve_u0()
-    else:
+    if spec.kind == "initial_value":
         clean = ops.forward_global(exact)
         u0 = np.zeros_like(clean)
+    else:
+        clean = ops.forward_global(exact, warm=None)
+        u0 = ops.solve_u0()
     u = clean + u0
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-1.0, 1.0, size=u.shape)
@@ -150,16 +147,12 @@ def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
     if spec.kind == "source":
         ops = elliptic.SourceOperators(mesh, decomp, spec.diffusion,
                                        spec.reaction, tol=tol)
-        data = synthesize_data(spec, ops, seed, delta)
-        return dd.SourceInversion(ops, data["z0"], exact=data["exact"],
-                                  initial_value=start)
-    if spec.kind == "flux":
+        adapter = dd.SourceInversion
+    elif spec.kind == "flux":
         ops = elliptic.FluxOperators(mesh, decomp, spec.diffusion,
                                      spec.reaction, tol=tol)
-        data = synthesize_data(spec, ops, seed, delta)
-        return dd.FluxInversion(ops, data["z0"], exact=data["exact"],
-                                initial_value=start)
-    if spec.kind == "initial_value":
+        adapter = dd.FluxInversion
+    elif spec.kind == "initial_value":
         # Fixed, mesh-independent time grid by default: the loop's iteration
         # count is governed by how strongly Crank-Nicolson damps the stiff
         # modes over the observation window, i.e. by dt, not by h.  See the
@@ -168,7 +161,8 @@ def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
                                   sigma=(spec.T if sigma is None else sigma))
         ops = parabolic.HeatOperators(mesh, decomp, spec.diffusion, grid,
                                       tol=tol)
-        data = synthesize_data(spec, ops, seed, delta)
-        return dd.InitialValueInversion(ops, data["z0"], exact=data["exact"],
-                                        initial_value=start)
-    raise ValueError(f"unknown problem kind {spec.kind!r}")
+        adapter = dd.InitialValueInversion
+    else:
+        raise ValueError(f"unknown problem kind {spec.kind!r}")
+    data = synthesize_data(spec, ops, seed, delta)
+    return adapter(ops, data["z0"], exact=data["exact"], initial_value=start)

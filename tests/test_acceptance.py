@@ -22,7 +22,7 @@ def _report(num, name, ok, detail):
 def _run(exp, algorithm, nx, seed, max_iter=200, **kwargs):
     spec = CAT[exp]
     prob = problems.make_problem(spec, nx, seed=seed, **kwargs)
-    cfg = dd.DDConfig(beta=spec.beta, max_iter=max_iter, seed=seed)
+    cfg = dd.DDConfig(beta=spec.beta, max_iter=max_iter)
     runner = dd.run_msa if algorithm == "msa" else dd.run_asa
     t0 = time.perf_counter()
     state, report = runner(prob, cfg)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ddinverse import cli
+from ddinverse import cli, problems
 
 
 def run_cli(args):
@@ -92,6 +92,29 @@ def test_sweep_flags_capped_run_and_exits_2(tmp_path):
     lines = (out / "table.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # the sweep stops after the first failing mesh
     assert int(lines[1].split(",")[-1]) == 2
+
+
+def test_non_finite_run_exits_2(tmp_path, capsys):
+    out = tmp_path / "diverged"
+    code = run_cli(["--experiment", "5.3", "--algorithm", "msa",
+                    "--nx", "7", "--A", "0.01", "--max-iter", "80",
+                    "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["error: run at N=7 turned non-finite at iteration 61"]
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["stop_reason"] == "non_finite"
+    assert meta["iterations"] == 61
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken problem factory")
+
+    monkeypatch.setattr(problems, "make_problem", broken)
+    with pytest.raises(TypeError):
+        run_cli(["--experiment", "5.3", "--nx", "7",
+                 "--out", str(tmp_path / "x")])
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -122,8 +122,8 @@ def test_update_traces_junction_fallback(flux7, mesh14):
 
 
 def test_push_selector_geometry(source7, mesh7, decomp7):
-    source7.push_selectors = dd._push_selectors(source7)
-    sel = source7.push_selectors[0][1]  # part of box-2's interface inside box 1
+    # part of box-2's interface inside box 1
+    sel = dd._push_selectors(source7)[0][1]
     nodes = source7.trace_nodes[1][sel]
     xs, ys = mesh7.nodes[nodes].T
     assert np.all(np.abs(xs - 3 / 7) < 1e-12)
@@ -173,6 +173,19 @@ def test_zero_data_zero_start_is_fixed_point(source7):
     state, report = dd.run_asa(prob, cfg)
     assert report.n_iterations == 1
     assert report.rows[0]["increment_norm"] == 0.0
+
+
+def test_msa_stops_on_non_finite_iterate():
+    # A far below the squared local forward-map norm: the sweeps diverge and
+    # overflow at iteration 61.
+    prob = problems.make_problem(CAT["5.3"], 7, seed=0)
+    cfg = dd.DDConfig(beta=1e-3, A=0.01, max_iter=80)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, report = dd.run_msa(prob, cfg)
+    assert report.reason == "non_finite"
+    assert not report.converged
+    assert report.n_iterations == 61
+    assert all(np.isfinite(r["increment_norm"]) for r in report.rows[:-1])
 
 
 def test_msa_determinism():

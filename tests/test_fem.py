@@ -153,11 +153,3 @@ def test_nonconvergence_raises(mesh7):
         fem.pcg(K.tocsr(), b, tol=1e-14, max_iter=2)
     assert err.value.residual > 0
 
-
-def test_export_coo(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
-    text = fem.export_coo(K)
-    lines = text.strip().split("\n")
-    assert len(lines) == K.nnz
-    r, c, v = lines[0].split()
-    assert int(r) >= 0 and int(c) >= 0 and float(v) != 0
