@@ -9,7 +9,8 @@ the table rows.
 
 Exit codes: 0 converged, 1 configuration error (nothing written), 2 a run
 hit the iteration cap, turned non-finite or failed in a solver (partial
-artifacts kept; the row of a failed run is flagged with k = -1).
+artifacts kept; the row of a non-finite or failed run is flagged with an
+empty error and k = -1).
 
 Numbers in CSV files carry 6 significant digits; identical configurations,
 including the seed, reproduce byte-identical files.
@@ -157,8 +158,10 @@ def _run_one(spec, cfg, config, nx, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
     ny = problem.ops.mesh.ny
     final_err = report.rows[-1]["rel_error"] if report.rows else float("nan")
-    row = _table_row(cfg["algorithm"], nx, ny, config.beta, final_err,
-                     report.n_iterations)
+    k = report.n_iterations
+    if report.reason == "non_finite":  # flagged like a solver failure
+        final_err, k = float("nan"), -1
+    row = _table_row(cfg["algorithm"], nx, ny, config.beta, final_err, k)
     (outdir / "history.csv").write_text(report.to_csv())
     (outdir / "table.csv").write_text(
         "algorithm,N,M,beta,error,k\n" + row + "\n")

@@ -51,10 +51,11 @@ class SourceOperators:
         self.tol = tol
         self.boundary_data = boundary_data
 
-        K, self.mass = fem.assemble(mesh, diffusion, reaction)
+        K, _ = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        self.global_system = fem.DirichletSystem(K, self.boundary_nodes)
+        self.global_system = fem.DirichletSystem(K, self.boundary_nodes,
+                                                 mesh.nodes)
         self.locals = [
             fem.BoxSystem(mesh, decomp, i, diffusion, reaction, "box-boundary")
             for i in range(decomp.n_subdomains)
@@ -120,7 +121,7 @@ class FluxOperators:
         self.volume_source = volume_source
         self.neumann_data = neumann_data
 
-        self.K, self.mass = fem.assemble(mesh, diffusion, reaction)
+        K, _ = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
 
         gamma1_edges = mesh.side_edges("right")
@@ -131,7 +132,8 @@ class FluxOperators:
         self.bmass1 = fem.assemble_boundary_mass(mesh, gamma1_edges)
         self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
 
-        self.global_system = fem.DirichletSystem(self.K, np.array([], dtype=np.int64))
+        self.global_system = fem.DirichletSystem(
+            K, np.array([], dtype=np.int64), mesh.nodes)
         self.locals = []
         self.bmass1_loc = []
         self.bmass0_loc = []

@@ -2,9 +2,14 @@
 
 Assembly returns scipy CSR matrices; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
-systems are solved by Jacobi-preconditioned conjugate gradients with
-Dirichlet conditions eliminated symmetrically, so every assembled operator
-stays symmetric positive definite.
+systems are solved by preconditioned conjugate gradients with Dirichlet
+conditions eliminated symmetrically, so every assembled operator stays
+symmetric positive definite.  The preconditioner is Jacobi; a system with
+at least MIN_AGGREGATES * AGGREGATE_SIZE free nodes adds the coarse
+correction of the additive two-level method, whose aggregates are bins of
+about AGGREGATE_SIZE free nodes and whose small Galerkin matrix is inverted
+densely once.  Jacobi alone needs O(1/h) iterations per solve; the coarse
+space removes most of that growth.
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -15,12 +20,21 @@ products of P1 traces exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
+# Free nodes per coarse aggregate (bins of about 8 x 8 nodes).
+AGGREGATE_SIZE = 64
+# Below this many aggregates the coarse solve costs more than the
+# iterations it saves, so smaller systems stay on Jacobi alone.
+MIN_AGGREGATES = 64
+
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solve fails to reach its tolerance."""
+    """Raised when an iterative solve fails to reach its tolerance or
+    breaks down."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -67,26 +81,37 @@ def assemble(mesh, diffusion, reaction, elements=None):
     cy = y.mean(axis=1)
     a_vals = _coefficient_values(diffusion, cx, cy)
     c_vals = _coefficient_values(reaction, cx, cy)
+    del cx, cy
     if np.any(a_vals <= 0):
         raise ValueError("diffusion coefficient must be positive at every centroid")
 
     # Constant P1 gradients: grad phi_k = (bx_k, by_k).
     bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    del p, x, y
     bx /= (2 * area)[:, None]
     by /= (2 * area)[:, None]
 
+    # kloc = (a area) (bx bx' + by by') + c mass, built in place; the order
+    # of the operations is that of the plain expression, so K is unchanged
+    # to the bit.
+    kloc = bx[:, :, None] * bx[:, None, :]
+    work = np.multiply(by[:, :, None], by[:, None, :])
+    del bx, by
+    kloc += work
+    kloc *= (a_vals * area)[:, None, None]
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    stiff = (a_vals * area)[:, None, None] * (
-        bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
-    )
     mass = area[:, None, None] * mass_ref[None, :, :]
-    kloc = stiff + c_vals[:, None, None] * mass
+    np.multiply(c_vals[:, None, None], mass, out=work)
+    kloc += work
+    del work
 
+    elems = elems.astype(np.int32)
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
     n = mesh.n_nodes
     K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    del kloc
     M = sp.coo_matrix((mass.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return K, M
 
@@ -138,28 +163,42 @@ def inner_product(u, v, mass) -> float:
     return float(0.5 * (np.dot(u, mass @ v) + np.dot(v, mass @ u)))
 
 
-def pcg(A, b, *, diag=None, tol=1e-10, max_iter=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients for SPD A.
+def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
+        x0=None):
+    """Preconditioned conjugate gradients for SPD A.
+
+    The preconditioner is Jacobi, z = inv_diag * r with inv_diag = 1/diag(A)
+    (computed when not given).  With coarse = (agg, Ac_inv) from
+    `coarse_space` it is the additive two-level one: the coarse correction
+    (Ac_inv @ bincount(agg, r))[agg] is added to the Jacobi term.
 
     Stops when ||b - A x|| <= tol * ||b||; returns (x, relative residual,
-    iterations).  Raises SolverError when max_iter is exhausted.
+    iterations).  Raises SolverError when max_iter is exhausted or when
+    p'Ap <= 0 (A is not positive definite).
     """
     n = b.shape[0]
     if max_iter is None:
         max_iter = 40 * n + 200
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(np.dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
-    if diag is None:
-        diag = A.diagonal()
-    inv_diag = 1.0 / diag
+    if inv_diag is None:
+        inv_diag = 1.0 / A.diagonal()
+
+    def precondition(r, out):
+        np.multiply(inv_diag, r, out=out)
+        if coarse is not None:
+            agg, coarse_inv = coarse
+            out += (coarse_inv @ np.bincount(agg, weights=r))[agg]
+        return out
 
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x if x0 is not None else b.copy()
-    z = inv_diag * r
+    z = precondition(r, np.empty(n))
     p = z.copy()
+    step = np.empty(n)
     rz = np.dot(r, z)
-    rnorm = np.linalg.norm(r)
+    rnorm = math.sqrt(np.dot(r, r))
     it = 0
     while rnorm > tol * bnorm:
         if it >= max_iter:
@@ -170,16 +209,56 @@ def pcg(A, b, *, diag=None, tol=1e-10, max_iter=None, x0=None):
                 iterations=it,
             )
         Ap = A @ p
-        alpha = rz / np.dot(p, Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
+        pAp = np.dot(p, Ap)
+        if pAp <= 0.0:
+            raise SolverError(
+                f"conjugate gradients broke down after {it} iterations: "
+                f"p'Ap = {pAp:.3e} <= 0, the matrix is not positive definite",
+                residual=rnorm / bnorm,
+                iterations=it,
+            )
+        alpha = rz / pAp
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=Ap)
+        precondition(r, z)
         rz_new = np.dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-        rnorm = np.linalg.norm(r)
+        rnorm = math.sqrt(np.dot(r, r))
         it += 1
     return x, rnorm / bnorm, it
+
+
+def coarse_space(K: sp.csr_matrix, coords: np.ndarray):
+    """Aggregation coarse space of the additive two-level preconditioner.
+
+    The nodes (coordinates `coords`, one row per row of K) are binned on a
+    grid over their bounding box with about AGGREGATE_SIZE nodes per bin,
+    and the occupied bins are the aggregates.  With P the 0/1 matrix of
+    node-in-aggregate, the Galerkin matrix Ac = P' K P is inverted densely.
+    Returns (agg, Ac_inv), agg the aggregate of each node.  Raises
+    ValueError when Ac is not positive definite.
+    """
+    lo = coords.min(axis=0)
+    extent = coords.max(axis=0) - lo
+    # Bins per axis in proportion to the extents, about n / AGGREGATE_SIZE
+    # in all.
+    target = coords.shape[0] / AGGREGATE_SIZE
+    bins = np.maximum(np.rint(np.sqrt(target * extent / extent[::-1])), 1)
+    bins = bins.astype(np.int64)
+    cell = np.minimum(((coords - lo) / extent * bins).astype(np.int64),
+                      bins - 1)
+    _, agg = np.unique(cell[:, 0] * bins[1] + cell[:, 1], return_inverse=True)
+    n_agg = int(agg.max()) + 1
+    Kc = K.tocoo()
+    Ac = sp.coo_matrix((Kc.data, (agg[Kc.row], agg[Kc.col])),
+                       shape=(n_agg, n_agg)).toarray()
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(Ac))
+    except np.linalg.LinAlgError:
+        raise ValueError("coarse operator is not positive definite") from None
+    return agg, L_inv.T @ L_inv
 
 
 class DirichletSystem:
@@ -187,11 +266,13 @@ class DirichletSystem:
 
     Splits K into the free-free block and the free-fixed coupling once, so
     repeated solves with different right-hand sides and boundary values stay
-    cheap.  Solutions are returned on the full index set with the boundary
-    values imposed exactly.
+    cheap.  `coords` holds the coordinates of K's nodes, one row per node;
+    a system with at least MIN_AGGREGATES * AGGREGATE_SIZE free nodes builds
+    its coarse space from those of the free nodes.  Solutions are returned
+    on the full index set with the boundary values imposed exactly.
     """
 
-    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray):
+    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray):
         n = K.shape[0]
         fixed = np.unique(np.asarray(fixed, dtype=np.int64))
         free_mask = np.ones(n, dtype=bool)
@@ -201,9 +282,13 @@ class DirichletSystem:
         self.free = np.flatnonzero(free_mask)
         self.K_ff = K[np.ix_(self.free, self.free)].tocsr()
         self.K_fd = K[np.ix_(self.free, fixed)].tocsr() if fixed.size else None
-        self.diag = self.K_ff.diagonal()
-        if np.any(self.diag <= 0):
+        diag = self.K_ff.diagonal()
+        if np.any(diag <= 0):
             raise ValueError("operator is not positive definite on free nodes")
+        self.inv_diag = 1.0 / diag
+        self.coarse = None
+        if self.free.size >= MIN_AGGREGATES * AGGREGATE_SIZE:
+            self.coarse = coarse_space(self.K_ff, coords[self.free])
 
     def solve(self, rhs, fixed_values=None, *, tol=1e-10, max_iter=None, x0=None):
         """Solve K x = rhs with x = fixed_values on the fixed set.
@@ -221,8 +306,9 @@ class DirichletSystem:
         else:
             vals = None
         guess = x0[self.free] if x0 is not None else None
-        xf, _, _ = pcg(self.K_ff, b, diag=self.diag, tol=tol,
-                       max_iter=max_iter, x0=guess)
+        xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
+                       coarse=self.coarse, tol=tol, max_iter=max_iter,
+                       x0=guess)
         x = np.zeros(self.n)
         x[self.free] = xf
         if vals is not None:
@@ -264,7 +350,8 @@ class BoxSystem:
         else:
             raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
-        self.system = DirichletSystem(matrix, np.searchsorted(self.nodes, fixed))
+        self.system = DirichletSystem(matrix, np.searchsorted(self.nodes, fixed),
+                                      mesh.nodes[self.nodes])
 
     def localize(self, field: np.ndarray) -> np.ndarray:
         """Box part of full-length fields of shape (..., n_nodes)."""
@@ -286,18 +373,3 @@ class BoxSystem:
         vals = np.zeros(np.shape(trace)[:-1] + (self.nodes.size,))
         vals[..., self.trace_local] = trace
         return vals[..., self.system.fixed]
-
-
-def solve(K, rhs, dirichlet_nodes=None, dirichlet_values=None, *,
-          tol=1e-10, max_iter=None, x0=None):
-    """One-shot solve of K x = rhs with optional Dirichlet data.
-
-    Convenience wrapper over DirichletSystem; prefer constructing the system
-    once when solving repeatedly with the same matrix and boundary set.
-    """
-    if dirichlet_nodes is None or len(dirichlet_nodes) == 0:
-        x, _, _ = pcg(K.tocsr(), rhs, tol=tol, max_iter=max_iter, x0=x0)
-        return x
-    system = DirichletSystem(K.tocsr(), dirichlet_nodes)
-    return system.solve(rhs, dirichlet_values, tol=tol, max_iter=max_iter, x0=x0)
-

@@ -85,7 +85,8 @@ class HeatOperators:
         self.S = (sp.diags(self.lumped) + 0.5 * dt * K).tocsr()
         self.Stilde = (sp.diags(self.lumped) - 0.5 * dt * K).tocsr()
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        self.global_system = fem.DirichletSystem(self.S, self.boundary_nodes)
+        self.global_system = fem.DirichletSystem(self.S, self.boundary_nodes,
+                                                 mesh.nodes)
         self.locals = [
             fem.BoxSystem(mesh, decomp, i, diffusion, 0.0, dt=dt)
             for i in range(decomp.n_subdomains)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,9 @@ def test_non_finite_run_exits_2(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["stop_reason"] == "non_finite"
     assert meta["iterations"] == 61
+    # flagged like a failed run, not read as a finished one
+    assert (out / "table.csv").read_text() == (
+        "algorithm,N,M,beta,error,k\nmsa,7,14,0.001,,-1\n")
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):
@@ -161,3 +167,33 @@ def test_profile_matches_flux_side(tmp_path):
     assert lines[0] == "x,y,exact,recon"
     assert len(lines) == 1 + 29  # right-side nodes only
     assert all(line.split(",")[0] == "1" for line in lines[1:])
+
+
+def test_runs_leave_scipy_solver_modules_unimported(tmp_path):
+    # Importing scipy.linalg adds about 6.8 MB and scipy.sparse.linalg about
+    # 10.3 MB of resident memory to a run, more than the 5% (2.9 MB) by which
+    # the peak RSS of the heat benchmark may grow; the solvers use
+    # numpy.linalg only.  A fresh interpreter shows what a run imports.
+    script = f"""
+import sys
+import numpy as np
+import scipy.sparse as sp
+from ddinverse import cli, fem
+for args in (["--experiment", "5.3", "--nx", "7"],
+             ["--experiment", "5.6", "--algorithm", "asa", "--nx", "7"]):
+    assert cli.main(args + ["--out", {str(tmp_path)!r}]) == 0
+# one system large enough for the coarse space
+side = np.arange(64.0)
+coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
+system = fem.DirichletSystem(sp.identity(4096, format="csr"), [], coords)
+assert system.coarse is not None
+system.solve(np.ones(4096))
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().split("\n")[-1] == "[]"

@@ -51,7 +51,7 @@ def test_affine_split(mesh7, decomp7):
     K, _ = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     xb, yb = mesh7.nodes[bnd].T
-    direct = fem.DirichletSystem(K, bnd).solve(
+    direct = fem.DirichletSystem(K, bnd, mesh7.nodes).solve(
         ops.lumped * f, xb + 0.5 * yb, tol=1e-12)
     assert np.abs(direct - (u0 + U)).max() < 1e-8
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ddinverse import fem, mesh
+from ddinverse import fem, mesh, problems
 
 
 def test_constants_in_stiffness_kernel(mesh7):
@@ -63,14 +64,15 @@ def test_boundary_mass_rejects_empty(mesh7):
 
 def test_solve_constant_solution(mesh7):
     K, _ = fem.assemble(mesh7, 1.0, 1.0)
-    u = fem.solve(K, fem.lumped_mass(mesh7), tol=1e-12)
+    u, _, _ = fem.pcg(K, fem.lumped_mass(mesh7), tol=1e-12)
     assert np.abs(u - 1.0).max() < 1e-9
 
 
 def test_solve_zero_rhs(mesh7):
     K, _ = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
-    u = fem.solve(K, np.zeros(mesh7.n_nodes), bnd, 0.0)
+    system = fem.DirichletSystem(K, bnd, mesh7.nodes)
+    u = system.solve(np.zeros(mesh7.n_nodes), 0.0)
     assert np.all(u == 0.0)
 
 
@@ -84,7 +86,7 @@ def test_manufactured_convergence_order():
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         rhs = fem.lumped_mass(m) * (lam + 1.0) * ustar
         bnd = np.flatnonzero(m.boundary_mask)
-        u = fem.solve(K, rhs, bnd, 0.0, tol=1e-12)
+        u = fem.DirichletSystem(K, bnd, m.nodes).solve(rhs, 0.0, tol=1e-12)
         d = u - ustar
         errors.append(np.sqrt(fem.inner_product(d, d, fem.lumped_mass(m))))
     for coarse, fine in zip(errors, errors[1:]):
@@ -130,7 +132,8 @@ def test_inner_product_rejects_mismatch(mesh7):
 
 def test_spd_after_elimination(mesh7):
     K, _ = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
-    system = fem.DirichletSystem(K, np.flatnonzero(mesh7.boundary_mask))
+    system = fem.DirichletSystem(K, np.flatnonzero(mesh7.boundary_mask),
+                                 mesh7.nodes)
     rng = np.random.default_rng(11)
     for _ in range(10):
         v = rng.standard_normal(system.free.size)
@@ -153,3 +156,53 @@ def test_nonconvergence_raises(mesh7):
         fem.pcg(K.tocsr(), b, tol=1e-14, max_iter=2)
     assert err.value.residual > 0
 
+
+def test_pcg_breakdown_raises():
+    # indefinite: the first search direction has p'Ap = 1 - 1 = 0
+    A = sp.diags([1.0, -1.0]).tocsr()
+    with pytest.raises(fem.SolverError, match="not positive definite") as err:
+        fem.pcg(A, np.ones(2))
+    assert err.value.iterations == 0
+
+
+@pytest.mark.parametrize("experiment", ["5.3", "5.1"])
+def test_two_level_pcg_matches_jacobi(experiment):
+    # the global system at nx=56: 6105 free nodes with Dirichlet walls
+    # (source) or 6441 with none (all-Neumann flux operator)
+    spec = problems.example_catalog()[experiment]
+    m = mesh.build_mesh(56, 112)
+    K, _ = fem.assemble(m, spec.diffusion, spec.reaction)
+    fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
+             else np.array([], dtype=np.int64))
+    system = fem.DirichletSystem(K, fixed, m.nodes)
+    assert system.coarse is not None
+    b = fem.lumped_mass(m)[system.free] * np.random.default_rng(3).uniform(
+        -1.0, 1.0, system.free.size)
+    x_jac, _, it_jac = fem.pcg(system.K_ff, b, inv_diag=system.inv_diag)
+    x_two, relres, it_two = fem.pcg(system.K_ff, b, inv_diag=system.inv_diag,
+                                    coarse=system.coarse)
+    assert relres <= 1e-10
+    assert np.abs(x_two - x_jac).max() <= 1e-8 * np.abs(x_jac).max()
+    assert 2 * it_two <= it_jac
+
+
+def test_coarse_space_size_rule():
+    # 64 aggregates of 64 nodes is the smallest system with a coarse space
+    side = np.arange(64.0)
+    coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
+    K = sp.identity(4096, format="csr")
+    system = fem.DirichletSystem(K, [], coords)
+    agg, coarse_inv = system.coarse
+    assert np.bincount(agg).tolist() == [64] * 64
+    assert coarse_inv.shape == (64, 64)
+    assert fem.DirichletSystem(K, [0], coords).coarse is None
+
+
+def test_indefinite_coarse_operator_raises():
+    # c = -5000 keeps every diagonal entry positive (4 - 5000 h^2 / 2 > 0 at
+    # h = 1/56) while the aggregated operator is dominated by the negative
+    # reaction mass of each 8 x 8 aggregate
+    m = mesh.build_mesh(56, 112)
+    K, _ = fem.assemble(m, 1.0, -5000.0)
+    with pytest.raises(ValueError, match="coarse operator"):
+        fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask), m.nodes)
