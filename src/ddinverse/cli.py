@@ -57,7 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, dest="lam",
                    help="additive relaxation weight in (0,1)")
     p.add_argument("--seed", type=int, help="noise seed")
-    p.add_argument("--tol", type=float, help="inner linear-solver tolerance")
+    p.add_argument("--tol", type=float,
+                   help="relative residual of the iterative (PCG) solves: "
+                        "every elliptic system and the heat systems with at "
+                        "least 4096 free nodes; smaller heat systems are "
+                        "factored and solved directly")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--nt", type=int, help="time steps (heat problem)")
     p.add_argument("--sigma", type=float,

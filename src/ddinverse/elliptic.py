@@ -32,7 +32,7 @@ def _box_boundary_mass(mesh, edges, inside, nodes):
     edges = edges[np.all(inside[edges], axis=1)]
     if not edges.size:
         return None
-    return fem.assemble_boundary_mass(mesh, edges)[np.ix_(nodes, nodes)].tocsr()
+    return fem.restrict(fem.assemble_boundary_mass(mesh, edges), nodes)
 
 
 class SourceOperators:
@@ -51,13 +51,13 @@ class SourceOperators:
         self.tol = tol
         self.boundary_data = boundary_data
 
-        K, _ = fem.assemble(mesh, diffusion, reaction)
+        K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
         self.global_system = fem.DirichletSystem(K, self.boundary_nodes,
                                                  mesh.nodes)
         self.locals = [
-            fem.BoxSystem(mesh, decomp, i, diffusion, reaction, "box-boundary")
+            fem.BoxSystem(mesh, decomp, i, K, "box-boundary")
             for i in range(decomp.n_subdomains)
         ]
         self._warm: dict = {}
@@ -121,7 +121,7 @@ class FluxOperators:
         self.volume_source = volume_source
         self.neumann_data = neumann_data
 
-        K, _ = fem.assemble(mesh, diffusion, reaction)
+        K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
 
         gamma1_edges = mesh.side_edges("right")
@@ -138,8 +138,7 @@ class FluxOperators:
         self.bmass1_loc = []
         self.bmass0_loc = []
         for i in range(decomp.n_subdomains):
-            loc = fem.BoxSystem(mesh, decomp, i, diffusion, reaction,
-                                "interface-closure")
+            loc = fem.BoxSystem(mesh, decomp, i, K, "interface-closure")
             self.locals.append(loc)
             self.bmass1_loc.append(_box_boundary_mass(
                 mesh, gamma1_edges, decomp.masks[i], loc.nodes))

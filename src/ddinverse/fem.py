@@ -2,14 +2,19 @@
 
 Assembly returns scipy CSR matrices; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
-systems are solved by preconditioned conjugate gradients with Dirichlet
-conditions eliminated symmetrically, so every assembled operator stays
-symmetric positive definite.  The preconditioner is Jacobi; a system with
-at least MIN_AGGREGATES * AGGREGATE_SIZE free nodes adds the coarse
-correction of the additive two-level method, whose aggregates are bins of
-about AGGREGATE_SIZE free nodes and whose small Galerkin matrix is inverted
-densely once.  Jacobi alone needs O(1/h) iterations per solve; the coarse
-space removes most of that growth.
+systems eliminate their Dirichlet conditions symmetrically, so every
+assembled operator stays symmetric positive definite.  A system that asks
+for a direct solve and has fewer than MIN_AGGREGATES * AGGREGATE_SIZE free
+nodes, with at most MAX_BAND_ENTRIES free nodes times bandwidth, is
+factored once, by block cyclic reduction over blocks of its bandwidth in
+plain numpy, and solved directly.  Every other system is solved by
+preconditioned conjugate gradients: Jacobi, plus, from MIN_AGGREGATES *
+AGGREGATE_SIZE free nodes on, the coarse correction of the additive
+two-level method, whose aggregates are bins of about AGGREGATE_SIZE free
+nodes and whose small Galerkin matrix is inverted densely once.  Jacobi
+alone needs O(1/h) iterations per solve; the coarse space removes most of
+that growth.  Neither path imports scipy.linalg or scipy.sparse.linalg,
+whose import alone adds several MB of resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -27,9 +32,17 @@ import scipy.sparse as sp
 
 # Free nodes per coarse aggregate (bins of about 8 x 8 nodes).
 AGGREGATE_SIZE = 64
-# Below this many aggregates the coarse solve costs more than the
-# iterations it saves, so smaller systems stay on Jacobi alone.
+# Below this many aggregates a coarse space would be too small to pay off;
+# such systems are factored, or solved with Jacobi PCG alone.
 MIN_AGGREGATES = 64
+# A band factor holds about (free nodes) x (bandwidth) numbers and takes
+# about (free nodes) x (bandwidth)^2 operations; a system above this many
+# is solved iteratively instead.  A square grid just below the size rule,
+# 64 x 64 nodes, has a bandwidth of about 64.
+MAX_BAND_ENTRIES = MIN_AGGREGATES * AGGREGATE_SIZE * AGGREGATE_SIZE
+# Block cyclic reduction stops once at most this many unknowns remain and
+# inverts the rest densely.
+DENSE_TAIL = 64
 
 
 class SolverError(RuntimeError):
@@ -52,7 +65,7 @@ def _coefficient_values(coef, cx, cy):
 
 
 def assemble(mesh, diffusion, reaction, elements=None):
-    """Assemble the operator and mass matrices over a set of elements.
+    """Assemble the operator matrix over a set of elements.
 
     Parameters
     ----------
@@ -63,9 +76,8 @@ def assemble(mesh, diffusion, reaction, elements=None):
 
     Returns
     -------
-    (K, M) : CSR matrices of size n_nodes x n_nodes
-        K is the discrete operator (diffusion stiffness plus reaction mass),
-        M the consistent mass over the selected elements.
+    K : CSR matrix of size n_nodes x n_nodes, the discrete operator
+        (diffusion stiffness plus reaction mass).
     """
     elems = mesh.elements if elements is None else mesh.elements[elements]
     if elems.shape[0] == 0:
@@ -101,8 +113,8 @@ def assemble(mesh, diffusion, reaction, elements=None):
     kloc += work
     kloc *= (a_vals * area)[:, None, None]
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mass = area[:, None, None] * mass_ref[None, :, :]
-    np.multiply(c_vals[:, None, None], mass, out=work)
+    np.multiply(area[:, None, None], mass_ref, out=work)
+    work *= c_vals[:, None, None]
     kloc += work
     del work
 
@@ -110,20 +122,32 @@ def assemble(mesh, diffusion, reaction, elements=None):
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
     n = mesh.n_nodes
-    K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    del kloc
-    M = sp.coo_matrix((mass.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+    return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def lumped_mass(mesh, elements=None) -> np.ndarray:
     """Diagonal (lumped) mass over a set of elements: area/3 per vertex."""
-    elems, area = mesh.elements, mesh.element_areas()
-    if elements is not None:
-        elems, area = elems[elements], area[elements]
-    m = np.zeros(mesh.n_nodes)
-    np.add.at(m, elems.ravel(), np.repeat(area / 3.0, 3))
-    return m
+    elems = mesh.elements if elements is None else mesh.elements[elements]
+    area = mesh.element_areas(elements)
+    return np.bincount(elems.ravel(), weights=np.repeat(area / 3.0, 3),
+                       minlength=mesh.n_nodes)
+
+
+def crank_nicolson(K, lumped, dt):
+    """The Crank-Nicolson pair S = M + dt/2 K and Stilde = M - dt/2 K of an
+    operator K in canonical CSR form with one stored diagonal entry per row,
+    M = diag(lumped).  Entries that come out as zero are not stored."""
+    half = K.data * (0.5 * dt)
+    on_diagonal = K.indices == np.repeat(
+        np.arange(K.shape[0], dtype=K.indices.dtype), np.diff(K.indptr))
+    pair = []
+    for data in (half.copy(), -half):
+        data[on_diagonal] += lumped
+        matrix = sp.csr_matrix((data, K.indices.copy(), K.indptr.copy()),
+                               shape=K.shape)
+        matrix.eliminate_zeros()
+        pair.append(matrix)
+    return pair
 
 
 def assemble_boundary_mass(mesh, edges) -> sp.csr_matrix:
@@ -173,8 +197,10 @@ def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
     (Ac_inv @ bincount(agg, r))[agg] is added to the Jacobi term.
 
     Stops when ||b - A x|| <= tol * ||b||; returns (x, relative residual,
-    iterations).  Raises SolverError when max_iter is exhausted or when
-    p'Ap <= 0 (A is not positive definite).
+    iterations).  A right-hand side holding inf or nan gives an all-nan x
+    after 0 iterations, so the caller sees the failure in the solution.
+    Raises SolverError when max_iter is exhausted or when p'Ap <= 0 (A is
+    not positive definite).
     """
     n = b.shape[0]
     if max_iter is None:
@@ -182,6 +208,8 @@ def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
     bnorm = math.sqrt(np.dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
+    if not math.isfinite(bnorm):
+        return np.full(n, math.nan), math.nan, 0
     if inv_diag is None:
         inv_diag = 1.0 / A.diagonal()
 
@@ -261,41 +289,207 @@ def coarse_space(K: sp.csr_matrix, coords: np.ndarray):
     return agg, L_inv.T @ L_inv
 
 
+def _block_tridiagonal(D, U):
+    """The dense symmetric matrix with diagonal blocks D and blocks U above
+    them."""
+    m, b, _ = D.shape
+    A = np.zeros((m, b, m, b))
+    i = np.arange(m)
+    A[i, :, i, :] = D
+    A[i[:-1], :, i[1:], :] = U
+    A[i[1:], :, i[:-1], :] = U.transpose(0, 2, 1)
+    return A.reshape(m * b, m * b)
+
+
+class BandFactor:
+    """Direct solver for a symmetric banded matrix by block cyclic reduction.
+
+    The matrix, given by all its entries (rows, cols, vals) over n unknowns
+    and symmetric, is cut into blocks of its bandwidth, which makes it block
+    tridiagonal: blocks D_i on the diagonal, U_i coupling block i to i + 1
+    and their transposes below.  Each level of odd-even reduction
+    eliminates the odd blocks, leaving the Schur complement on the even
+    ones, which is again block tridiagonal with half as many blocks
+    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  All blocks
+    of a level are processed by a few stacked numpy calls, so a
+    factorization or a solve costs about log2(n / bandwidth) levels of
+    about ten calls each; the last DENSE_TAIL or fewer unknowns (or the
+    last block) are inverted densely.  The first level's couplings are the
+    matrix's own entries and are applied as such.
+    A padded last block carries the identity on its padding.  Each
+    reduction step is a congruence, so the matrix is positive definite
+    exactly when every pivot block and the dense tail are; each is checked
+    by a Cholesky factorization, and ValueError is raised when one fails.
+    """
+
+    def __init__(self, rows, cols, vals, n):
+        b = max(int(np.abs(rows - cols).max(initial=0)), 1)
+        m = max(-(-n // b), 1)
+        self.n, self.b, self.m = n, b, m
+        # Entry (r, c) sits in block r // b at offset (r % b, c - (r // b) b);
+        # an offset column of b or more falls in the coupling block U.
+        D = np.zeros((m, b, b))
+        U = np.zeros((m - 1, b, b))
+        offset = cols - rows // b * b
+        on = (offset >= 0) & (offset < b)
+        D.reshape(-1)[rows[on] * b + offset[on]] = vals[on]
+        up = offset >= b
+        U.reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
+        pad = np.arange(n - (m - 1) * b, b)
+        D[-1, pad, pad] = 1.0
+        # Per level: P, the inverses of the odd pivot blocks, and the
+        # couplings Ua from each even block to the next odd one and Ub from
+        # each odd block to the next even one, with their transposes.
+        levels = []
+        try:
+            while D.shape[0] > 1 and D.size > DENSE_TAIL * b:
+                k = D.shape[0] // 2
+                Ua, Ub = U[0::2], U[1::2]
+                UaT, UbT = Ua.transpose(0, 2, 1), Ub.transpose(0, 2, 1)
+                np.linalg.cholesky(D[1::2])
+                P = np.linalg.inv(D[1::2])
+                V = P[:Ub.shape[0]] @ Ub
+                D = D[0::2].copy()
+                D[:k] -= Ua @ (P @ UaT)
+                D[1:] -= UbT @ V
+                levels.append((P, Ua, UaT, Ub, UbT))
+                U = -(Ua[:V.shape[0]] @ V)
+            tail = _block_tridiagonal(D, U)
+            np.linalg.cholesky(tail)
+            self.tail = np.linalg.inv(tail)
+        except np.linalg.LinAlgError:
+            raise ValueError("operator is not positive definite on free "
+                             "nodes") from None
+        # The first level keeps its couplings sparse: (E_rows, E_cols,
+        # E_vals) are the entries from even to odd blocks.  Its dense Ua and
+        # Ub would add about half to the size of the factor.
+        self.P0 = levels[0][0] if levels else None
+        self.levels = levels[1:]
+        block_row = rows // b
+        first = (block_row % 2 == 0) & (block_row != cols // b)
+        self.E_rows, self.E_cols, self.E_vals = (rows[first], cols[first],
+                                                 vals[first])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of A x = rhs, rhs a vector of length n."""
+        x = np.zeros(self.m * self.b)
+        x[:self.n] = rhs
+        blocks = x.reshape(self.m, self.b, 1)
+        # Forward: fold each level's odd blocks into the even ones, keeping
+        # P r_odd in place of r_odd; the even blocks are the next level.
+        even = blocks
+        if self.P0 is not None:
+            odd, even = blocks[1::2], blocks[0::2]
+            odd[...] = self.P0 @ odd
+            x -= np.bincount(self.E_rows, self.E_vals * x[self.E_cols],
+                             x.size)
+        split = []
+        for P, Ua, UaT, Ub, UbT in self.levels:
+            odd, even = even[1::2], even[0::2]
+            odd[...] = P @ odd
+            even[:len(Ua)] -= Ua @ odd
+            even[1:] -= UbT @ odd[:len(Ub)]
+            split.append((odd, even))
+        even[...] = (self.tail @ even.reshape(-1, 1)).reshape(even.shape)
+        # Back: x_odd = P (r_odd - Ua' x_prev - Ub x_next).
+        for (P, Ua, UaT, Ub, UbT), (odd, even) in zip(reversed(self.levels),
+                                                      reversed(split)):
+            s = UaT @ even[:len(Ua)]
+            s[:len(Ub)] += Ub @ even[1:]
+            odd -= P @ s
+        if self.P0 is not None:
+            s = np.bincount(self.E_cols, self.E_vals * x[self.E_rows], x.size)
+            blocks[1::2] -= self.P0 @ s.reshape(blocks.shape)[1::2]
+        return x[:self.n]
+
+
+def _csr(rows, cols, vals, shape):
+    """CSR matrix of entries listed row by row, columns sorted in each row."""
+    indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+
+
+def restrict(K, nodes):
+    """K[nodes][:, nodes] of a canonical CSR matrix for sorted `nodes`, read
+    row by row through a renumbering of the columns."""
+    position = np.full(K.shape[0], -1, dtype=K.indices.dtype)
+    position[nodes] = np.arange(nodes.size)
+    starts, counts = K.indptr[nodes], np.diff(K.indptr)[nodes]
+    rows = np.repeat(np.arange(nodes.size, dtype=K.indices.dtype), counts)
+    entries = np.arange(rows.size) + np.repeat(starts - np.cumsum(counts)
+                                               + counts, counts)
+    cols = position[K.indices[entries]]
+    keep = cols >= 0
+    return _csr(rows[keep], cols[keep], K.data[entries[keep]],
+                (nodes.size, nodes.size))
+
+
 class DirichletSystem:
     """An SPD operator with a fixed Dirichlet node set eliminated symmetrically.
 
-    Splits K into the free-free block and the free-fixed coupling once, so
-    repeated solves with different right-hand sides and boundary values stay
-    cheap.  `coords` holds the coordinates of K's nodes, one row per node;
-    a system with at least MIN_AGGREGATES * AGGREGATE_SIZE free nodes builds
-    its coarse space from those of the free nodes.  Solutions are returned
+    Splits K into the free-free block and the free-fixed coupling once, in
+    one pass over K's entries, so repeated solves with different right-hand
+    sides and boundary values stay cheap.  With direct=True, a system with
+    fewer than MIN_AGGREGATES * AGGREGATE_SIZE free nodes and at most
+    MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free block
+    once (`BandFactor`) and solves directly.  Every other system keeps K_ff
+    and solves by PCG; from MIN_AGGREGATES * AGGREGATE_SIZE free nodes on
+    it adds the coarse space built from the coordinates `coords` of its
+    free nodes (one row of `coords` per node of K).  Solutions are returned
     on the full index set with the boundary values imposed exactly.
     """
 
-    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray):
+    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray,
+                 *, direct: bool = False):
         n = K.shape[0]
         fixed = np.unique(np.asarray(fixed, dtype=np.int64))
-        free_mask = np.ones(n, dtype=bool)
-        free_mask[fixed] = False
+        is_free = np.ones(n, dtype=bool)
+        is_free[fixed] = False
         self.n = n
         self.fixed = fixed
-        self.free = np.flatnonzero(free_mask)
-        self.K_ff = K[np.ix_(self.free, self.free)].tocsr()
-        self.K_fd = K[np.ix_(self.free, fixed)].tocsr() if fixed.size else None
-        diag = self.K_ff.diagonal()
-        if np.any(diag <= 0):
+        self.free = np.flatnonzero(is_free)
+        n_free = self.free.size
+        if np.any(K.diagonal()[self.free] <= 0):
             raise ValueError("operator is not positive definite on free nodes")
-        self.inv_diag = 1.0 / diag
-        self.coarse = None
-        if self.free.size >= MIN_AGGREGATES * AGGREGATE_SIZE:
+
+        # Entries of K with a free row, numbered within the free or the
+        # fixed set; both numberings keep the order of K's rows and columns.
+        if not K.has_canonical_format:
+            K = K.copy()
+            K.sum_duplicates()
+        position = np.empty(n, dtype=K.indices.dtype)
+        position[self.free] = np.arange(n_free)
+        position[fixed] = np.arange(fixed.size)
+        row_of = np.repeat(np.arange(n, dtype=K.indices.dtype),
+                           np.diff(K.indptr))
+        keep = is_free[row_of]
+        rows, cols, vals = position[row_of[keep]], K.indices[keep], K.data[keep]
+        to_free = is_free[cols]
+        cols = position[cols]
+        to_fixed = ~to_free
+        self.K_fd = (_csr(rows[to_fixed], cols[to_fixed], vals[to_fixed],
+                          (n_free, fixed.size)) if fixed.size else None)
+        rows, cols, vals = rows[to_free], cols[to_free], vals[to_free]
+
+        self.factor = self.K_ff = self.inv_diag = self.coarse = None
+        small = n_free < MIN_AGGREGATES * AGGREGATE_SIZE
+        bandwidth = int(np.abs(rows - cols).max(initial=0))
+        if direct and small and n_free * bandwidth <= MAX_BAND_ENTRIES:
+            self.factor = BandFactor(rows, cols, vals, n_free)
+            return
+        self.K_ff = _csr(rows, cols, vals, (n_free, n_free))
+        self.inv_diag = 1.0 / self.K_ff.diagonal()
+        if not small:
             self.coarse = coarse_space(self.K_ff, coords[self.free])
 
     def solve(self, rhs, fixed_values=None, *, tol=1e-10, max_iter=None, x0=None):
         """Solve K x = rhs with x = fixed_values on the fixed set.
 
         rhs is the full-length load vector; fixed_values is a vector over the
-        fixed set (or None for homogeneous).  x0, when given, is a full-length
-        warm start.
+        fixed set (or None for homogeneous).  tol, max_iter and x0 (a
+        full-length warm start) apply to PCG systems only; factored systems
+        solve directly and ignore them.
         """
         b = rhs[self.free]
         if self.K_fd is not None and fixed_values is not None:
@@ -305,10 +499,13 @@ class DirichletSystem:
             b = b - self.K_fd @ vals
         else:
             vals = None
-        guess = x0[self.free] if x0 is not None else None
-        xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
-                       coarse=self.coarse, tol=tol, max_iter=max_iter,
-                       x0=guess)
+        if self.factor is not None:
+            xf = self.factor.solve(b)
+        else:
+            guess = x0[self.free] if x0 is not None else None
+            xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
+                           coarse=self.coarse, tol=tol, max_iter=max_iter,
+                           x0=guess)
         x = np.zeros(self.n)
         x[self.free] = xf
         if vals is not None:
@@ -319,28 +516,27 @@ class DirichletSystem:
 class BoxSystem:
     """The restriction of an operator to one subdomain box.
 
-    The operator K of -div(a grad u) + c u is assembled over the box's
-    elements and restricted to its nodes.  `system` solves with K, or with
-    the Crank-Nicolson matrix S = M + dt/2 K when dt is given; the explicit
-    half step Stilde = M - dt/2 K is kept next to it (M the lumped mass).
-    The fixed Dirichlet set is the box nodes off the open box
+    `matrix` is the global operator K of -div(a grad u) + c u, or the
+    Crank-Nicolson matrix S = M + dt/2 K; `system` solves with its
+    restriction to the box nodes, and `explicit` (the explicit half step
+    Stilde = M - dt/2 K, M the lumped mass) is kept restricted next to it
+    as `Stilde`.  The fixed Dirichlet set is the box nodes off the open box
     ("box-boundary") or the inner boundary closure ("interface-closure").
-    Inner-boundary values arrive on the interfaces (or their closures); the
-    rest of the fixed set is held at zero.
+    Every element around a free node lies in the box, so the rows of the
+    free nodes equal those of the operator assembled over the box's
+    elements; the other rows only meet the fixed values.  `lumped` is the
+    lumped mass of the box's elements.  Inner-boundary values arrive on the
+    interfaces (or their closures); the rest of the fixed set is held at
+    zero.  `direct` is passed on to the `DirichletSystem`.
     """
 
-    def __init__(self, mesh, decomp, index, diffusion, reaction,
-                 dirichlet="box-boundary", dt=None):
-        emask = decomp.element_masks[index]
-        K_full, _ = assemble(mesh, diffusion, reaction, emask)
+    def __init__(self, mesh, decomp, index, matrix, dirichlet="box-boundary",
+                 explicit=None, *, direct=False):
         self.nodes = np.flatnonzero(decomp.masks[index])
-        self.lumped = lumped_mass(mesh, emask)[self.nodes]
+        self.lumped = lumped_mass(mesh, decomp.element_masks[index])[self.nodes]
         self.n_full = mesh.n_nodes
-        K = K_full[np.ix_(self.nodes, self.nodes)].tocsr()
-        matrix = K
-        if dt is not None:
-            matrix = (sp.diags(self.lumped) + 0.5 * dt * K).tocsr()
-            self.Stilde = (sp.diags(self.lumped) - 0.5 * dt * K).tocsr()
+        if explicit is not None:
+            self.Stilde = restrict(explicit, self.nodes)
 
         if dirichlet == "box-boundary":
             fixed = self.nodes[~decomp.interior_masks[index][self.nodes]]
@@ -350,8 +546,9 @@ class BoxSystem:
         else:
             raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
-        self.system = DirichletSystem(matrix, np.searchsorted(self.nodes, fixed),
-                                      mesh.nodes[self.nodes])
+        self.system = DirichletSystem(restrict(matrix, self.nodes),
+                                      np.searchsorted(self.nodes, fixed),
+                                      mesh.nodes[self.nodes], direct=direct)
 
     def localize(self, field: np.ndarray) -> np.ndarray:
         """Box part of full-length fields of shape (..., n_nodes)."""

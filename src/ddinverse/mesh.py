@@ -147,8 +147,10 @@ class TriMesh:
         nodes = nodes[order]
         return np.column_stack([nodes[:-1], nodes[1:]])
 
-    def element_areas(self) -> np.ndarray:
-        p = self.nodes[self.elements]
+    def element_areas(self, elements=None) -> np.ndarray:
+        """Areas of all elements, or of those an int or bool array selects."""
+        p = self.nodes[self.elements if elements is None
+                       else self.elements[elements]]
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 
@@ -79,16 +78,17 @@ class HeatOperators:
         self.grid = grid
         self.tol = tol
 
-        K, _ = fem.assemble(mesh, diffusion, 0.0)
+        K = fem.assemble(mesh, diffusion, 0.0)
         self.lumped = fem.lumped_mass(mesh)
-        dt = grid.dt
-        self.S = (sp.diags(self.lumped) + 0.5 * dt * K).tocsr()
-        self.Stilde = (sp.diags(self.lumped) - 0.5 * dt * K).tocsr()
+        S, self.Stilde = fem.crank_nicolson(K, self.lumped, grid.dt)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        self.global_system = fem.DirichletSystem(self.S, self.boundary_nodes,
-                                                 mesh.nodes)
+        # A march solves the same S at every time step, so the systems that
+        # are small enough are factored once and solved directly.
+        self.global_system = fem.DirichletSystem(S, self.boundary_nodes,
+                                                 mesh.nodes, direct=True)
         self.locals = [
-            fem.BoxSystem(mesh, decomp, i, diffusion, 0.0, dt=dt)
+            fem.BoxSystem(mesh, decomp, i, S, explicit=self.Stilde,
+                          direct=True)
             for i in range(decomp.n_subdomains)
         ]
         self.step_count = 0

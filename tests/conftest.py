@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddinverse import mesh
 
@@ -30,3 +31,14 @@ def node_at(m, x, y):
         (np.abs(m.nodes[:, 0] - x) < 1e-12) & (np.abs(m.nodes[:, 1] - y) < 1e-12))
     assert hits.size == 1, f"no unique node at ({x}, {y})"
     return int(hits[0])
+
+
+def consistent_mass(m):
+    """Consistent P1 mass matrix of a mesh: area/12 * (1 + delta_jk) for
+    the vertices j, k of each element."""
+    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    vals = m.element_areas()[:, None, None] * local
+    rows = np.repeat(m.elements, 3, axis=1).ravel()
+    cols = np.tile(m.elements, (1, 3)).ravel()
+    shape = (m.n_nodes, m.n_nodes)
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()

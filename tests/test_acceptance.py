@@ -243,7 +243,7 @@ def test_criterion_8_discretization_orders():
     errors = []
     for nx in (7, 14, 28):
         m = mesh.build_mesh(nx, 2 * nx)
-        K, _ = fem.assemble(m, 1.0, 1.0)
+        K = fem.assemble(m, 1.0, 1.0)
         x, y = m.nodes.T
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         system = fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask),

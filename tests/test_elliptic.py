@@ -34,7 +34,7 @@ def test_u0_residual_for_unit_dirichlet(mesh7, decomp7):
                                    boundary_data=lambda x, y: 1.0)
     u0 = ops.solve_u0()
     assert np.allclose(u0[ops.boundary_nodes], 1.0)
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     res = (K @ u0)[~mesh7.boundary_mask]
     # interior equations hold up to the solver tolerance on an O(1) load
     assert np.abs(res).max() <= 1e-8
@@ -48,7 +48,7 @@ def test_affine_split(mesh7, decomp7):
     f = _rand_field(mesh7, 21)
     u0 = ops.solve_u0()
     U = ops.forward_global(f, warm=None)
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     xb, yb = mesh7.nodes[bnd].T
     direct = fem.DirichletSystem(K, bnd, mesh7.nodes).solve(

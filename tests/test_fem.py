@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ddinverse import fem, mesh, problems
+from conftest import consistent_mass
+from ddinverse import elliptic, fem, mesh, parabolic, problems
 
 
 def test_constants_in_stiffness_kernel(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 0.0)
+    K = fem.assemble(mesh7, 1.0, 0.0)
     ones = np.ones(mesh7.n_nodes)
     assert np.abs(K @ ones).max() < 1e-13
 
 
 def test_mass_integrates_one_on_single_cell():
     m = mesh.build_mesh(1, 1)
-    K, M = fem.assemble(m, 1.0, 1.0)
+    M = consistent_mass(m)
     assert abs(M.sum() - 2.0) < 1e-14
     # row sums of the consistent mass are the lumped weights
     rows = np.asarray(M.sum(axis=1)).ravel()
@@ -21,7 +24,7 @@ def test_mass_integrates_one_on_single_cell():
 
 
 def test_bitwise_symmetry(mesh7):
-    K, _ = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
+    K = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
     assert np.abs(K - K.T).max() == 0.0
 
 
@@ -63,13 +66,13 @@ def test_boundary_mass_rejects_empty(mesh7):
 
 
 def test_solve_constant_solution(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     u, _, _ = fem.pcg(K, fem.lumped_mass(mesh7), tol=1e-12)
     assert np.abs(u - 1.0).max() < 1e-9
 
 
 def test_solve_zero_rhs(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     system = fem.DirichletSystem(K, bnd, mesh7.nodes)
     u = system.solve(np.zeros(mesh7.n_nodes), 0.0)
@@ -81,7 +84,7 @@ def test_manufactured_convergence_order():
     errors = []
     for nx in (7, 14, 28):
         m = mesh.build_mesh(nx, 2 * nx)
-        K, _ = fem.assemble(m, 1.0, 1.0)
+        K = fem.assemble(m, 1.0, 1.0)
         x, y = m.nodes.T
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         rhs = fem.lumped_mass(m) * (lam + 1.0) * ustar
@@ -95,16 +98,16 @@ def test_manufactured_convergence_order():
 
 def test_galerkin_exact_for_linear_fields(mesh7):
     # with constant coefficients the assembled form is exact on P1 functions
-    K, M = fem.assemble(mesh7, 1.0, 0.0)
+    K = fem.assemble(mesh7, 1.0, 0.0)
     x, y = mesh7.nodes.T
     assert abs(x @ (K @ x) - 2.0) < 1e-12   # integral of |grad x|^2 = |domain|
     assert abs(x @ (K @ y)) < 1e-12         # orthogonal gradients
-    _, M = fem.assemble(mesh7, 1.0, 1.0)
+    M = consistent_mass(mesh7)
     assert abs(x @ (M @ x) - 2 / 3) < 1e-12  # integral of x^2 over the strip
 
 
 def test_inner_product_basics(mesh7):
-    _, M = fem.assemble(mesh7, 1.0, 1.0)
+    M = consistent_mass(mesh7)
     ones = np.ones(mesh7.n_nodes)
     assert abs(fem.inner_product(ones, ones, M) - 2.0) < 1e-13
     rng = np.random.default_rng(3)
@@ -117,13 +120,13 @@ def test_inner_product_orthogonality():
     m = mesh.build_mesh(28, 56)
     x, y = m.nodes.T
     v = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    _, M = fem.assemble(m, 1.0, 1.0)
+    M = consistent_mass(m)
     h2 = (1 / 28) ** 2
     assert abs(fem.inner_product(v, np.ones(m.n_nodes), M)) <= 10 * h2
 
 
 def test_inner_product_rejects_mismatch(mesh7):
-    _, M = fem.assemble(mesh7, 1.0, 1.0)
+    M = consistent_mass(mesh7)
     with pytest.raises(ValueError):
         fem.inner_product(np.ones(3), np.ones(3), M)
     with pytest.raises(ValueError):
@@ -131,7 +134,7 @@ def test_inner_product_rejects_mismatch(mesh7):
 
 
 def test_spd_after_elimination(mesh7):
-    K, _ = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
+    K = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
     system = fem.DirichletSystem(K, np.flatnonzero(mesh7.boundary_mask),
                                  mesh7.nodes)
     rng = np.random.default_rng(11)
@@ -141,7 +144,7 @@ def test_spd_after_elimination(mesh7):
 
 
 def test_solver_residual_contract(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(mesh7.n_nodes)
     x, relres, _ = fem.pcg(K.tocsr(), b, tol=1e-10)
@@ -150,7 +153,7 @@ def test_solver_residual_contract(mesh7):
 
 
 def test_nonconvergence_raises(mesh7):
-    K, _ = fem.assemble(mesh7, 1.0, 1.0)
+    K = fem.assemble(mesh7, 1.0, 1.0)
     b = np.ones(mesh7.n_nodes)
     with pytest.raises(fem.SolverError) as err:
         fem.pcg(K.tocsr(), b, tol=1e-14, max_iter=2)
@@ -171,7 +174,7 @@ def test_two_level_pcg_matches_jacobi(experiment):
     # (source) or 6441 with none (all-Neumann flux operator)
     spec = problems.example_catalog()[experiment]
     m = mesh.build_mesh(56, 112)
-    K, _ = fem.assemble(m, spec.diffusion, spec.reaction)
+    K = fem.assemble(m, spec.diffusion, spec.reaction)
     fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
              else np.array([], dtype=np.int64))
     system = fem.DirichletSystem(K, fixed, m.nodes)
@@ -191,11 +194,38 @@ def test_coarse_space_size_rule():
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     K = sp.identity(4096, format="csr")
-    system = fem.DirichletSystem(K, [], coords)
+    system = fem.DirichletSystem(K, [], coords, direct=True)
     agg, coarse_inv = system.coarse
     assert np.bincount(agg).tolist() == [64] * 64
     assert coarse_inv.shape == (64, 64)
-    assert fem.DirichletSystem(K, [0], coords).coarse is None
+    assert system.factor is None
+    # one node fewer: factored when a direct solve is asked for, plain
+    # Jacobi PCG otherwise
+    smaller = fem.DirichletSystem(K, [0], coords, direct=True)
+    assert smaller.coarse is None and smaller.K_ff is None
+    assert smaller.factor is not None
+    x = smaller.solve(np.arange(4096.0), np.array([5.0]))
+    assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
+    iterative = fem.DirichletSystem(K, [0], coords)
+    assert iterative.factor is None and iterative.coarse is None
+    assert iterative.K_ff is not None
+
+
+@pytest.mark.parametrize("nx, ny, factored", [(630, 7, False), (7, 630, True)])
+def test_band_budget_rule(nx, ny, factored):
+    # both meshes have 3774 free nodes; numbered row by row, the wide one
+    # has a bandwidth of about 630, beyond the factor's budget, and is
+    # solved by Jacobi PCG, the tall one a bandwidth of about 7
+    m = mesh.build_mesh(nx, ny)
+    K = fem.assemble(m, 1.0, 1.0)
+    system = fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask),
+                                 m.nodes, direct=True)
+    assert system.free.size == 3774
+    assert (system.factor is not None) == factored
+    assert (system.K_ff is None) == factored and system.coarse is None
+    x = system.solve(np.ones(m.n_nodes))
+    residual = (K @ x - np.ones(m.n_nodes))[system.free]
+    assert np.abs(residual).max() <= 1e-8
 
 
 def test_indefinite_coarse_operator_raises():
@@ -203,6 +233,155 @@ def test_indefinite_coarse_operator_raises():
     # h = 1/56) while the aggregated operator is dominated by the negative
     # reaction mass of each 8 x 8 aggregate
     m = mesh.build_mesh(56, 112)
-    K, _ = fem.assemble(m, 1.0, -5000.0)
+    K = fem.assemble(m, 1.0, -5000.0)
     with pytest.raises(ValueError, match="coarse operator"):
         fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask), m.nodes)
+
+
+@st.composite
+def banded_spd(draw):
+    """A random symmetric, strictly diagonally dominant band matrix, a
+    right-hand side and a random fixed set."""
+    n = draw(st.integers(1, 300))
+    bw = draw(st.integers(0, min(n - 1, 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    for d in range(1, bw + 1):
+        band = rng.uniform(-1.0, 1.0, n - d) * (rng.random(n - d) < 0.7)
+        A += np.diag(band, d) + np.diag(band, -d)
+    A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+    fixed = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.1])))
+    return A, rng.standard_normal(n), rng.standard_normal(fixed.size), fixed
+
+
+def _banded_case(n, bw, seed=0, fixed=()):
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    for d in range(1, bw + 1):
+        band = rng.uniform(-1.0, 1.0, n - d)
+        A += np.diag(band, d) + np.diag(band, -d)
+    A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(1.0, 2.0, n))
+    fixed = np.asarray(fixed, dtype=np.int64)
+    return A, rng.standard_normal(n), rng.standard_normal(fixed.size), fixed
+
+
+@settings(max_examples=60, deadline=None)
+@given(banded_spd())
+@example(_banded_case(1, 0))            # a single unknown
+@example(_banded_case(1, 0, fixed=[0]))  # no free unknown
+@example(_banded_case(10, 3))           # n not a multiple of the block size
+@example(_banded_case(157, 4, 1))       # several levels, ragged last block
+@example(_banded_case(200, 0, 2))       # a diagonal matrix
+@example(_banded_case(120, 5, 3, fixed=[0, 7, 119]))
+@example(_banded_case(150, fem.DENSE_TAIL + 2, 4))  # blocks above the tail
+def test_factored_solve_matches_dense(case):
+    A, rhs, vals, fixed = case
+    n = A.shape[0]
+    system = fem.DirichletSystem(sp.csr_matrix(A), fixed, np.zeros((n, 2)),
+                                 direct=True)
+    assert system.factor is not None
+    x = system.solve(rhs, vals if fixed.size else None)
+    free = system.free
+    ref = np.linalg.solve(A[np.ix_(free, free)],
+                          rhs[free] - A[np.ix_(free, fixed)] @ vals)
+    assert np.array_equal(x[fixed], vals)
+    assert (np.abs(x[free] - ref).max(initial=0.0)
+            <= 1e-12 * max(np.abs(ref).max(initial=0.0), 1.0))
+
+
+def _equal_row_pairs(n):
+    # positive diagonal, singular Schur complement
+    return sp.block_diag([np.ones((2, 2))] * (n // 2), format="csr"), []
+
+
+def _indefinite_pairs(n):
+    # positive diagonal, eigenvalues -1 and 3 in every pair
+    block = np.array([[1.0, 2.0], [2.0, 1.0]])
+    return sp.block_diag([block] * (n // 2), format="csr"), []
+
+
+def _negative_reaction():
+    # -laplace u - 50 u: positive diagonal, but 50 exceeds the smallest
+    # Dirichlet eigenvalue of the Laplacian on [0, 1] x [0, 2] (about 12.3)
+    m = mesh.build_mesh(14, 28)
+    return fem.assemble(m, 1.0, -50.0), np.flatnonzero(m.boundary_mask)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _equal_row_pairs(2), lambda: _equal_row_pairs(100),
+    lambda: _indefinite_pairs(2), lambda: _indefinite_pairs(100),
+    _negative_reaction,
+], ids=["singular-2", "singular-100", "indefinite-2", "indefinite-100",
+        "negative-reaction"])
+def test_factor_rejects_non_positive_definite(case):
+    A, fixed = case()
+    with pytest.raises(ValueError, match="not positive definite"):
+        fem.DirichletSystem(A, fixed, np.zeros((A.shape[0], 2)), direct=True)
+
+
+@pytest.fixture(scope="module")
+def factored_cases():
+    m14 = mesh.build_mesh(14, 28)
+    d14 = mesh.build_subdomains(m14)
+    source = elliptic.SourceOperators(m14, d14, lambda x, y: (x + y) / 100,
+                                      1.0)
+    flux = elliptic.FluxOperators(m14, d14, 1.0, 1.0)
+    K_source = fem.assemble(m14, lambda x, y: (x + y) / 100, 1.0)
+    K_flux = fem.assemble(m14, 1.0, 1.0)
+    m7 = mesh.build_mesh(7, 14)
+    grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
+    heat = parabolic.HeatOperators(m7, mesh.build_subdomains(m7), 1.0, grid)
+    S, _ = fem.crank_nicolson(fem.assemble(m7, 1.0, 0.0), heat.lumped, grid.dt)
+    # the elliptic systems, factored: the operators' own fixed sets
+    box_s, box_f = source.locals[0], flux.locals[1]
+    K_box_s = K_source[np.ix_(box_s.nodes, box_s.nodes)]
+    K_box_f = K_flux[np.ix_(box_f.nodes, box_f.nodes)]
+    return {
+        "source-box": (fem.DirichletSystem(K_box_s, box_s.system.fixed,
+                                           m14.nodes[box_s.nodes],
+                                           direct=True), K_box_s),
+        "flux-interface-closure-box": (
+            fem.DirichletSystem(K_box_f, box_f.system.fixed,
+                                m14.nodes[box_f.nodes], direct=True), K_box_f),
+        "flux-all-neumann-global": (
+            fem.DirichletSystem(K_flux, flux.global_system.fixed, m14.nodes,
+                                direct=True), K_flux),
+        "heat-S-global": (heat.global_system, S),
+    }
+
+
+@pytest.mark.parametrize("name", ["source-box", "flux-interface-closure-box",
+                                  "flux-all-neumann-global", "heat-S-global"])
+def test_factored_solve_matches_pcg(factored_cases, name):
+    system, K = factored_cases[name]
+    assert system.factor is not None
+    free = system.free
+    K_ff = K.tocsr()[np.ix_(free, free)]
+    rhs = np.random.default_rng(7).standard_normal(system.n)
+    x_pcg, relres, _ = fem.pcg(K_ff, rhs[free], tol=1e-12)
+    assert relres <= 1e-12
+    x = system.solve(rhs)
+    assert np.all(x[system.fixed] == 0.0)
+    assert np.abs(x[free] - x_pcg).max() <= 1e-9 * np.abs(x_pcg).max()
+
+
+def test_pcg_passes_non_finite_input_through():
+    x, relres, iterations = fem.pcg(sp.diags([2.0, 3.0]).tocsr(),
+                                    np.array([np.inf, 1.0]))
+    assert not np.all(np.isfinite(x))
+    assert iterations == 0 and not np.isfinite(relres)
+
+
+@pytest.mark.parametrize("n", [100, 4096])
+def test_dirichlet_solve_passes_non_finite_input_through(n):
+    # 100 free nodes are factored, 4096 solved by two-level PCG
+    side = int(np.ceil(np.sqrt(n)))
+    coords = np.column_stack([np.arange(n) % side, np.arange(n) // side])
+    K = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    system = fem.DirichletSystem(K, [], coords.astype(float), direct=True)
+    assert (system.factor is None) == (n >= 4096)
+    rhs = np.ones(n)
+    rhs[n // 2] = np.nan
+    assert not np.all(np.isfinite(system.solve(rhs)))
