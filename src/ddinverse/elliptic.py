@@ -122,6 +122,11 @@ class FluxOperators:
         self.neumann_data = neumann_data
 
         K = fem.assemble(mesh, diffusion, reaction)
+        # Without Dirichlet data, K annihilates the constants exactly when
+        # the reaction term vanishes: the stiffness rows sum to zero.
+        if np.abs(K @ np.ones(mesh.n_nodes)).max() <= 1e-12 * K.diagonal().max():
+            raise ValueError("the all-Neumann flux operator is singular: the "
+                             "reaction coefficient is zero, so K @ 1 = 0")
         self.lumped = fem.lumped_mass(mesh)
 
         gamma1_edges = mesh.side_edges("right")

@@ -4,17 +4,18 @@ Assembly returns scipy CSR matrices; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
 systems eliminate their Dirichlet conditions symmetrically, so every
 assembled operator stays symmetric positive definite.  A system that asks
-for a direct solve and has fewer than MIN_AGGREGATES * AGGREGATE_SIZE free
-nodes, with at most MAX_BAND_ENTRIES free nodes times bandwidth, is
-factored once, by block cyclic reduction over blocks of its bandwidth in
-plain numpy, and solved directly.  Every other system is solved by
-preconditioned conjugate gradients: Jacobi, plus, from MIN_AGGREGATES *
-AGGREGATE_SIZE free nodes on, the coarse correction of the additive
-two-level method, whose aggregates are bins of about AGGREGATE_SIZE free
-nodes and whose small Galerkin matrix is inverted densely once.  Jacobi
-alone needs O(1/h) iterations per solve; the coarse space removes most of
-that growth.  Neither path imports scipy.linalg or scipy.sparse.linalg,
-whose import alone adds several MB of resident memory.
+for a direct solve and has fewer than MULTILEVEL_SIZE free nodes, with at
+most MAX_BAND_ENTRIES free nodes times bandwidth, is factored once, by
+block cyclic reduction over blocks of its bandwidth in plain numpy, and
+solved directly.  Every other system is solved by preconditioned conjugate
+gradients: with Jacobi below MULTILEVEL_SIZE free nodes, and from there on
+with one V-cycle of a smoothed-aggregation multilevel hierarchy, whose
+aggregates are bins of about AGGREGATE_SIZE nodes on every level and whose
+coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted densely
+once.  Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps
+the count nearly independent of the mesh size.  Neither path imports
+scipy.linalg or scipy.sparse.linalg, whose import alone adds several MB of
+resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -30,16 +31,23 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-# Free nodes per coarse aggregate (bins of about 8 x 8 nodes).
-AGGREGATE_SIZE = 64
-# Below this many aggregates a coarse space would be too small to pay off;
-# such systems are factored, or solved with Jacobi PCG alone.
-MIN_AGGREGATES = 64
+# Systems with at least this many free nodes are solved by PCG with the
+# multilevel preconditioner; smaller ones are factored, or solved with
+# Jacobi PCG alone.
+MULTILEVEL_SIZE = 4096
+# Nodes per aggregate on each level of the hierarchy (bins of about 3 x 3).
+AGGREGATE_SIZE = 9
+# Damped-Jacobi weight of the prolongation smoother and of the V-cycle's
+# smoothing steps.
+SMOOTHING_WEIGHT = 2.0 / 3.0
+# Coarsening stops once a level has at most this many unknowns; that
+# level's matrix is inverted densely.
+COARSEST_SIZE = 200
 # A band factor holds about (free nodes) x (bandwidth) numbers and takes
 # about (free nodes) x (bandwidth)^2 operations; a system above this many
 # is solved iteratively instead.  A square grid just below the size rule,
 # 64 x 64 nodes, has a bandwidth of about 64.
-MAX_BAND_ENTRIES = MIN_AGGREGATES * AGGREGATE_SIZE * AGGREGATE_SIZE
+MAX_BAND_ENTRIES = MULTILEVEL_SIZE * 64
 # Block cyclic reduction stops once at most this many unknowns remain and
 # inverts the rest densely.
 DENSE_TAIL = 64
@@ -187,14 +195,13 @@ def inner_product(u, v, mass) -> float:
     return float(0.5 * (np.dot(u, mass @ v) + np.dot(v, mass @ u)))
 
 
-def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
+def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
         x0=None):
     """Preconditioned conjugate gradients for SPD A.
 
-    The preconditioner is Jacobi, z = inv_diag * r with inv_diag = 1/diag(A)
-    (computed when not given).  With coarse = (agg, Ac_inv) from
-    `coarse_space` it is the additive two-level one: the coarse correction
-    (Ac_inv @ bincount(agg, r))[agg] is added to the Jacobi term.
+    The preconditioner is one V-cycle of `multilevel`, a `Multilevel`
+    hierarchy of A, when given, and Jacobi, z = inv_diag * r with
+    inv_diag = 1/diag(A) (computed when not given), otherwise.
 
     Stops when ||b - A x|| <= tol * ||b||; returns (x, relative residual,
     iterations).  A right-hand side holding inf or nan gives an all-nan x
@@ -210,15 +217,14 @@ def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
         return np.zeros(n), 0.0, 0
     if not math.isfinite(bnorm):
         return np.full(n, math.nan), math.nan, 0
-    if inv_diag is None:
-        inv_diag = 1.0 / A.diagonal()
+    if multilevel is not None:
+        precondition = multilevel.apply
+    else:
+        if inv_diag is None:
+            inv_diag = 1.0 / A.diagonal()
 
-    def precondition(r, out):
-        np.multiply(inv_diag, r, out=out)
-        if coarse is not None:
-            agg, coarse_inv = coarse
-            out += (coarse_inv @ np.bincount(agg, weights=r))[agg]
-        return out
+        def precondition(r, out):
+            return np.multiply(inv_diag, r, out=out)
 
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x if x0 is not None else b.copy()
@@ -258,35 +264,87 @@ def pcg(A, b, *, inv_diag=None, coarse=None, tol=1e-10, max_iter=None,
     return x, rnorm / bnorm, it
 
 
-def coarse_space(K: sp.csr_matrix, coords: np.ndarray):
-    """Aggregation coarse space of the additive two-level preconditioner.
-
-    The nodes (coordinates `coords`, one row per row of K) are binned on a
-    grid over their bounding box with about AGGREGATE_SIZE nodes per bin,
-    and the occupied bins are the aggregates.  With P the 0/1 matrix of
-    node-in-aggregate, the Galerkin matrix Ac = P' K P is inverted densely.
-    Returns (agg, Ac_inv), agg the aggregate of each node.  Raises
-    ValueError when Ac is not positive definite.
-    """
+def _aggregates(coords):
+    """Aggregate of each node: the occupied bins of a grid over the bounding
+    box of the node coordinates `coords` with about AGGREGATE_SIZE nodes per
+    bin, numbered in bin order."""
     lo = coords.min(axis=0)
     extent = coords.max(axis=0) - lo
-    # Bins per axis in proportion to the extents, about n / AGGREGATE_SIZE
-    # in all.
     target = coords.shape[0] / AGGREGATE_SIZE
-    bins = np.maximum(np.rint(np.sqrt(target * extent / extent[::-1])), 1)
-    bins = bins.astype(np.int64)
+    # Bins per axis in proportion to the extents, about `target` in all, and
+    # at least one and at most `target` on each axis.  Nodes on a line (an
+    # axis without extent) are binned along the line only.
+    flat = extent == 0
+    if flat.any():
+        bins = np.where(flat, 1.0, target)
+        extent[flat] = 1.0
+    else:
+        bins = np.sqrt(target * extent / extent[::-1])
+    bins = np.clip(np.rint(bins), 1, max(round(target), 1)).astype(np.int64)
     cell = np.minimum(((coords - lo) / extent * bins).astype(np.int64),
                       bins - 1)
     _, agg = np.unique(cell[:, 0] * bins[1] + cell[:, 1], return_inverse=True)
-    n_agg = int(agg.max()) + 1
-    Kc = K.tocoo()
-    Ac = sp.coo_matrix((Kc.data, (agg[Kc.row], agg[Kc.col])),
-                       shape=(n_agg, n_agg)).toarray()
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(Ac))
-    except np.linalg.LinAlgError:
-        raise ValueError("coarse operator is not positive definite") from None
-    return agg, L_inv.T @ L_inv
+    return agg
+
+
+class Multilevel:
+    """Smoothed-aggregation multilevel preconditioner of an SPD matrix A
+    (Vanek, Mandel and Brezina, Computing 56, 1996).
+
+    Row i of `coords` holds the coordinates of unknown i.  Each level bins
+    its unknowns into aggregates (`_aggregates`); the 0/1 matrix T of
+    unknown-in-aggregate is smoothed once by damped Jacobi into the
+    prolongation P = T - w D^-1 A T (w = SMOOTHING_WEIGHT, D = diag(A)),
+    the next level's matrix is P' A P and its unknowns sit at the aggregate
+    centroids.  Coarsening stops at COARSEST_SIZE unknowns or fewer, whose
+    matrix is inverted densely.  Each level keeps A, P, the transpose view
+    P' and w / diag(A).  `apply` is one symmetric V(1,1) cycle with
+    damped-Jacobi smoothing.  Raises ValueError when a level's matrix is not
+    positive definite (checked on the diagonals and by a Cholesky
+    factorization of the coarsest matrix).
+    """
+
+    def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
+        self.levels = []
+        while True:
+            diag = A.diagonal()
+            if not np.all(diag > 0):
+                raise ValueError("coarse operator is not positive definite")
+            n = A.shape[0]
+            if n <= COARSEST_SIZE:
+                break
+            agg = _aggregates(coords)
+            n_agg = int(agg.max()) + 1
+            scaled = SMOOTHING_WEIGHT / diag
+            T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
+                              shape=(n, n_agg))
+            # A copy, because the difference keeps arrays sized for the
+            # entries of both operands
+            P = (T - sp.diags(scaled) @ (A @ T)).copy()
+            PT = P.T
+            self.levels.append((A, P, PT, scaled))
+            A = (PT @ (A @ P)).tocsr()
+            coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
+                      / np.bincount(agg)[:, None])
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+        except np.linalg.LinAlgError:
+            raise ValueError("coarse operator is not positive definite") from None
+        self.coarsest_inv = L_inv.T @ L_inv
+
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None,
+              level: int = 0) -> np.ndarray:
+        """One V(1,1) cycle for A x = b from x = 0, written to `out` when
+        given; `level` > 0 solves with that level's matrix instead of A."""
+        if level == len(self.levels):
+            return np.dot(self.coarsest_inv, b, out=out)
+        A, P, PT, scaled = self.levels[level]
+        x = np.multiply(scaled, b, out=out)
+        x += P @ self.apply(PT @ (b - A @ x), level=level + 1)
+        residual = b - A @ x
+        residual *= scaled
+        x += residual
+        return x
 
 
 def _block_tridiagonal(D, U):
@@ -431,12 +489,12 @@ class DirichletSystem:
     Splits K into the free-free block and the free-fixed coupling once, in
     one pass over K's entries, so repeated solves with different right-hand
     sides and boundary values stay cheap.  With direct=True, a system with
-    fewer than MIN_AGGREGATES * AGGREGATE_SIZE free nodes and at most
-    MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free block
-    once (`BandFactor`) and solves directly.  Every other system keeps K_ff
-    and solves by PCG; from MIN_AGGREGATES * AGGREGATE_SIZE free nodes on
-    it adds the coarse space built from the coordinates `coords` of its
-    free nodes (one row of `coords` per node of K).  Solutions are returned
+    fewer than MULTILEVEL_SIZE free nodes and at most MAX_BAND_ENTRIES free
+    nodes times bandwidth factors its free-free block once (`BandFactor`)
+    and solves directly.  Every other system keeps K_ff and solves by PCG:
+    with Jacobi below MULTILEVEL_SIZE free nodes, and from there on with the
+    `Multilevel` hierarchy of K_ff, binned by the coordinates `coords` of
+    its free nodes (one row of `coords` per node of K).  Solutions are returned
     on the full index set with the boundary values imposed exactly.
     """
 
@@ -472,16 +530,17 @@ class DirichletSystem:
                           (n_free, fixed.size)) if fixed.size else None)
         rows, cols, vals = rows[to_free], cols[to_free], vals[to_free]
 
-        self.factor = self.K_ff = self.inv_diag = self.coarse = None
-        small = n_free < MIN_AGGREGATES * AGGREGATE_SIZE
+        self.factor = self.K_ff = self.inv_diag = self.multilevel = None
+        small = n_free < MULTILEVEL_SIZE
         bandwidth = int(np.abs(rows - cols).max(initial=0))
         if direct and small and n_free * bandwidth <= MAX_BAND_ENTRIES:
             self.factor = BandFactor(rows, cols, vals, n_free)
             return
         self.K_ff = _csr(rows, cols, vals, (n_free, n_free))
-        self.inv_diag = 1.0 / self.K_ff.diagonal()
-        if not small:
-            self.coarse = coarse_space(self.K_ff, coords[self.free])
+        if small:
+            self.inv_diag = 1.0 / self.K_ff.diagonal()
+        else:
+            self.multilevel = Multilevel(self.K_ff, coords[self.free])
 
     def solve(self, rhs, fixed_values=None, *, tol=1e-10, max_iter=None, x0=None):
         """Solve K x = rhs with x = fixed_values on the fixed set.
@@ -504,8 +563,8 @@ class DirichletSystem:
         else:
             guess = x0[self.free] if x0 is not None else None
             xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
-                           coarse=self.coarse, tol=tol, max_iter=max_iter,
-                           x0=guess)
+                           multilevel=self.multilevel, tol=tol,
+                           max_iter=max_iter, x0=guess)
         x = np.zeros(self.n)
         x[self.free] = xf
         if vals is not None:

@@ -182,11 +182,11 @@ from ddinverse import cli, fem
 for args in (["--experiment", "5.3", "--nx", "7"],
              ["--experiment", "5.6", "--algorithm", "asa", "--nx", "7"]):
     assert cli.main(args + ["--out", {str(tmp_path)!r}]) == 0
-# one system large enough for the coarse space
+# one system large enough for the multilevel preconditioner
 side = np.arange(64.0)
 coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
 system = fem.DirichletSystem(sp.identity(4096, format="csr"), [], coords)
-assert system.coarse is not None
+assert system.multilevel is not None
 system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))

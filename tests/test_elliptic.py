@@ -15,6 +15,19 @@ def flux_ops(mesh7, decomp7):
     return elliptic.FluxOperators(mesh7, decomp7, 1.0, 1.0)
 
 
+def test_flux_operator_rejects_zero_reaction(mesh7, decomp7):
+    # -div grad u = f with Neumann data everywhere determines u only up to
+    # a constant; CG on it breaks down instead of naming the cause
+    with pytest.raises(ValueError, match="reaction coefficient is zero"):
+        elliptic.FluxOperators(mesh7, decomp7, 1.0, 0.0)
+    # a reaction term on part of the domain makes the operator definite
+    ops = elliptic.FluxOperators(mesh7, decomp7, 1.0,
+                                 lambda x, y: 1.0 * (x > 0.5))
+    h = np.zeros(mesh7.n_nodes)
+    h[ops.gamma1_nodes] = 1.0
+    assert np.all(np.isfinite(ops.forward_global(h)))
+
+
 def _rand_field(mesh, seed, interior_only=False):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mesh.n_nodes)

@@ -168,46 +168,60 @@ def test_pcg_breakdown_raises():
     assert err.value.iterations == 0
 
 
+def _global_system(experiment, nx):
+    """The mesh and the global system of an experiment: Dirichlet walls for
+    a source experiment, none for a flux one (all-Neumann operator)."""
+    spec = problems.example_catalog()[experiment]
+    m = mesh.build_mesh(nx, 2 * nx)
+    K = fem.assemble(m, spec.diffusion, spec.reaction)
+    fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
+             else np.array([], dtype=np.int64))
+    return m, fem.DirichletSystem(K, fixed, m.nodes)
+
+
+def _random_load(m, system, seed=3):
+    return fem.lumped_mass(m)[system.free] * np.random.default_rng(
+        seed).uniform(-1.0, 1.0, system.free.size)
+
+
 @pytest.mark.parametrize("experiment", ["5.3", "5.1"])
 def test_two_level_pcg_matches_jacobi(experiment):
     # the global system at nx=56: 6105 free nodes with Dirichlet walls
     # (source) or 6441 with none (all-Neumann flux operator)
-    spec = problems.example_catalog()[experiment]
-    m = mesh.build_mesh(56, 112)
-    K = fem.assemble(m, spec.diffusion, spec.reaction)
-    fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
-             else np.array([], dtype=np.int64))
-    system = fem.DirichletSystem(K, fixed, m.nodes)
-    assert system.coarse is not None
-    b = fem.lumped_mass(m)[system.free] * np.random.default_rng(3).uniform(
-        -1.0, 1.0, system.free.size)
-    x_jac, _, it_jac = fem.pcg(system.K_ff, b, inv_diag=system.inv_diag)
-    x_two, relres, it_two = fem.pcg(system.K_ff, b, inv_diag=system.inv_diag,
-                                    coarse=system.coarse)
+    m, system = _global_system(experiment, 56)
+    assert system.multilevel is not None
+    b = _random_load(m, system)
+    x_jac, _, it_jac = fem.pcg(system.K_ff, b)
+    x_two, relres, it_two = fem.pcg(system.K_ff, b,
+                                    multilevel=system.multilevel)
     assert relres <= 1e-10
     assert np.abs(x_two - x_jac).max() <= 1e-8 * np.abs(x_jac).max()
     assert 2 * it_two <= it_jac
 
 
 def test_coarse_space_size_rule():
-    # 64 aggregates of 64 nodes is the smallest system with a coarse space
+    # 4096 free nodes is the smallest system with the multilevel hierarchy;
+    # on a 64 x 64 grid each level bins about 3 x 3 nodes (21 x 21 bins,
+    # then 7 x 7) until at most 200 unknowns are left
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     K = sp.identity(4096, format="csr")
     system = fem.DirichletSystem(K, [], coords, direct=True)
-    agg, coarse_inv = system.coarse
-    assert np.bincount(agg).tolist() == [64] * 64
-    assert coarse_inv.shape == (64, 64)
-    assert system.factor is None
+    shapes = [P.shape for _, P, _, _ in system.multilevel.levels]
+    assert shapes == [(4096, 441), (441, 49)]
+    assert system.multilevel.coarsest_inv.shape == (49, 49)
+    assert system.factor is None and system.inv_diag is None
+    x = system.solve(np.arange(4096.0))
+    assert np.allclose(x, np.arange(4096.0), rtol=1e-10, atol=1e-10)
     # one node fewer: factored when a direct solve is asked for, plain
     # Jacobi PCG otherwise
     smaller = fem.DirichletSystem(K, [0], coords, direct=True)
-    assert smaller.coarse is None and smaller.K_ff is None
+    assert smaller.multilevel is None and smaller.K_ff is None
     assert smaller.factor is not None
     x = smaller.solve(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
     iterative = fem.DirichletSystem(K, [0], coords)
-    assert iterative.factor is None and iterative.coarse is None
+    assert iterative.factor is None and iterative.multilevel is None
     assert iterative.K_ff is not None
 
 
@@ -222,7 +236,7 @@ def test_band_budget_rule(nx, ny, factored):
                                  m.nodes, direct=True)
     assert system.free.size == 3774
     assert (system.factor is not None) == factored
-    assert (system.K_ff is None) == factored and system.coarse is None
+    assert (system.K_ff is None) == factored and system.multilevel is None
     x = system.solve(np.ones(m.n_nodes))
     residual = (K @ x - np.ones(m.n_nodes))[system.free]
     assert np.abs(residual).max() <= 1e-8
@@ -230,12 +244,70 @@ def test_band_budget_rule(nx, ny, factored):
 
 def test_indefinite_coarse_operator_raises():
     # c = -5000 keeps every diagonal entry positive (4 - 5000 h^2 / 2 > 0 at
-    # h = 1/56) while the aggregated operator is dominated by the negative
-    # reaction mass of each 8 x 8 aggregate
+    # h = 1/56) while the first coarse operator, over aggregates of about
+    # 3 x 3 nodes, is dominated by the negative reaction mass
     m = mesh.build_mesh(56, 112)
     K = fem.assemble(m, 1.0, -5000.0)
     with pytest.raises(ValueError, match="coarse operator"):
         fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask), m.nodes)
+
+
+@pytest.mark.parametrize("case", ["box-n112", "global-n56"])
+def test_v_cycle_is_symmetric_and_positive(case):
+    # PCG needs a symmetric positive definite preconditioner: the V-cycle
+    # smooths with the same damped Jacobi before and after the coarse
+    # correction and restricts with the transpose of the prolongation
+    if case == "box-n112":
+        spec = problems.example_catalog()["5.3"]
+        m = mesh.build_mesh(112, 224)
+        K = fem.assemble(m, spec.diffusion, spec.reaction)
+        system = fem.BoxSystem(m, mesh.build_subdomains(m), 0, K).system
+    else:
+        _, system = _global_system("5.3", 56)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        r1, r2 = rng.standard_normal((2, system.free.size))
+        z1 = system.multilevel.apply(r1)
+        z2 = system.multilevel.apply(r2)
+        a, b = r1 @ z2, r2 @ z1
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+        assert r1 @ z1 > 0 and r2 @ z2 > 0
+
+
+def test_multilevel_iterations_do_not_grow_with_the_mesh():
+    # the 5.3 global system at nx=56 and nx=112 (6105 and 24,753 unknowns);
+    # Jacobi PCG needs about twice as many iterations on the finer mesh
+    counts = []
+    for nx in (56, 112):
+        m, system = _global_system("5.3", nx)
+        _, relres, it = fem.pcg(system.K_ff, _random_load(m, system),
+                                multilevel=system.multilevel)
+        assert relres <= 1e-10
+        counts.append(it)
+    assert counts[1] <= counts[0] + 5
+
+
+@pytest.mark.filterwarnings("error")  # e.g. 0 / 0 in the binning
+@pytest.mark.parametrize("case", ["strip", "line"])
+def test_multilevel_on_thin_and_collinear_nodes(case):
+    if case == "strip":
+        # 4201 x 2 nodes and the all-Neumann operator
+        m = mesh.build_mesh(4200, 1)
+        K, coords = fem.assemble(m, 1.0, 1.0), m.nodes
+    else:
+        # a 1-D operator on 5000 nodes on a line: no level has extent
+        # across it
+        n = 5000
+        K = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+        coords = np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, 0.5)])
+    system = fem.DirichletSystem(K, [], coords)
+    assert system.multilevel is not None
+    b = np.cos(3.0 * coords[:, 0])
+    x, relres, _ = fem.pcg(system.K_ff, b, multilevel=system.multilevel)
+    assert relres <= 1e-10 and np.all(np.isfinite(x))
+    # the strip's cells of 1/4200 by 2 spread K's entries over eight orders
+    # of magnitude, so the true residual stops near 1e-8 (with Jacobi too)
+    assert np.linalg.norm(K @ x - b) <= 1e-7 * np.linalg.norm(b)
 
 
 @st.composite
