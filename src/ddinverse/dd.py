@@ -124,55 +124,22 @@ def update_traces(problem, solutions) -> list:
     """Replace inner-boundary values by the multiplicity-weighted average of
     the local solutions over the open subdomains containing each node.
 
-    Trace nodes on the outer boundary (present only in the closure sets used
-    by the flux problem) fall back to averaging over the closed subdomains
-    other than the owner.  A trace node covered by no subdomain violates the
-    decomposition invariants and raises.
+    solutions[j] is the local solution on box j, numbered by the box nodes
+    (with leading axes such as time levels).  Trace nodes on the outer
+    boundary (present only in the closure sets used by the flux problem)
+    fall back to averaging over the closed subdomains other than the owner.
+    Which box supplies which trace node is read from `problem.exchange`.
     """
-    dec = problem.decomp
-    nsub = dec.n_subdomains
     new = []
-    for i, nodes in enumerate(problem.trace_nodes):
-        counts = dec.multiplicity[nodes].astype(float)
-        acc = np.zeros(solutions[0][..., nodes].shape)
-        for j in range(nsub):
-            memb = dec.interior_masks[j][nodes]
-            if memb.any():
-                acc[..., memb] += solutions[j][..., nodes[memb]]
-        vals = np.zeros_like(acc)
-        covered = counts > 0
-        vals[..., covered] = acc[..., covered] / counts[covered]
-        rim = np.flatnonzero(~covered)
-        if rim.size:
-            rim_nodes = nodes[rim]
-            ccount = np.zeros(rim.size)
-            cacc = np.zeros(acc[..., rim].shape)
-            for j in range(nsub):
-                if j == i:
-                    continue
-                memb = dec.masks[j][rim_nodes]
-                if memb.any():
-                    cacc[..., memb] += solutions[j][..., rim_nodes[memb]]
-                    ccount[memb] += 1.0
-            if np.any(ccount == 0):
-                raise RuntimeError(
-                    "inner-boundary node is covered by no other subdomain; "
-                    "decomposition invariant violated")
-            vals[..., rim] = cacc / ccount
-        new.append(vals)
+    for counts, gathers in problem.exchange:
+        acc = np.zeros(np.shape(solutions[0])[:-1] + (counts.size,))
+        for j, at, take in gathers:
+            acc[..., at] += solutions[j][..., take]
+        new.append(acc / counts)
     return new
 
 
-def _push_selectors(problem):
-    dec = problem.decomp
-    nsub = dec.n_subdomains
-    return [
-        [dec.interior_masks[i][problem.trace_nodes[j]] for j in range(nsub)]
-        for i in range(nsub)
-    ]
-
-
-def _msa_sweep(problem, config, components, traces, push):
+def _msa_sweep(problem, config, components, traces):
     """One multiplicative sweep; mutates copies and returns them."""
     nsub = problem.decomp.n_subdomains
     components = [c.copy() for c in components]
@@ -181,17 +148,12 @@ def _msa_sweep(problem, config, components, traces, push):
         components[i] = problem.local_minimize(
             i, components, components[i], traces[i], config)
         local = problem.local_solution(i, total_component(components), traces[i])
-        for j in range(i + 1, nsub):
-            sel = push[i][j]
-            if sel.any():
-                traces[j][..., sel] = local[..., problem.trace_nodes[j][sel]]
+        for j, at, take in problem.push[i]:
+            traces[j][..., at] = local[..., take]
     return components, traces
 
 
 def _run(problem, config, initial, algorithm):
-    nsub = problem.decomp.n_subdomains
-    push = _push_selectors(problem)
-
     start = problem.default_initial() if initial is None else np.asarray(initial, float)
     components = problem.split(start)
     iterate = total_component(components)
@@ -208,13 +170,10 @@ def _run(problem, config, initial, algorithm):
         previous = iterate
         if algorithm == "msa":
             components, traces = _msa_sweep(problem, config, components,
-                                             traces, push)
+                                             traces)
             iterate = total_component(components)
         else:
-            fresh = [
-                problem.local_minimize(i, components, components[i], traces[i], config)
-                for i in range(nsub)
-            ]
+            fresh = problem.local_minimize_all(components, traces, config)
             iterate = relax_combination(fresh, previous, config.lam)
             components = fresh
         increment = problem.param_norm(iterate - previous)
@@ -238,9 +197,8 @@ def _run(problem, config, initial, algorithm):
             break
         if it == config.max_iter:
             break
-        solutions = [problem.local_solution(i, iterate, traces[i])
-                     for i in range(nsub)]
-        traces = update_traces(problem, solutions)
+        traces = update_traces(problem,
+                               problem.local_solutions(iterate, traces))
         if algorithm == "asa":
             components = problem.split(iterate)
 
@@ -314,19 +272,72 @@ class _InversionBase:
     The defaults fit the volume parameters (source, initial temperature):
     components live on the open-subdomain node sets, inner-boundary values
     on the interfaces, and parameters are paired with the lumped mass.
+    Parameters and components are full-length nodal vectors; local
+    solutions are box fields, numbered by the box nodes `box_nodes[i]`.
+    The maps that move values between the two (`box_supports`, `exchange`,
+    `push`) are computed once here.
     """
 
-    def __init__(self, ops, z0, exact=None, initial_value=0.0):
+    def __init__(self, ops, z0, exact=None, initial_value=0.0, *,
+                 supports=None, trace_nodes=None):
         self.ops = ops
         self.decomp = ops.decomp
         self.z0 = np.asarray(z0, dtype=float)
         self.exact = None if exact is None else np.asarray(exact, dtype=float)
         self.initial_value = float(initial_value)
         self.weight = ops.lumped
-        self.supports = list(self.decomp.interior_masks)
-        self.trace_nodes = list(self.decomp.interfaces)
-        self.box_weight = [loc.embed(loc.lumped) for loc in ops.locals]
+        dec = self.decomp
+        self.supports = list(dec.interior_masks if supports is None
+                             else supports)
+        self.trace_nodes = list(dec.interfaces if trace_nodes is None
+                                else trace_nodes)
+        self.box_nodes = [loc.nodes for loc in ops.locals]
+        self.box_supports = []
+        for i, (support, nodes) in enumerate(zip(self.supports,
+                                                 self.box_nodes)):
+            if support.sum() != support[nodes].sum():
+                raise ValueError(f"the support of box {i} leaves the box")
+            self.box_supports.append(support[nodes])
+        self.exchange = [self._exchange_map(i)
+                         for i in range(dec.n_subdomains)]
+        # push[i]: for each later box j, the positions of trace j inside
+        # open box i and where box i's local solution holds them
+        self.push = [[(j, *self._positions(i, j, dec.interior_masks[i][nodes]))
+                      for j, nodes in enumerate(self.trace_nodes)
+                      if j > i and dec.interior_masks[i][nodes].any()]
+                     for i in range(dec.n_subdomains)]
         self.surrogate_scale = 1.0
+
+    def _positions(self, box, trace, members):
+        """The positions of the `members` of trace `trace`'s nodes, and
+        their positions in box `box`."""
+        at = np.flatnonzero(members)
+        return at, np.searchsorted(self.box_nodes[box],
+                                   self.trace_nodes[trace][at])
+
+    def _exchange_map(self, i):
+        """The averaging of trace i in `update_traces`: the number of boxes
+        averaged at each trace node, and for each box j the trace positions
+        it supplies, with their positions in box j.  A node in an open box
+        takes every open box containing it; a node in none of them (on the
+        outer boundary) the closed boxes other than box i."""
+        dec = self.decomp
+        nodes = self.trace_nodes[i]
+        rim = dec.multiplicity[nodes] == 0
+        counts = np.zeros(nodes.size)
+        gathers = []
+        for j in range(dec.n_subdomains):
+            members = dec.interior_masks[j][nodes]
+            if j != i:
+                members |= rim & dec.masks[j][nodes]
+            if members.any():
+                counts += members
+                gathers.append((j, *self._positions(j, i, members)))
+        if np.any(counts == 0):
+            raise RuntimeError(
+                "inner-boundary node is covered by no other subdomain; "
+                "decomposition invariant violated")
+        return counts, gathers
 
     def solve_calls(self):
         return self.ops.solve_count
@@ -366,25 +377,58 @@ class _InversionBase:
     def global_solution(self, param, warm="obj"):
         return self.ops.forward_global(param, warm=warm)
 
-    def _local_update(self, i, components, anchor, config, propagate,
-                      back_project):
-        """Closed-form minimizer of the augmented local functional of box i.
+    def local_minimize_all(self, components, traces, config) -> list:
+        """`local_minimize` of every box from the same state (the additive
+        step), each box anchored at its own component."""
+        return [self.local_minimize(i, components, components[i], traces[i],
+                                    config)
+                for i in range(len(components))]
 
-        With a the anchor, n the sum of the other components, F = `propagate`
-        the local forward map with the current inner-boundary values and
-        B = `back_project` the adjoint of its zero-trace part, the minimizer
-        is (s a + B(z0 - F(n + a)) - beta n) / (s + beta) on the support of
-        box i and zero elsewhere, with s = A * surrogate_scale.
+    def local_solutions(self, param, traces) -> list:
+        """`local_solution` of every box."""
+        return [self.local_solution(i, param, traces[i])
+                for i in range(len(traces))]
+
+    def _local_updates(self, boxes, components, anchors, config, propagate,
+                       back_project) -> list:
+        """Closed-form minimizers of the augmented local functionals of the
+        boxes `boxes`, box i anchored at anchors[k] for boxes[k] = i.
+
+        With a the anchor, n the sum of the other components, F the local
+        forward map with the current inner-boundary values and B the adjoint
+        of its zero-trace part, the minimizer is
+        (s a + B(z0 - F(n + a)) - beta n) / (s + beta) on the support of box
+        i and zero elsewhere, with s = A * surrogate_scale.  `propagate`
+        maps the box fields n + a of all the boxes to their F, and
+        `back_project` the box residuals z0 - F(n + a) to their B.
         """
         s = config.A * self.surrogate_scale
-        neighbours = total_component([components[j]
-                                      for j in range(len(components)) if j != i])
-        back = back_project(self.z0 - propagate(neighbours + anchor))
-        out = np.zeros_like(anchor)
-        sup = self.supports[i]
-        out[sup] = (s * anchor[sup] + back[sup]
-                    - config.beta * neighbours[sup]) / (s + config.beta)
+        nsub = len(components)
+        neighbours = [total_component([components[j] for j in range(nsub)
+                                       if j != i]) for i in boxes]
+        fields = propagate([(n + a)[self.box_nodes[i]]
+                            for i, n, a in zip(boxes, neighbours, anchors)])
+        residuals = [self.z0[..., self.box_nodes[i]] - u
+                     for i, u in zip(boxes, fields)]
+        del fields  # free the local solutions before the back-projection
+        back = back_project(residuals)
+        out = []
+        for i, n, a, b in zip(boxes, neighbours, anchors, back):
+            update = np.zeros_like(a)
+            sup = self.supports[i]
+            update[sup] = (s * a[sup] + b[self.box_supports[i]]
+                           - config.beta * n[sup]) / (s + config.beta)
+            out.append(update)
         return out
+
+    def _local_update(self, i, components, anchor, config, propagate,
+                      back_project):
+        """`_local_updates` of box i alone, with `propagate` and
+        `back_project` acting on one box field."""
+        return self._local_updates(
+            [i], components, [anchor], config,
+            lambda fields: [propagate(fields[0])],
+            lambda residuals: [back_project(residuals[0])])[0]
 
 
 class SourceInversion(_InversionBase):
@@ -399,7 +443,8 @@ class SourceInversion(_InversionBase):
     kind = "source"
 
     def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param, trace, warm="sweep")
+        return self.ops.forward_local(i, param[self.box_nodes[i]], trace,
+                                      warm="sweep")
 
     def local_minimize(self, i, components, anchor, trace, config):
         return self._local_update(
@@ -412,20 +457,6 @@ class SourceInversion(_InversionBase):
         d = u - self.z0
         return (fem.inner_product(d, d, self.weight)
                 + config.beta * self.param_inner(param, param))
-
-    def local_surrogate(self, i, components, trace, anchor, config) -> float:
-        """Direct evaluation of the augmented local functional (test oracle)."""
-        w = self.box_weight[i]
-        tot = total_component(components)
-        u = self.ops.forward_local(i, tot, trace)
-        d = u - self.z0
-        value = fem.inner_product(d, d, w)
-        value += config.beta * fem.inner_product(tot, tot, w)
-        diff = components[i] - anchor
-        value += config.A * fem.inner_product(diff, diff, w)
-        ud = self.ops.forward_local(i, diff, None)
-        value -= fem.inner_product(ud, ud, w)
-        return value
 
     def surrogate_normal_apply(self, v) -> np.ndarray:
         return self.ops.forward_global(self.ops.forward_global(v, warm=None),
@@ -445,14 +476,14 @@ class FluxInversion(_InversionBase):
     kind = "flux"
 
     def __init__(self, ops, z0, exact=None, initial_value=0.0):
-        super().__init__(ops, z0, exact, initial_value)
-        self.weight = ops.bmass1
-        self.supports = []
+        supports = []
         for nodes in flux_support(ops.mesh, ops.decomp):
             mask = np.zeros(ops.mesh.n_nodes, dtype=bool)
             mask[nodes] = True
-            self.supports.append(mask)
-        self.trace_nodes = list(self.decomp.interface_closures)
+            supports.append(mask)
+        super().__init__(ops, z0, exact, initial_value, supports=supports,
+                         trace_nodes=ops.decomp.interface_closures)
+        self.weight = ops.bmass1
         self._warned_empty = False
 
     def default_initial(self) -> np.ndarray:
@@ -461,7 +492,8 @@ class FluxInversion(_InversionBase):
         return out
 
     def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param, trace, warm="sweep")
+        return self.ops.forward_local(i, param[self.box_nodes[i]], trace,
+                                      warm="sweep")
 
     def local_minimize(self, i, components, anchor, trace, config):
         # A box without flux support runs no solve: its component stays zero.
@@ -481,25 +513,6 @@ class FluxInversion(_InversionBase):
         d = u - self.z0
         return (fem.inner_product(d, d, self.ops.bmass0)
                 + config.beta * self.param_inner(param, param))
-
-    def local_surrogate(self, i, components, trace, anchor, config) -> float:
-        loc = self.ops.locals[i]
-        b0 = self.ops.bmass0_loc[i]
-        b1 = self.ops.bmass1_loc[i]
-        tot = total_component(components)
-        u = self.ops.forward_local(i, tot, trace)
-        d = (u - self.z0)[loc.nodes]
-        value = fem.inner_product(d, d, b0) if b0 is not None else 0.0
-        if b1 is not None:
-            t = tot[loc.nodes]
-            value += config.beta * fem.inner_product(t, t, b1)
-            diff = (components[i] - anchor)[loc.nodes]
-            value += config.A * fem.inner_product(diff, diff, b1)
-        ud = self.ops.forward_local(i, components[i] - anchor, None)
-        if b0 is not None:
-            udl = ud[loc.nodes]
-            value -= fem.inner_product(udl, udl, b0)
-        return value
 
     def random_param(self, rng) -> np.ndarray:
         v = np.zeros(self.ops.mesh.n_nodes)
@@ -521,7 +534,8 @@ class InitialValueInversion(_InversionBase):
     Solutions are space-time trajectories; inner-boundary values are carried
     per time level.  The local update matches the stationary one with the
     surrogate constant scaled by the observation-window length and the
-    residual fed through the weighted backward accumulation.
+    residual fed through the weighted backward accumulation.  The additive
+    step and the exchange march all four boxes as one stack.
     """
 
     kind = "initial_value"
@@ -537,7 +551,11 @@ class InitialValueInversion(_InversionBase):
         return self.ops.forward_global(param)
 
     def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param, trace)
+        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
+
+    def local_solutions(self, param, traces) -> list:
+        return self.ops.forward_boxes(
+            [param[nodes] for nodes in self.box_nodes], traces)
 
     def local_minimize(self, i, components, anchor, trace, config):
         return self._local_update(
@@ -545,27 +563,18 @@ class InitialValueInversion(_InversionBase):
             lambda phi: self.ops.forward_local(i, phi, trace),
             lambda r: self.ops.accumulate(i, r))
 
+    def local_minimize_all(self, components, traces, config) -> list:
+        return self._local_updates(
+            range(len(components)), components, components, config,
+            lambda phis: self.ops.forward_boxes(phis, traces),
+            self.ops.accumulate_boxes)
+
     def objective(self, param, config) -> float:
         traj = self.ops.forward_global(param)
         d = traj - self.z0
         w = self.ops.grid.weights()
         misfit = float(np.einsum("k,kn,n,kn->", w, d, self.weight, d))
         return misfit + config.beta * self.param_inner(param, param)
-
-    def local_surrogate(self, i, components, trace, anchor, config) -> float:
-        wbox = self.box_weight[i]
-        wk = self.ops.grid.weights()
-        tot = total_component(components)
-        traj = self.ops.forward_local(i, tot, trace)
-        d = traj - self.z0
-        value = float(np.einsum("k,kn,n,kn->", wk, d, wbox, d))
-        value += config.beta * fem.inner_product(tot, tot, wbox)
-        diff = components[i] - anchor
-        value += (config.A * self.ops.grid.sigma
-                  * fem.inner_product(diff, diff, wbox))
-        td = self.ops.forward_local(i, diff, None)
-        value -= float(np.einsum("k,kn,n,kn->", wk, td, wbox, td))
-        return value
 
     def surrogate_normal_apply(self, v) -> np.ndarray:
         traj = self.ops.forward_global(v)

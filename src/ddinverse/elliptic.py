@@ -14,7 +14,8 @@ inherited outer boundary condition and Dirichlet values on the inner
 (artificial) boundary.  For the flux setting the Dirichlet set is the inner
 boundary *closure* (including the nodes where a cut line meets the outer
 boundary); with that choice the restriction of a global solve satisfies the
-local system exactly, which the Schwarz iterations rely on.
+local system exactly, which the Schwarz iterations rely on.  Local solves
+take and return box fields, numbered by the box nodes.
 
 Volume loads and inner products use the lumped mass; see fem module notes.
 """
@@ -35,7 +36,26 @@ def _box_boundary_mass(mesh, edges, inside, nodes):
     return fem.restrict(fem.assemble_boundary_mass(mesh, edges), nodes)
 
 
-class SourceOperators:
+class _Operators:
+    """Shared plumbing: every solve is counted in `solve_count`, and a solve
+    with a key `warm` starts from the last solution stored under that key
+    and stores its own."""
+
+    def __init__(self, mesh, decomp, tol):
+        self.mesh, self.decomp, self.tol = mesh, decomp, tol
+        self._warm: dict = {}
+        self.solve_count = 0
+
+    def _solve(self, system, rhs, fixed_values=None, warm=None):
+        self.solve_count += 1
+        x = system.solve(rhs, fixed_values, tol=self.tol,
+                         x0=None if warm is None else self._warm.get(warm))
+        if warm is not None:
+            self._warm[warm] = x
+        return x
+
+
+class SourceOperators(_Operators):
     """Forward/adjoint operators for volume-source identification.
 
     The homogeneous-data operator maps a nodal source to the solution with
@@ -46,9 +66,7 @@ class SourceOperators:
 
     def __init__(self, mesh, decomp, diffusion, reaction,
                  boundary_data=None, tol=1e-10):
-        self.mesh = mesh
-        self.decomp = decomp
-        self.tol = tol
+        super().__init__(mesh, decomp, tol)
         self.boundary_data = boundary_data
 
         K = fem.assemble(mesh, diffusion, reaction)
@@ -60,15 +78,6 @@ class SourceOperators:
             fem.BoxSystem(mesh, decomp, i, K, "box-boundary")
             for i in range(decomp.n_subdomains)
         ]
-        self._warm: dict = {}
-        self.solve_count = 0
-
-    def _warm_get(self, key):
-        return self._warm.get(key) if key is not None else None
-
-    def _warm_put(self, key, x):
-        if key is not None:
-            self._warm[key] = x
 
     def solve_u0(self) -> np.ndarray:
         """Solution with zero source and the problem's fixed boundary data."""
@@ -77,33 +86,25 @@ class SourceOperators:
         xb, yb = self.mesh.nodes[self.boundary_nodes].T
         gvals = np.asarray(self.boundary_data(xb, yb), dtype=float)
         gvals = np.broadcast_to(gvals, self.boundary_nodes.shape).astype(float)
-        self.solve_count += 1
-        return self.global_system.solve(np.zeros(self.mesh.n_nodes), gvals,
-                                        tol=self.tol)
+        return self._solve(self.global_system, np.zeros(self.mesh.n_nodes),
+                           gvals)
 
     def forward_global(self, f: np.ndarray, *, warm=None) -> np.ndarray:
         """Solve with source f and zero boundary values; linear in f."""
-        self.solve_count += 1
-        x = self.global_system.solve(self.lumped * f, None, tol=self.tol,
-                                     x0=self._warm_get(("g", warm)))
-        self._warm_put(("g", warm), x)
-        return x
+        return self._solve(self.global_system, self.lumped * f, None,
+                           ("g", warm))
 
     def forward_local(self, i: int, f: np.ndarray, trace=None, *,
                       warm=None) -> np.ndarray:
-        """Local solve on box i: source f, zero values on the outer boundary
-        part, Dirichlet `trace` on the inner boundary (zero when None).
-        Returns a full-length field supported on the box."""
+        """Local solve on box i: box source f, zero values on the outer
+        boundary part, Dirichlet `trace` on the inner boundary (zero when
+        None).  Box fields are numbered by the box nodes `locals[i].nodes`."""
         loc = self.locals[i]
-        rhs = loc.lumped * loc.localize(f)
-        self.solve_count += 1
-        x = loc.system.solve(rhs, loc.fixed_values(trace), tol=self.tol,
-                             x0=self._warm_get(("l", i, warm)))
-        self._warm_put(("l", i, warm), x)
-        return loc.embed(x)
+        return self._solve(loc.system, loc.lumped * f,
+                           loc.fixed_values(trace), ("l", i, warm))
 
 
-class FluxOperators:
+class FluxOperators(_Operators):
     """Forward/adjoint operators for boundary-flux identification.
 
     The forward map takes a flux on the right side to the solution of the
@@ -115,9 +116,7 @@ class FluxOperators:
 
     def __init__(self, mesh, decomp, diffusion, reaction,
                  volume_source=None, neumann_data=None, tol=1e-10):
-        self.mesh = mesh
-        self.decomp = decomp
-        self.tol = tol
+        super().__init__(mesh, decomp, tol)
         self.volume_source = volume_source
         self.neumann_data = neumann_data
 
@@ -149,22 +148,6 @@ class FluxOperators:
                 mesh, gamma1_edges, decomp.masks[i], loc.nodes))
             self.bmass0_loc.append(_box_boundary_mass(
                 mesh, gamma0_edges, decomp.masks[i], loc.nodes))
-        self._warm: dict = {}
-        self.solve_count = 0
-
-    def _warm_get(self, key):
-        return self._warm.get(key) if key is not None else None
-
-    def _warm_put(self, key, x):
-        if key is not None:
-            self._warm[key] = x
-
-    def _global_solve(self, rhs, warm):
-        self.solve_count += 1
-        x = self.global_system.solve(rhs, None, tol=self.tol,
-                                     x0=self._warm_get(warm))
-        self._warm_put(warm, x)
-        return x
 
     def solve_u0(self) -> np.ndarray:
         """Solution with zero unknown flux and the fixed source/Neumann data."""
@@ -181,36 +164,36 @@ class FluxOperators:
             rhs += self.bmass0 @ g
         if not np.any(rhs):
             return np.zeros(self.mesh.n_nodes)
-        return self._global_solve(rhs, None)
+        return self._solve(self.global_system, rhs)
 
     def forward_global(self, h: np.ndarray, *, warm=None) -> np.ndarray:
         """All-Neumann solve driven by the flux h (full-length vector with
         values on the right-side nodes); returns the volume field."""
-        return self._global_solve(self.bmass1 @ h, ("g", warm))
+        return self._solve(self.global_system, self.bmass1 @ h, None,
+                           ("g", warm))
 
     def adjoint_volume(self, w: np.ndarray, *, warm=None) -> np.ndarray:
         """All-Neumann solve driven by data w on the measurement boundary."""
-        return self._global_solve(self.bmass0 @ w, ("a", warm))
+        return self._solve(self.global_system, self.bmass0 @ w, None,
+                           ("a", warm))
 
     def adjoint_global(self, w: np.ndarray, *, warm=None) -> np.ndarray:
         """Adjoint map as a trace: values on the right-side nodes."""
         return self.adjoint_volume(w, warm=warm)[self.gamma1_nodes]
 
     def _local_solve(self, i, bmass_loc, field, trace, warm):
-        """Local solve on box i loaded by `field` through the box boundary
-        mass `bmass_loc` (no load when the box misses that boundary part)."""
+        """Local solve on box i loaded by the box field `field` through the
+        box boundary mass `bmass_loc` (no load when the box misses that
+        boundary part).  Box fields are numbered by the box nodes."""
         loc = self.locals[i]
         rhs_local = (np.zeros(loc.nodes.size) if bmass_loc is None
-                     else bmass_loc @ loc.localize(field))
-        self.solve_count += 1
-        x = loc.system.solve(rhs_local, loc.fixed_values(trace), tol=self.tol,
-                             x0=self._warm_get(warm))
-        self._warm_put(warm, x)
-        return loc.embed(x)
+                     else bmass_loc @ field)
+        return self._solve(loc.system, rhs_local, loc.fixed_values(trace),
+                           warm)
 
     def forward_local(self, i: int, h: np.ndarray, trace=None, *,
                       warm=None) -> np.ndarray:
-        """Local solve on box i with Neumann flux h on its right-side part,
+        """Local solve on box i with the box flux h on its right-side part,
         zero data on its measurement part and Dirichlet `trace` on the inner
         boundary closure."""
         return self._local_solve(i, self.bmass1_loc[i], h, trace,
@@ -218,7 +201,7 @@ class FluxOperators:
 
     def adjoint_local(self, i: int, w: np.ndarray, trace=None, *,
                       warm=None) -> np.ndarray:
-        """Local adjoint solve on box i: Neumann data w on its measurement
+        """Local adjoint solve on box i: box Neumann data w on its measurement
         part, zero flux, Dirichlet `trace` on the inner boundary closure."""
         return self._local_solve(i, self.bmass0_loc[i], w, trace,
                                  ("la", i, warm))

@@ -7,12 +7,13 @@ assembled operator stays symmetric positive definite.  A system that asks
 for a direct solve and has fewer than MULTILEVEL_SIZE free nodes, with at
 most MAX_BAND_ENTRIES free nodes times bandwidth, is factored once, by
 block cyclic reduction over blocks of its bandwidth in plain numpy, and
-solved directly.  Every other system is solved by preconditioned conjugate
-gradients: with Jacobi below MULTILEVEL_SIZE free nodes, and from there on
-with one V-cycle of a smoothed-aggregation multilevel hierarchy, whose
-aggregates are bins of about AGGREGATE_SIZE nodes on every level and whose
-coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted densely
-once.  Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps
+solved directly; one factor can hold a stack of such systems (the heat
+boxes) and solve them together.  Every other system is solved by
+preconditioned conjugate gradients: with Jacobi below MULTILEVEL_SIZE free
+nodes, and from there on with one V-cycle of a smoothed-aggregation
+multilevel hierarchy, whose aggregates are bins of about AGGREGATE_SIZE
+nodes on every level and whose coarsest matrix, of at most COARSEST_SIZE
+unknowns, is inverted densely once.  Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps
 the count nearly independent of the mesh size.  Neither path imports
 scipy.linalg or scipy.sparse.linalg, whose import alone adds several MB of
 resident memory.
@@ -26,6 +27,7 @@ products of P1 traces exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -51,6 +53,10 @@ MAX_BAND_ENTRIES = MULTILEVEL_SIZE * 64
 # Block cyclic reduction stops once at most this many unknowns remain and
 # inverts the rest densely.
 DENSE_TAIL = 64
+# PCG stops on its recursively updated residual, which can drift below the
+# true one; a solve whose true relative residual exceeds the tolerance by
+# more than this factor fails.
+TRUE_RESIDUAL_FACTOR = 100.0
 
 
 class SolverError(RuntimeError):
@@ -203,11 +209,13 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
     hierarchy of A, when given, and Jacobi, z = inv_diag * r with
     inv_diag = 1/diag(A) (computed when not given), otherwise.
 
-    Stops when ||b - A x|| <= tol * ||b||; returns (x, relative residual,
-    iterations).  A right-hand side holding inf or nan gives an all-nan x
-    after 0 iterations, so the caller sees the failure in the solution.
-    Raises SolverError when max_iter is exhausted or when p'Ap <= 0 (A is
-    not positive definite).
+    Stops when the recursively updated residual r satisfies
+    ||r|| <= tol * ||b||; returns (x, ||r|| / ||b||, iterations).  A
+    right-hand side holding inf or nan gives an all-nan x after 0
+    iterations, so the caller sees the failure in the solution.  Raises
+    SolverError when max_iter is exhausted, when p'Ap <= 0 (A is not
+    positive definite) or when the true residual ||b - A x|| at exit
+    exceeds TRUE_RESIDUAL_FACTOR * tol * ||b||.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -261,6 +269,13 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
         rz = rz_new
         rnorm = math.sqrt(np.dot(r, r))
         it += 1
+    r = b - A @ x
+    true = math.sqrt(np.dot(r, r)) / bnorm
+    if true > TRUE_RESIDUAL_FACTOR * tol:
+        raise SolverError(
+            f"conjugate gradients stopped at a true relative residual of "
+            f"{true:.3e} after {it} iterations (target {tol:.1e})",
+            residual=true, iterations=it)
     return x, rnorm / bnorm, it
 
 
@@ -273,13 +288,20 @@ def _aggregates(coords):
     target = coords.shape[0] / AGGREGATE_SIZE
     # Bins per axis in proportion to the extents, about `target` in all, and
     # at least one and at most `target` on each axis.  Nodes on a line (an
-    # axis without extent) are binned along the line only.
+    # axis without extent) are binned along the line only.  An axis gets at
+    # most one bin per distinct coordinate, and the other axis the rest of
+    # `target`.
     flat = extent == 0
     if flat.any():
         bins = np.where(flat, 1.0, target)
         extent[flat] = 1.0
     else:
         bins = np.sqrt(target * extent / extent[::-1])
+    distinct = np.array([np.unique(c).size for c in coords.T])
+    capped = bins > distinct
+    bins = np.minimum(bins, distinct)
+    if capped.sum() == 1:
+        bins[~capped] = min(target / bins[capped][0], distinct[~capped][0])
     bins = np.clip(np.rint(bins), 1, max(round(target), 1)).astype(np.int64)
     cell = np.minimum(((coords - lo) / extent * bins).astype(np.int64),
                       bins - 1)
@@ -348,70 +370,82 @@ class Multilevel:
 
 
 def _block_tridiagonal(D, U):
-    """The dense symmetric matrix with diagonal blocks D and blocks U above
-    them."""
-    m, b, _ = D.shape
-    A = np.zeros((m, b, m, b))
+    """The dense symmetric matrices with diagonal blocks D[k] and blocks
+    U[k] above them, one per matrix k of a stack."""
+    B, m, b, _ = D.shape
+    A = np.zeros((B, m, b, m, b))
     i = np.arange(m)
-    A[i, :, i, :] = D
-    A[i[:-1], :, i[1:], :] = U
-    A[i[1:], :, i[:-1], :] = U.transpose(0, 2, 1)
-    return A.reshape(m * b, m * b)
+    for A_k, D_k, U_k in zip(A, D, U):
+        A_k[i, :, i, :] = D_k
+        A_k[i[:-1], :, i[1:], :] = U_k
+        A_k[i[1:], :, i[:-1], :] = U_k.transpose(0, 2, 1)
+    return A.reshape(B, m * b, m * b)
 
 
 class BandFactor:
-    """Direct solver for a symmetric banded matrix by block cyclic reduction.
+    """Direct solver for a stack of B symmetric banded matrices by block
+    cyclic reduction.
 
-    The matrix, given by all its entries (rows, cols, vals) over n unknowns
-    and symmetric, is cut into blocks of its bandwidth, which makes it block
-    tridiagonal: blocks D_i on the diagonal, U_i coupling block i to i + 1
-    and their transposes below.  Each level of odd-even reduction
-    eliminates the odd blocks, leaving the Schur complement on the even
-    ones, which is again block tridiagonal with half as many blocks
-    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  All blocks
-    of a level are processed by a few stacked numpy calls, so a
-    factorization or a solve costs about log2(n / bandwidth) levels of
-    about ten calls each; the last DENSE_TAIL or fewer unknowns (or the
-    last block) are inverted densely.  The first level's couplings are the
-    matrix's own entries and are applied as such.
-    A padded last block carries the identity on its padding.  Each
-    reduction step is a congruence, so the matrix is positive definite
+    Matrix k is given by all its entries (rows, cols, vals) over its n_k
+    unknowns.  Each is padded with identity rows to n = max n_k and cut
+    into blocks of the largest bandwidth, which makes it block tridiagonal:
+    blocks D_i on the diagonal, U_i coupling block i to i + 1 and their
+    transposes below.  Each level of odd-even reduction eliminates the odd
+    blocks, leaving the Schur complement on the even ones, which is again
+    block tridiagonal with half as many blocks (Buzbee, Golub and Nielson,
+    SIAM J. Numer. Anal. 7, 1970).  All blocks of a level, of all B
+    matrices, are processed by a few stacked numpy calls, so a solve costs
+    about log2(n / bandwidth) levels of about ten calls each, whatever B
+    is; the last DENSE_TAIL or fewer unknowns (or the last block) are
+    inverted densely.  The first level's couplings are the matrices' own
+    entries, applied by one `bincount` over the stack.  Matrices of equal
+    size and bandwidth are solved to the bit as each one alone.  Each
+    reduction step is a congruence, so a matrix is positive definite
     exactly when every pivot block and the dense tail are; each is checked
     by a Cholesky factorization, and ValueError is raised when one fails.
     """
 
-    def __init__(self, rows, cols, vals, n):
-        b = max(int(np.abs(rows - cols).max(initial=0)), 1)
+    def __init__(self, systems):
+        n = max(size for _, _, _, size in systems)
+        b = max([int(np.abs(rows - cols).max(initial=0))
+                 for rows, cols, _, _ in systems] + [1])
         m = max(-(-n // b), 1)
-        self.n, self.b, self.m = n, b, m
+        B = len(systems)
+        self.B, self.n, self.b, self.m = B, n, b, m
         # Entry (r, c) sits in block r // b at offset (r % b, c - (r // b) b);
         # an offset column of b or more falls in the coupling block U.
-        D = np.zeros((m, b, b))
-        U = np.zeros((m - 1, b, b))
-        offset = cols - rows // b * b
-        on = (offset >= 0) & (offset < b)
-        D.reshape(-1)[rows[on] * b + offset[on]] = vals[on]
-        up = offset >= b
-        U.reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
-        pad = np.arange(n - (m - 1) * b, b)
-        D[-1, pad, pad] = 1.0
+        D = np.zeros((B, m, b, b))
+        U = np.zeros((B, m - 1, b, b))
+        first = []
+        for k, (rows, cols, vals, size) in enumerate(systems):
+            offset = cols - rows // b * b
+            on = (offset >= 0) & (offset < b)
+            D[k].reshape(-1)[rows[on] * b + offset[on]] = vals[on]
+            up = offset >= b
+            U[k].reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
+            pad = np.arange(size, m * b)
+            D[k, pad // b, pad % b, pad % b] = 1.0
+            block_row = rows // b
+            even = (block_row % 2 == 0) & (block_row != cols // b)
+            first.append((rows[even] + k * m * b, cols[even] + k * m * b,
+                          vals[even]))
         # Per level: P, the inverses of the odd pivot blocks, and the
         # couplings Ua from each even block to the next odd one and Ub from
         # each odd block to the next even one, with their transposes.
         levels = []
         try:
-            while D.shape[0] > 1 and D.size > DENSE_TAIL * b:
-                k = D.shape[0] // 2
-                Ua, Ub = U[0::2], U[1::2]
-                UaT, UbT = Ua.transpose(0, 2, 1), Ub.transpose(0, 2, 1)
-                np.linalg.cholesky(D[1::2])
-                P = np.linalg.inv(D[1::2])
-                V = P[:Ub.shape[0]] @ Ub
-                D = D[0::2].copy()
-                D[:k] -= Ua @ (P @ UaT)
-                D[1:] -= UbT @ V
+            while D.shape[1] > 1 and D.shape[1] * b > DENSE_TAIL:
+                half = D.shape[1] // 2
+                Ua, Ub = U[:, 0::2], U[:, 1::2]
+                UaT, UbT = Ua.transpose(0, 1, 3, 2), Ub.transpose(0, 1, 3, 2)
+                np.linalg.cholesky(D[:, 1::2])
+                P = np.linalg.inv(D[:, 1::2])
+                V = P[:, :Ub.shape[1]] @ Ub
+                D = D[:, 0::2].copy()
+                D[:, :half] -= Ua @ (P @ UaT)
+                D[:, 1:] -= UbT @ V
                 levels.append((P, Ua, UaT, Ub, UbT))
-                U = -(Ua[:V.shape[0]] @ V)
+                U = -(Ua[:, :V.shape[1]] @ V)
             tail = _block_tridiagonal(D, U)
             np.linalg.cholesky(tail)
             self.tail = np.linalg.inv(tail)
@@ -419,46 +453,66 @@ class BandFactor:
             raise ValueError("operator is not positive definite on free "
                              "nodes") from None
         # The first level keeps its couplings sparse: (E_rows, E_cols,
-        # E_vals) are the entries from even to odd blocks.  Its dense Ua and
-        # Ub would add about half to the size of the factor.
+        # E_vals) are the entries from even to odd blocks, numbered in the
+        # flattened stack.  Its dense Ua and Ub would add about half to the
+        # size of the factor.
         self.P0 = levels[0][0] if levels else None
         self.levels = levels[1:]
-        block_row = rows // b
-        first = (block_row % 2 == 0) & (block_row != cols // b)
-        self.E_rows, self.E_cols, self.E_vals = (rows[first], cols[first],
-                                                 vals[first])
+        self.E_rows, self.E_cols, self.E_vals = (
+            np.concatenate(parts) for parts in zip(*first))
+        self.E_split = np.cumsum([0] + [rows.size for rows, _, _ in first])
+
+    def box(self, k: int) -> "BandFactor":
+        """The factor of matrix k alone: a view of this one's arrays."""
+        view = copy.copy(self)
+        one = slice(k, k + 1)
+        view.B = 1
+        view.P0 = None if self.P0 is None else self.P0[one]
+        view.levels = [tuple(a[one] for a in level) for level in self.levels]
+        view.tail = self.tail[one]
+        lo, hi = self.E_split[k], self.E_split[k + 1]
+        shift = k * self.m * self.b
+        view.E_rows = self.E_rows[lo:hi] - shift
+        view.E_cols = self.E_cols[lo:hi] - shift
+        view.E_vals = self.E_vals[lo:hi]
+        view.E_split = np.array([0, hi - lo])
+        return view
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of A x = rhs, rhs a vector of length n."""
-        x = np.zeros(self.m * self.b)
-        x[:self.n] = rhs
-        blocks = x.reshape(self.m, self.b, 1)
+        """The solutions x[k] of A_k x[k] = rhs[k], rhs of shape (B, n);
+        the entries past n_k of rhs[k] must be zero, and so are x[k]'s."""
+        B = self.B
+        x = np.zeros((B, self.m * self.b))
+        x[:, :self.n] = rhs
+        flat = x.reshape(-1)
+        blocks = x.reshape(B, self.m, self.b, 1)
         # Forward: fold each level's odd blocks into the even ones, keeping
         # P r_odd in place of r_odd; the even blocks are the next level.
         even = blocks
         if self.P0 is not None:
-            odd, even = blocks[1::2], blocks[0::2]
+            odd, even = blocks[:, 1::2], blocks[:, 0::2]
             odd[...] = self.P0 @ odd
-            x -= np.bincount(self.E_rows, self.E_vals * x[self.E_cols],
-                             x.size)
+            flat -= np.bincount(self.E_rows, self.E_vals * flat[self.E_cols],
+                                flat.size)
         split = []
         for P, Ua, UaT, Ub, UbT in self.levels:
-            odd, even = even[1::2], even[0::2]
+            odd, even = even[:, 1::2], even[:, 0::2]
             odd[...] = P @ odd
-            even[:len(Ua)] -= Ua @ odd
-            even[1:] -= UbT @ odd[:len(Ub)]
+            even[:, :Ua.shape[1]] -= Ua @ odd
+            even[:, 1:] -= UbT @ odd[:, :Ub.shape[1]]
             split.append((odd, even))
-        even[...] = (self.tail @ even.reshape(-1, 1)).reshape(even.shape)
+        even[...] = (self.tail @ even.reshape(B, -1, 1)).reshape(even.shape)
         # Back: x_odd = P (r_odd - Ua' x_prev - Ub x_next).
         for (P, Ua, UaT, Ub, UbT), (odd, even) in zip(reversed(self.levels),
                                                       reversed(split)):
-            s = UaT @ even[:len(Ua)]
-            s[:len(Ub)] += Ub @ even[1:]
+            s = UaT @ even[:, :Ua.shape[1]]
+            s[:, :Ub.shape[1]] += Ub @ even[:, 1:]
             odd -= P @ s
         if self.P0 is not None:
-            s = np.bincount(self.E_cols, self.E_vals * x[self.E_rows], x.size)
-            blocks[1::2] -= self.P0 @ s.reshape(blocks.shape)[1::2]
-        return x[:self.n]
+            s = np.bincount(self.E_cols, self.E_vals * flat[self.E_rows],
+                            flat.size)
+            blocks[:, 1::2] -= self.P0 @ s.reshape(blocks.shape)[:, 1::2]
+        return x[:, :self.n]
 
 
 def _csr(rows, cols, vals, shape):
@@ -483,61 +537,75 @@ def restrict(K, nodes):
                 (nodes.size, nodes.size))
 
 
+def factorable(rows, cols, n: int) -> bool:
+    """Whether a system of n free nodes with entries at (rows, cols) is
+    factored when a direct solve is asked for: fewer than MULTILEVEL_SIZE
+    free nodes and at most MAX_BAND_ENTRIES free nodes times bandwidth."""
+    bandwidth = int(np.abs(rows - cols).max(initial=0))
+    return n < MULTILEVEL_SIZE and n * bandwidth <= MAX_BAND_ENTRIES
+
+
+def eliminate(K: sp.csr_matrix, fixed):
+    """Split K by a fixed Dirichlet node set, in one pass over its entries.
+
+    Returns (free, fixed, entries, K_fd): the sorted free and fixed nodes,
+    the entries (rows, cols, vals) of the free-free block K_ff listed row by
+    row, and the free-fixed coupling as a CSR matrix.  Both blocks number
+    the free and the fixed nodes in the order of K's rows and columns.
+    Raises ValueError when a free diagonal entry is not positive.
+    """
+    n = K.shape[0]
+    fixed = np.unique(np.asarray(fixed, dtype=np.int64))
+    is_free = np.ones(n, dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    if np.any(K.diagonal()[free] <= 0):
+        raise ValueError("operator is not positive definite on free nodes")
+    if not K.has_canonical_format:
+        K = K.copy()
+        K.sum_duplicates()
+    position = np.empty(n, dtype=K.indices.dtype)
+    position[free] = np.arange(free.size)
+    position[fixed] = np.arange(fixed.size)
+    row_of = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
+    keep = is_free[row_of]
+    rows, cols, vals = position[row_of[keep]], K.indices[keep], K.data[keep]
+    to_free = is_free[cols]
+    cols = position[cols]
+    to_fixed = ~to_free
+    K_fd = _csr(rows[to_fixed], cols[to_fixed], vals[to_fixed],
+                (free.size, fixed.size))
+    return free, fixed, (rows[to_free], cols[to_free], vals[to_free]), K_fd
+
+
 class DirichletSystem:
     """An SPD operator with a fixed Dirichlet node set eliminated symmetrically.
 
-    Splits K into the free-free block and the free-fixed coupling once, in
-    one pass over K's entries, so repeated solves with different right-hand
-    sides and boundary values stay cheap.  With direct=True, a system with
-    fewer than MULTILEVEL_SIZE free nodes and at most MAX_BAND_ENTRIES free
-    nodes times bandwidth factors its free-free block once (`BandFactor`)
-    and solves directly.  Every other system keeps K_ff and solves by PCG:
-    with Jacobi below MULTILEVEL_SIZE free nodes, and from there on with the
-    `Multilevel` hierarchy of K_ff, binned by the coordinates `coords` of
-    its free nodes (one row of `coords` per node of K).  Solutions are returned
-    on the full index set with the boundary values imposed exactly.
+    Splits K into the free-free block and the free-fixed coupling once
+    (`eliminate`), so repeated solves with different right-hand sides and
+    boundary values stay cheap.  With direct=True, a system with fewer than
+    MULTILEVEL_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes times
+    bandwidth factors its free-free block once (a `BandFactor` of one
+    matrix) and solves directly.  Every other system keeps K_ff and solves
+    by PCG: with Jacobi below MULTILEVEL_SIZE free nodes, and from there on
+    with the `Multilevel` hierarchy of K_ff, binned by the coordinates
+    `coords` of its free nodes (one row of `coords` per node of K).
+    Solutions are returned on the full index set with the boundary values
+    imposed exactly.
     """
 
     def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray,
                  *, direct: bool = False):
-        n = K.shape[0]
-        fixed = np.unique(np.asarray(fixed, dtype=np.int64))
-        is_free = np.ones(n, dtype=bool)
-        is_free[fixed] = False
-        self.n = n
-        self.fixed = fixed
-        self.free = np.flatnonzero(is_free)
+        self.n = K.shape[0]
+        self.free, self.fixed, entries, self.K_fd = eliminate(K, fixed)
+        rows, cols, vals = entries
         n_free = self.free.size
-        if np.any(K.diagonal()[self.free] <= 0):
-            raise ValueError("operator is not positive definite on free nodes")
-
-        # Entries of K with a free row, numbered within the free or the
-        # fixed set; both numberings keep the order of K's rows and columns.
-        if not K.has_canonical_format:
-            K = K.copy()
-            K.sum_duplicates()
-        position = np.empty(n, dtype=K.indices.dtype)
-        position[self.free] = np.arange(n_free)
-        position[fixed] = np.arange(fixed.size)
-        row_of = np.repeat(np.arange(n, dtype=K.indices.dtype),
-                           np.diff(K.indptr))
-        keep = is_free[row_of]
-        rows, cols, vals = position[row_of[keep]], K.indices[keep], K.data[keep]
-        to_free = is_free[cols]
-        cols = position[cols]
-        to_fixed = ~to_free
-        self.K_fd = (_csr(rows[to_fixed], cols[to_fixed], vals[to_fixed],
-                          (n_free, fixed.size)) if fixed.size else None)
-        rows, cols, vals = rows[to_free], cols[to_free], vals[to_free]
-
         self.factor = self.K_ff = self.inv_diag = self.multilevel = None
-        small = n_free < MULTILEVEL_SIZE
-        bandwidth = int(np.abs(rows - cols).max(initial=0))
-        if direct and small and n_free * bandwidth <= MAX_BAND_ENTRIES:
-            self.factor = BandFactor(rows, cols, vals, n_free)
+        if direct and factorable(rows, cols, n_free):
+            self.factor = BandFactor([(rows, cols, vals, n_free)])
             return
         self.K_ff = _csr(rows, cols, vals, (n_free, n_free))
-        if small:
+        if n_free < MULTILEVEL_SIZE:
             self.inv_diag = 1.0 / self.K_ff.diagonal()
         else:
             self.multilevel = Multilevel(self.K_ff, coords[self.free])
@@ -551,15 +619,14 @@ class DirichletSystem:
         solve directly and ignore them.
         """
         b = rhs[self.free]
-        if self.K_fd is not None and fixed_values is not None:
-            vals = np.asarray(fixed_values, dtype=float)
+        vals = fixed_values
+        if vals is not None:
+            vals = np.asarray(vals, dtype=float)
             if vals.ndim == 0:
                 vals = np.full(self.fixed.size, float(vals))
             b = b - self.K_fd @ vals
-        else:
-            vals = None
         if self.factor is not None:
-            xf = self.factor.solve(b)
+            xf = self.factor.solve(b[None])[0]
         else:
             guess = x0[self.free] if x0 is not None else None
             xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
@@ -573,30 +640,25 @@ class DirichletSystem:
 
 
 class BoxSystem:
-    """The restriction of an operator to one subdomain box.
+    """One subdomain box: its nodes, its fixed Dirichlet set and, given the
+    global operator `matrix` (K of -div(a grad u) + c u), the
+    `DirichletSystem` of its restriction to the box nodes as `system`.
 
-    `matrix` is the global operator K of -div(a grad u) + c u, or the
-    Crank-Nicolson matrix S = M + dt/2 K; `system` solves with its
-    restriction to the box nodes, and `explicit` (the explicit half step
-    Stilde = M - dt/2 K, M the lumped mass) is kept restricted next to it
-    as `Stilde`.  The fixed Dirichlet set is the box nodes off the open box
+    Box fields are numbered by the sorted box nodes `nodes`.  The fixed set
+    `fixed` (box numbering) is the box nodes off the open box
     ("box-boundary") or the inner boundary closure ("interface-closure").
     Every element around a free node lies in the box, so the rows of the
     free nodes equal those of the operator assembled over the box's
     elements; the other rows only meet the fixed values.  `lumped` is the
     lumped mass of the box's elements.  Inner-boundary values arrive on the
     interfaces (or their closures); the rest of the fixed set is held at
-    zero.  `direct` is passed on to the `DirichletSystem`.
+    zero.
     """
 
-    def __init__(self, mesh, decomp, index, matrix, dirichlet="box-boundary",
-                 explicit=None, *, direct=False):
+    def __init__(self, mesh, decomp, index, matrix=None,
+                 dirichlet="box-boundary"):
         self.nodes = np.flatnonzero(decomp.masks[index])
         self.lumped = lumped_mass(mesh, decomp.element_masks[index])[self.nodes]
-        self.n_full = mesh.n_nodes
-        if explicit is not None:
-            self.Stilde = restrict(explicit, self.nodes)
-
         if dirichlet == "box-boundary":
             fixed = self.nodes[~decomp.interior_masks[index][self.nodes]]
             trace_nodes = decomp.interfaces[index]
@@ -604,20 +666,12 @@ class BoxSystem:
             fixed = trace_nodes = decomp.interface_closures[index]
         else:
             raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
+        self.fixed = np.unique(np.searchsorted(self.nodes, fixed))
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
-        self.system = DirichletSystem(restrict(matrix, self.nodes),
-                                      np.searchsorted(self.nodes, fixed),
-                                      mesh.nodes[self.nodes], direct=direct)
-
-    def localize(self, field: np.ndarray) -> np.ndarray:
-        """Box part of full-length fields of shape (..., n_nodes)."""
-        return field[..., self.nodes]
-
-    def embed(self, local: np.ndarray) -> np.ndarray:
-        """Full-length fields, zero off the box, from box fields (..., n)."""
-        out = np.zeros(local.shape[:-1] + (self.n_full,))
-        out[..., self.nodes] = local
-        return out
+        self.system = None
+        if matrix is not None:
+            self.system = DirichletSystem(restrict(matrix, self.nodes),
+                                          self.fixed, mesh.nodes[self.nodes])
 
     def fixed_values(self, trace):
         """Values on the fixed set: `trace` on the inner-boundary nodes,
@@ -628,4 +682,4 @@ class BoxSystem:
             return None
         vals = np.zeros(np.shape(trace)[:-1] + (self.nodes.size,))
         vals[..., self.trace_local] = trace
-        return vals[..., self.system.fixed]
+        return vals[..., self.fixed]

@@ -12,13 +12,19 @@ with the residual injected level by level (trapezoidal weights over the
 observation window).  That recurrence reproduces the weighted sum of
 separate backward solves exactly and costs one sweep instead of one solve
 per observation time.
+
+Every march advances a stack of systems one time level at a time: the
+global system alone, or the subdomain boxes together, with one stacked
+solve per level and box-local trajectories.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 
@@ -65,107 +71,276 @@ class TimeGrid:
         return w
 
 
+def _block_diagonal(blocks, col_starts, n_cols):
+    """CSR matrix with the CSR `blocks` stacked down its rows, block k's
+    columns starting at col_starts[k]; each row keeps its entry order."""
+    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
+    for block in blocks:
+        indptr.append(block.indptr[1:] + nnz)
+        nnz += block.indptr[-1]
+    return sp.csr_matrix(
+        (np.concatenate([block.data for block in blocks]),
+         np.concatenate([block.indices + start
+                         for block, start in zip(blocks, col_starts)]),
+         np.concatenate(indptr)),
+        shape=(sum(block.shape[0] for block in blocks), n_cols))
+
+
+class _Iterative:
+    """PCG in place of a `fem.BandFactor` for systems too large to factor:
+    system k by its `fem.DirichletSystem`, warm-started from its previous
+    solution."""
+
+    def __init__(self, systems, tol):
+        self.systems, self.tol = systems, tol
+        self.B, self.n = len(systems), max(s.free.size for s in systems)
+        self.last = [None] * self.B
+
+    def box(self, k: int) -> "_Iterative":
+        return _Iterative([self.systems[k]], self.tol)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(rhs)
+        for k, system in enumerate(self.systems):
+            n = system.free.size
+            out[k, :n], _, _ = fem.pcg(
+                system.K_ff, rhs[k, :n], inv_diag=system.inv_diag,
+                multilevel=system.multilevel, tol=self.tol, x0=self.last[k])
+            self.last[k] = out[k, :n]
+        return out
+
+
+class _Stack:
+    """Crank-Nicolson steps of B systems solved together.
+
+    System k is given by (S_k, Stilde_k, fixed_k, coords_k): the step
+    matrices on its nodes, its fixed Dirichlet set and its node
+    coordinates.  Its state is row k of a (B, size) array, size the largest
+    system size, zero past the system's own size.  `explicit` applies the
+    free rows of every Stilde_k to the flattened states, `coupling` the
+    free-fixed blocks of every S_k to the fixed values of all systems,
+    concatenated, and `factor` solves for the free values: the
+    `fem.BandFactor` of the free-free blocks, or PCG with relative residual
+    `tol` (`_Iterative`) when a block is too large to factor
+    (`fem.factorable`).  `free` and `fixed` are the flattened positions of
+    the free and fixed nodes; `solved` places the free rows in the factor's
+    padded numbering (None when no system is padded).
+    """
+
+    def __init__(self, systems, tol):
+        parts = [fem.eliminate(S, fixed) for S, _, fixed, _ in systems]
+        blocks = [(*entries, free.size) for free, _, entries, _ in parts]
+        if all(fem.factorable(rows, cols, n) for rows, cols, _, n in blocks):
+            self.factor = fem.BandFactor(blocks)
+        else:
+            self.factor = _Iterative([fem.DirichletSystem(S, fixed, coords)
+                                      for S, _, fixed, coords in systems], tol)
+        self.sizes = [S.shape[0] for S, _, _, _ in systems]
+        self.B, self.size = len(systems), max(self.sizes)
+        # system k's free rows start at free_starts[k], its fixed values at
+        # fixed_starts[k]
+        self.free_starts = np.cumsum([0] + [p[0].size for p in parts])
+        self.fixed_starts = np.cumsum([0] + [p[1].size for p in parts])
+        self.explicit = _block_diagonal(
+            [Stilde[free] for (_, Stilde, _, _), (free, *_) in
+             zip(systems, parts)],
+            np.arange(self.B) * self.size, self.B * self.size)
+        self.coupling = _block_diagonal([K_fd for *_, K_fd in parts],
+                                        self.fixed_starts,
+                                        self.fixed_starts[-1])
+        self.free = np.concatenate([k * self.size + free
+                                    for k, (free, *_) in enumerate(parts)])
+        self.fixed = np.concatenate(
+            [k * self.size + fixed for k, (_, fixed, *_) in enumerate(parts)])
+        self.solved = np.concatenate([k * self.factor.n + np.arange(free.size)
+                                      for k, (free, *_) in enumerate(parts)])
+        if self.solved.size == self.B * self.factor.n:
+            self.solved = None
+
+    def box(self, k: int) -> "_Stack":
+        """System k alone: its rows of this stack, solved with its view of
+        the same factor."""
+        view = copy.copy(self)
+        view.factor = self.factor.box(k)
+        view.B, view.sizes = 1, [self.sizes[k]]
+        rows = slice(self.free_starts[k], self.free_starts[k + 1])
+        lo, hi = self.fixed_starts[k], self.fixed_starts[k + 1]
+        view.explicit = _block_diagonal([self.explicit[rows]],
+                                        [-k * self.size], self.size)
+        view.coupling = _block_diagonal([self.coupling[rows]], [-lo], hi - lo)
+        view.free = self.free[rows] - k * self.size
+        view.fixed = self.fixed[lo:hi] - k * self.size
+        if self.solved is not None:
+            view.solved = self.solved[rows] - k * self.factor.n
+        return view
+
+    def step(self, state: np.ndarray, out: np.ndarray, fixed_values=None):
+        """One step of every system from the flattened states `state`,
+        written to the free positions of `out`: the free rows of
+        S^-1 (Stilde state), with `fixed_values` (all systems, concatenated;
+        None for zero) on the fixed nodes."""
+        rhs = self.explicit @ state
+        if fixed_values is not None:
+            rhs -= self.coupling @ fixed_values
+        if self.solved is not None:  # pad to the factor's numbering
+            padded = np.zeros(self.B * self.factor.n)
+            padded[self.solved] = rhs
+            rhs = padded
+        x = self.factor.solve(rhs.reshape(self.B, -1)).reshape(-1)
+        out[self.free] = x if self.solved is None else x[self.solved]
+
+    def pack(self, fields) -> np.ndarray:
+        """The fields of the B systems, of shape (..., size_k), as one
+        array (..., B * size), zero past each system's size."""
+        out = np.zeros(fields[0].shape[:-1] + (self.B, self.size))
+        for k, field in enumerate(fields):
+            out[..., k, :field.shape[-1]] = field
+        return out.reshape(out.shape[:-2] + (-1,))
+
+    def unpack(self, packed: np.ndarray) -> list:
+        """The B fields, views of one array (..., B * size)."""
+        return [packed[..., k * self.size:k * self.size + size]
+                for k, size in enumerate(self.sizes)]
+
+
 class HeatOperators:
     """Forward and backward heat evolutions with homogeneous Dirichlet walls.
 
-    Fields are full-length nodal vectors; trajectories are arrays of shape
-    (nt+1, n_nodes) with index k holding the solution at time k*dt.
+    Global fields are nodal vectors and global trajectories arrays of shape
+    (nt+1, n_nodes), index k holding the solution at time k*dt.  Local
+    fields and trajectories on box i are numbered by the box's nodes,
+    `locals[i].nodes`, and are never embedded in full-length arrays.
+
+    Every Crank-Nicolson system is factored once and solved directly: the
+    global one alone, the four box systems as one stack (`fem.BandFactor`
+    with a box axis).  The boxes march together (`forward_boxes`,
+    `accumulate_boxes`), one stacked solve per time level, or one at a time
+    (`forward_local`, `accumulate`) on a one-box view of the same factor.
+    `step_count` counts one step per system and time level.
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):
         self.mesh = mesh
         self.decomp = decomp
         self.grid = grid
-        self.tol = tol
 
         K = fem.assemble(mesh, diffusion, 0.0)
         self.lumped = fem.lumped_mass(mesh)
-        S, self.Stilde = fem.crank_nicolson(K, self.lumped, grid.dt)
+        S, Stilde = fem.crank_nicolson(K, self.lumped, grid.dt)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        # A march solves the same S at every time step, so the systems that
-        # are small enough are factored once and solved directly.
-        self.global_system = fem.DirichletSystem(S, self.boundary_nodes,
-                                                 mesh.nodes, direct=True)
-        self.locals = [
-            fem.BoxSystem(mesh, decomp, i, S, explicit=self.Stilde,
-                          direct=True)
-            for i in range(decomp.n_subdomains)
-        ]
+        # A march solves the same S at every time step, so every system is
+        # factored once and solved directly.
+        self.global_stack = _Stack(
+            [(S, Stilde, self.boundary_nodes, mesh.nodes)], tol)
+        self.locals = [fem.BoxSystem(mesh, decomp, i)
+                       for i in range(decomp.n_subdomains)]
+        self.boxes = _Stack([(fem.restrict(S, loc.nodes),
+                              fem.restrict(Stilde, loc.nodes), loc.fixed,
+                              mesh.nodes[loc.nodes]) for loc in self.locals],
+                            tol)
+        self._box_views = {}
         self.step_count = 0
 
     # -- stepping kernels -------------------------------------------------
 
-    def _march(self, system, Stilde, start, fixed_series):
-        """March nt Crank-Nicolson steps from `start`; fixed_series gives the
-        Dirichlet values per level (None for homogeneous)."""
+    def _march(self, stack, start, fixed_series):
+        """March nt Crank-Nicolson steps of every system of `stack` from the
+        flattened states `start`; fixed_series gives the fixed values of all
+        systems per level, shape (nt+1, total fixed), or None for zero.
+        Returns the flattened trajectories, shape (nt+1, B * size)."""
         nt = self.grid.nt
-        traj = np.empty((nt + 1, start.shape[0]))
-        u = start.copy()
-        u[system.fixed] = fixed_series[0] if fixed_series is not None else 0.0
-        traj[0] = u
+        traj = np.zeros((nt + 1, start.size))
+        traj[0] = start
+        traj[0, stack.fixed] = (fixed_series[0] if fixed_series is not None
+                                else 0.0)
         for k in range(1, nt + 1):
-            vals = fixed_series[k] if fixed_series is not None else None
-            u = system.solve(Stilde @ u, vals, tol=self.tol, x0=u)
-            traj[k] = u
-            self.step_count += 1
+            vals = None
+            if fixed_series is not None:
+                vals = fixed_series[k]
+                traj[k, stack.fixed] = vals
+            stack.step(traj[k - 1], traj[k], vals)
+            self.step_count += stack.B
         return traj
+
+    def _accumulate(self, stack, residual):
+        """Weighted time integral of zero-trace backward solves of the
+        flattened residual trajectories (nt+1, B * size) at time 0, as a
+        single backward sweep."""
+        w = self.grid.weights()
+        psi = np.zeros(residual.shape[1])
+        free = stack.free
+        for k in range(self.grid.nt, -1, -1):
+            if k < self.grid.nt:
+                stack.step(psi, psi)
+                self.step_count += stack.B
+            if w[k] != 0.0:
+                psi[free] += w[k] * residual[k, free]
+        return psi
+
+    def _forward_boxes(self, stack, boxes, starts, traces):
+        fixed = None
+        if traces is not None:
+            fixed = np.concatenate([self.locals[i].fixed_values(t)
+                                    for i, t in zip(boxes, traces)], axis=-1)
+        return stack.unpack(self._march(stack, stack.pack(starts), fixed))
 
     # -- global operators --------------------------------------------------
 
     def forward_global(self, phi: np.ndarray) -> np.ndarray:
         """Evolve the initial value phi over [0, T]."""
-        return self._march(self.global_system, self.Stilde, phi, None)
+        return self._march(self.global_stack, phi, None)
 
     def adjoint_global(self, omega: np.ndarray) -> np.ndarray:
         """Backward evolution with terminal value omega at t = T; entry k of
         the result holds the value at time k*dt."""
-        traj = self._march(self.global_system, self.Stilde, omega, None)
-        return traj[::-1].copy()
-
-    # -- local operators ---------------------------------------------------
-
-    def forward_local(self, i: int, phi: np.ndarray, trace=None) -> np.ndarray:
-        """Local evolution on box i with Dirichlet trace values on the inner
-        boundary per level (shape (nt+1, len(interface)); zero when None).
-        Returns a full-length trajectory supported on the box."""
-        loc = self.locals[i]
-        return loc.embed(self._march(loc.system, loc.Stilde, loc.localize(phi),
-                                     loc.fixed_values(trace)))
-
-    def adjoint_local(self, i: int, omega: np.ndarray, trace=None) -> np.ndarray:
-        """Local backward evolution on box i from terminal value omega; trace
-        values per level are indexed by forward time like the result."""
-        loc = self.locals[i]
-        rev = None if trace is None else trace[::-1]
-        traj = self._march(loc.system, loc.Stilde, loc.localize(omega),
-                           loc.fixed_values(rev))
-        return loc.embed(traj[::-1])
-
-    # -- adjoint accumulation ----------------------------------------------
-
-    def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
-        """Weighted time integral of zero-trace backward solves of the
-        residual trajectory, evaluated at time 0, on box i.
-
-        Equals sum_k w_k E^k r_k where E is one zero-Dirichlet step and w are
-        the observation-window weights; computed as a single backward sweep.
-        """
-        loc = self.locals[i]
-        return loc.embed(self._accumulate(loc.system, loc.Stilde,
-                                          loc.localize(residual)))
+        return self.forward_global(omega)[::-1].copy()
 
     def accumulate_global(self, residual: np.ndarray) -> np.ndarray:
         """Global variant of `accumulate` (whole-domain boxless operator)."""
-        return self._accumulate(self.global_system, self.Stilde, residual)
+        return self._accumulate(self.global_stack, residual)
 
-    def _accumulate(self, system, Stilde, residual):
-        w = self.grid.weights()
-        psi = np.zeros(residual.shape[1])
-        free = system.free
-        for k in range(self.grid.nt, -1, -1):
-            if k < self.grid.nt:
-                psi = system.solve(Stilde @ psi, None, tol=self.tol, x0=psi)
-                self.step_count += 1
-            if w[k] != 0.0:
-                psi[free] += w[k] * residual[k, free]
-        return psi
+    # -- local operators ---------------------------------------------------
+
+    def forward_boxes(self, phis, traces=None) -> list:
+        """Local evolutions of every box i from the box field phis[i], with
+        Dirichlet values traces[i] on its inner boundary per level (shape
+        (nt+1, len(interface)); zero when traces is None), marched as one
+        stack.  Returns the box trajectories, of shape (nt+1, n_i)."""
+        return self._forward_boxes(self.boxes, range(self.boxes.B), phis,
+                                   traces)
+
+    def _box_view(self, i):
+        """Box i alone, built on first use (`_Stack.box`)."""
+        if i not in self._box_views:
+            self._box_views[i] = self.boxes.box(i)
+        return self._box_views[i]
+
+    def forward_local(self, i: int, phi: np.ndarray, trace=None) -> np.ndarray:
+        """`forward_boxes` of box i alone."""
+        return self._forward_boxes(self._box_view(i), [i], [phi],
+                                   None if trace is None else [trace])[0]
+
+    def adjoint_local(self, i: int, omega: np.ndarray, trace=None) -> np.ndarray:
+        """Local backward evolution on box i from the terminal box field
+        omega; trace values per level are indexed by forward time like the
+        result."""
+        rev = None if trace is None else trace[::-1]
+        return self.forward_local(i, omega, rev)[::-1]
+
+    # -- adjoint accumulation ----------------------------------------------
+
+    def accumulate_boxes(self, residuals) -> list:
+        """Weighted time integral of zero-trace backward solves of the box
+        residual trajectories residuals[i], evaluated at time 0, on every
+        box, as one stacked sweep.
+
+        Equals sum_k w_k E^k r_k where E is one zero-Dirichlet step and w are
+        the observation-window weights.
+        """
+        stack = self.boxes
+        return stack.unpack(self._accumulate(stack, stack.pack(residuals)))
+
+    def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
+        """`accumulate_boxes` of box i alone."""
+        stack = self._box_view(i)
+        return stack.unpack(self._accumulate(stack, stack.pack([residual])))[0]

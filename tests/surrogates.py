@@ -1,0 +1,42 @@
+"""Direct evaluation of the augmented local functional of an inversion
+adapter, the oracle against which the closed-form local minimizers are
+checked.  Everything is evaluated on the box nodes of box i."""
+
+import numpy as np
+
+from ddinverse import fem
+from ddinverse.dd import total_component
+
+
+def local_surrogate(prob, i, components, trace, anchor, config) -> float:
+    """The augmented local functional of box i at `components`, anchored at
+    `anchor`, with inner-boundary values `trace`."""
+    ops = prob.ops
+    nodes = ops.locals[i].nodes
+    tot = total_component(components)[nodes]
+    diff = (components[i] - anchor)[nodes]
+    u = ops.forward_local(i, tot, trace)
+    ud = ops.forward_local(i, diff, None)
+    d = u - prob.z0[..., nodes]
+    if prob.kind == "flux":
+        b0, b1 = ops.bmass0_loc[i], ops.bmass1_loc[i]
+        value = fem.inner_product(d, d, b0) if b0 is not None else 0.0
+        if b1 is not None:
+            value += config.beta * fem.inner_product(tot, tot, b1)
+            value += config.A * fem.inner_product(diff, diff, b1)
+        if b0 is not None:
+            value -= fem.inner_product(ud, ud, b0)
+        return value
+    w = ops.locals[i].lumped
+    if prob.kind == "source":
+        misfit = fem.inner_product(d, d, w)
+        propagated = fem.inner_product(ud, ud, w)
+        scale = 1.0
+    else:
+        wk = ops.grid.weights()
+        misfit = float(np.einsum("k,kn,n,kn->", wk, d, w, d))
+        propagated = float(np.einsum("k,kn,n,kn->", wk, ud, w, ud))
+        scale = ops.grid.sigma
+    return (misfit + config.beta * fem.inner_product(tot, tot, w)
+            + config.A * scale * fem.inner_product(diff, diff, w)
+            - propagated)

@@ -3,6 +3,7 @@ import pytest
 
 from ddinverse import dd, fem, problems
 from conftest import node_at
+from surrogates import local_surrogate
 
 CAT = problems.example_catalog()
 
@@ -53,7 +54,9 @@ def test_source_minimizer_proximal_identity(source7):
     rng = np.random.default_rng(4)
     a = rng.standard_normal(n)
     a[~source7.supports[i]] = 0.0
-    z0 = source7.ops.forward_local(i, a, None)
+    z0 = np.zeros(n)
+    z0[source7.box_nodes[i]] = source7.ops.forward_local(
+        i, a[source7.box_nodes[i]], None)
     prob = dd.SourceInversion(source7.ops, z0)
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
@@ -79,11 +82,13 @@ def test_initial_minimizer_tiny_beta_returns_anchor(heat7):
     rng = np.random.default_rng(8)
     a = rng.standard_normal(n)
     a[~heat7.supports[i]] = 0.0
-    z0 = heat7.ops.forward_local(i, a, None)
+    nt = heat7.ops.grid.nt
+    z0 = np.zeros((nt + 1, n))
+    z0[:, heat7.box_nodes[i]] = heat7.ops.forward_local(
+        i, a[heat7.box_nodes[i]], None)
     prob = dd.InitialValueInversion(heat7.ops, z0)
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
-    nt = heat7.ops.grid.nt
     trace = np.zeros((nt + 1, prob.trace_nodes[i].size))
     out = prob.local_minimize(i, comps, a, trace, cfg)
     assert np.abs(out - a).max() < 1e-9
@@ -93,11 +98,13 @@ def test_update_traces_constant_and_single_owner(source7, mesh7, decomp7):
     n = mesh7.n_nodes
     rng = np.random.default_rng(2)
     common = rng.standard_normal(n)
-    new = dd.update_traces(source7, [common] * 4)
+    new = dd.update_traces(source7, [common[nodes]
+                                     for nodes in source7.box_nodes])
     for i in range(4):
         assert np.allclose(new[i], common[source7.trace_nodes[i]])
 
-    sols = [np.full(n, float(j + 1)) for j in range(4)]
+    sols = [np.full(nodes.size, float(j + 1))
+            for j, nodes in enumerate(source7.box_nodes)]
     new = dd.update_traces(source7, sols)
     # (1/7, 6/7) sits on the lower edge of the top-left box and is covered
     # only by the bottom-left subdomain
@@ -111,8 +118,8 @@ def test_update_traces_constant_and_single_owner(source7, mesh7, decomp7):
 
 
 def test_update_traces_junction_fallback(flux7, mesh14):
-    n = mesh14.n_nodes
-    sols = [np.full(n, float(j + 1)) for j in range(4)]
+    sols = [np.full(nodes.size, float(j + 1))
+            for j, nodes in enumerate(flux7.box_nodes)]
     new = dd.update_traces(flux7, sols)
     # top junction of the top-left box lies on the outer boundary and is
     # covered only by the closure of the top-right box
@@ -122,9 +129,10 @@ def test_update_traces_junction_fallback(flux7, mesh14):
 
 
 def test_push_selector_geometry(source7, mesh7, decomp7):
-    # part of box-2's interface inside box 1
-    sel = dd._push_selectors(source7)[0][1]
-    nodes = source7.trace_nodes[1][sel]
+    # part of box-2's interface inside box 1, read from box 1's solution
+    j, at, take = source7.push[0][0]
+    nodes = source7.trace_nodes[1][at]
+    assert j == 1 and np.array_equal(source7.box_nodes[0][take], nodes)
     xs, ys = mesh7.nodes[nodes].T
     assert np.all(np.abs(xs - 3 / 7) < 1e-12)
     assert np.all((ys > 6 / 7) & (ys < 2.0))
@@ -222,11 +230,11 @@ def test_surrogate_dominates_local_functional(source7):
     seeded = source7.global_solution(dd.total_component(comps), "tmp")
     for i in range(4):
         trace = seeded[source7.trace_nodes[i]]
-        base = source7.local_surrogate(i, comps, trace, comps[i], cfg)
+        base = local_surrogate(source7, i, comps, trace, comps[i], cfg)
         for s in range(5):
             a = source7.random_param(np.random.default_rng(50 + s))
             a[~source7.supports[i]] = 0.0
-            val = source7.local_surrogate(i, comps, trace, a, cfg)
+            val = local_surrogate(source7, i, comps, trace, a, cfg)
             assert val >= base * (1 - 1e-9) - 1e-12
 
 

@@ -303,10 +303,30 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
     system = fem.DirichletSystem(K, [], coords)
     assert system.multilevel is not None
     b = np.cos(3.0 * coords[:, 0])
-    x, relres, _ = fem.pcg(system.K_ff, b, multilevel=system.multilevel)
+    x, relres, it = fem.pcg(system.K_ff, b, multilevel=system.multilevel)
     assert relres <= 1e-10 and np.all(np.isfinite(x))
+    # each axis gets at most one bin per distinct coordinate, so the strip's
+    # aggregates are 9-node bins along it (76 iterations; 567 with bins
+    # sized by the bounding box alone), and the line's take 59
+    assert it <= 90
     # the strip's cells of 1/4200 by 2 spread K's entries over eight orders
-    # of magnitude, so the true residual stops near 1e-8 (with Jacobi too)
+    # of magnitude, so the true residual stops near 2e-9, above the
+    # recursive one; pcg fails beyond TRUE_RESIDUAL_FACTOR times the target
+    assert (np.linalg.norm(K @ x - b)
+            <= fem.TRUE_RESIDUAL_FACTOR * 1e-10 * np.linalg.norm(b))
+
+
+def test_pcg_checks_the_true_residual_at_exit():
+    # Jacobi PCG on the strip above stops on a recursive residual below
+    # 1e-10 while ||b - K x|| / ||b|| is about 2e-8, beyond
+    # TRUE_RESIDUAL_FACTOR times the target
+    m = mesh.build_mesh(4200, 1)
+    K = fem.assemble(m, 1.0, 1.0)
+    b = np.cos(3.0 * m.nodes[:, 0])
+    with pytest.raises(fem.SolverError, match="true relative residual") as err:
+        fem.pcg(K, b)
+    assert err.value.residual > fem.TRUE_RESIDUAL_FACTOR * 1e-10
+    x, relres, _ = fem.pcg(K, b, tol=1e-9)
     assert np.linalg.norm(K @ x - b) <= 1e-7 * np.linalg.norm(b)
 
 
@@ -362,6 +382,68 @@ def test_factored_solve_matches_dense(case):
             <= 1e-12 * max(np.abs(ref).max(initial=0.0), 1.0))
 
 
+def _band_entries(A):
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols], A.shape[0]
+
+
+def _random_band(rng, n, bw):
+    # bandwidth exactly bw: the outermost band keeps its first entry
+    A = np.zeros((n, n))
+    for d in range(1, bw + 1):
+        band = rng.uniform(-1.0, 1.0, n - d) * (rng.random(n - d) < 0.7)
+        band[0] = band[0] or 0.5
+        A += np.diag(band, d) + np.diag(band, -d)
+    return A + np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+
+
+@st.composite
+def band_stacks(draw):
+    """A stack of 1 to 4 random SPD band matrices, either all of one size
+    and bandwidth or each with its own, and a right-hand side per matrix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    same = draw(st.booleans())
+    shapes = draw(st.lists(st.tuples(st.integers(1, 200), st.integers(0, 12)),
+                           min_size=1, max_size=4))
+    if same:
+        shapes = [shapes[0]] * len(shapes)
+    matrices = [_random_band(rng, n, min(bw, n - 1)) for n, bw in shapes]
+    return same, matrices, [rng.standard_normal(A.shape[0]) for A in matrices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_stacks())
+def test_stacked_factor_matches_one_matrix_factors(case):
+    # a stack of equal shapes solves to the bit as each matrix alone, and
+    # through its one-matrix views; padded stacks match a dense solve
+    same, matrices, rhs = case
+    factor = fem.BandFactor([_band_entries(A) for A in matrices])
+    stacked = np.zeros((len(matrices), factor.n))
+    for k, b in enumerate(rhs):
+        stacked[k, :b.size] = b
+    x = factor.solve(stacked)
+    for k, (A, b) in enumerate(zip(matrices, rhs)):
+        n = b.size
+        assert np.all(x[k, n:] == 0.0)
+        view = factor.box(k).solve(stacked[k:k + 1])[0]
+        assert np.array_equal(view, x[k])
+        if same:
+            alone = fem.BandFactor([_band_entries(A)]).solve(b[None])[0]
+            assert np.array_equal(x[k], alone)
+        else:
+            ref = np.linalg.solve(A, b)
+            assert np.abs(x[k, :n] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("where", [0, 2])
+def test_stacked_factor_rejects_an_indefinite_member(where):
+    rng = np.random.default_rng(3)
+    matrices = [_random_band(rng, 90, 4) for _ in range(3)]
+    matrices[where][40, 40] = -5.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        fem.BandFactor([_band_entries(A) for A in matrices])
+
+
 def _equal_row_pairs(n):
     # positive diagonal, singular Schur complement
     return sp.block_diag([np.ones((2, 2))] * (n // 2), format="csr"), []
@@ -403,8 +485,8 @@ def factored_cases():
     K_flux = fem.assemble(m14, 1.0, 1.0)
     m7 = mesh.build_mesh(7, 14)
     grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
-    heat = parabolic.HeatOperators(m7, mesh.build_subdomains(m7), 1.0, grid)
-    S, _ = fem.crank_nicolson(fem.assemble(m7, 1.0, 0.0), heat.lumped, grid.dt)
+    S, _ = fem.crank_nicolson(fem.assemble(m7, 1.0, 0.0), fem.lumped_mass(m7),
+                              grid.dt)
     # the elliptic systems, factored: the operators' own fixed sets
     box_s, box_f = source.locals[0], flux.locals[1]
     K_box_s = K_source[np.ix_(box_s.nodes, box_s.nodes)]
@@ -419,7 +501,9 @@ def factored_cases():
         "flux-all-neumann-global": (
             fem.DirichletSystem(K_flux, flux.global_system.fixed, m14.nodes,
                                 direct=True), K_flux),
-        "heat-S-global": (heat.global_system, S),
+        "heat-S-global": (
+            fem.DirichletSystem(S, np.flatnonzero(m7.boundary_mask), m7.nodes,
+                                direct=True), S),
     }
 
 

@@ -81,15 +81,13 @@ def test_time_reversal_exact(heat7, mesh7):
 
 
 def test_local_zero_and_duality(heat7, mesh7, decomp7):
-    zero = np.zeros(mesh7.n_nodes)
-    assert np.all(heat7.forward_local(0, zero) == 0.0)
     i = 0
     loc = heat7.locals[i]
-    w_box = np.zeros(mesh7.n_nodes)
-    w_box[loc.nodes] = loc.lumped
+    assert np.all(heat7.forward_local(0, np.zeros(loc.nodes.size)) == 0.0)
+    w_box = loc.lumped
     for seed in range(5):
-        phi = _interior_field(mesh7, 300 + seed)
-        om = _interior_field(mesh7, 400 + seed)
+        phi = _interior_field(mesh7, 300 + seed)[loc.nodes]
+        om = _interior_field(mesh7, 400 + seed)[loc.nodes]
         F = heat7.forward_local(i, phi)
         B = heat7.adjoint_local(i, om)
         scale = (np.sqrt(fem.inner_product(phi, phi, w_box))
@@ -105,9 +103,9 @@ def test_local_consistency(heat7, mesh7, decomp7):
     F = heat7.forward_global(phi)
     for i in range(4):
         trace = F[:, decomp7.interfaces[i]]
-        local = heat7.forward_local(i, phi, trace)
-        box = decomp7.masks[i]
-        assert np.abs(local[:, box] - F[:, box]).max() < 1e-9
+        box = heat7.locals[i].nodes
+        local = heat7.forward_local(i, phi[box], trace)
+        assert np.abs(local - F[:, box]).max() < 1e-9
 
 
 def test_local_adjoint_consistency_with_trace(heat7, mesh7, decomp7):
@@ -115,20 +113,20 @@ def test_local_adjoint_consistency_with_trace(heat7, mesh7, decomp7):
     B = heat7.adjoint_global(om)
     for i in (0, 3):
         trace = B[:, decomp7.interfaces[i]]
-        local = heat7.adjoint_local(i, om, trace)
-        box = decomp7.masks[i]
-        assert np.abs(local[:, box] - B[:, box]).max() < 1e-9
+        box = heat7.locals[i].nodes
+        local = heat7.adjoint_local(i, om[box], trace)
+        assert np.abs(local - B[:, box]).max() < 1e-9
 
 
 def test_accumulate_zero(heat7, mesh7):
-    r = np.zeros((heat7.grid.nt + 1, mesh7.n_nodes))
+    r = np.zeros((heat7.grid.nt + 1, heat7.locals[0].nodes.size))
     assert np.all(heat7.accumulate(0, r) == 0.0)
 
 
 def test_accumulate_single_step_window(mesh7, decomp7):
     grid = parabolic.TimeGrid(T=4.0, nt=16, sigma=0.25)
     ops = parabolic.HeatOperators(mesh7, decomp7, 1.0, grid)
-    r0 = _interior_field(mesh7, 5)
+    r0 = _interior_field(mesh7, 5)[ops.locals[0].nodes]
     r = np.tile(r0, (grid.nt + 1, 1))
     acc = ops.accumulate(0, r)
     # constant-in-time residual over one trailing step: half a step of the
@@ -143,10 +141,10 @@ def test_accumulate_matches_quadrature_of_solves(mesh7, decomp7):
     grid = parabolic.TimeGrid(T=4.0, nt=16, sigma=4.0)
     ops = parabolic.HeatOperators(mesh7, decomp7, 1.0, grid)
     rng = np.random.default_rng(13)
-    r = rng.standard_normal((grid.nt + 1, mesh7.n_nodes))
+    r = rng.standard_normal((grid.nt + 1, ops.locals[0].nodes.size))
     acc = ops.accumulate(0, r)
     w = grid.weights()
-    naive = np.zeros(mesh7.n_nodes)
+    naive = np.zeros(r.shape[1])
     for k in range(grid.nt + 1):
         adj = ops.adjoint_local(0, r[k])
         naive += w[k] * adj[grid.nt - k]
@@ -178,3 +176,32 @@ def test_second_order_in_time(mesh7, decomp7):
         d = final(nt) - ref
         errs.append(np.sqrt(fem.inner_product(d, d, lump)))
     assert 4 * 0.8 <= errs[0] / errs[1] <= 4 * 1.2
+
+
+def test_unequal_boxes_march_as_one_padded_stack(mesh7):
+    # a wider top-left box makes the four boxes differ in size, so the
+    # stack pads them; stacked and one-box marches both restrict the
+    # global trajectory, and the stacked sweep matches the one-box sweeps
+    from fractions import Fraction as F
+
+    from ddinverse import mesh
+    boxes = (mesh.Box(F(0), F(5, 7), F(6, 7), F(2)),) + mesh.DEFAULT_BOXES[1:]
+    dec = mesh.build_subdomains(mesh7, boxes)
+    grid = parabolic.TimeGrid(T=4.0, nt=8, sigma=4.0)
+    ops = parabolic.HeatOperators(mesh7, dec, 1.0, grid)
+    assert len(set(ops.boxes.sizes)) > 1 and ops.boxes.solved is not None
+    phi = _interior_field(mesh7, 31)
+    F_global = ops.forward_global(phi)
+    starts = [phi[loc.nodes] for loc in ops.locals]
+    traces = [F_global[:, dec.interfaces[i]] for i in range(4)]
+    stacked = ops.forward_boxes(starts, traces)
+    rng = np.random.default_rng(32)
+    residuals = [rng.standard_normal((grid.nt + 1, loc.nodes.size))
+                 for loc in ops.locals]
+    swept = ops.accumulate_boxes(residuals)
+    for i, loc in enumerate(ops.locals):
+        alone = ops.forward_local(i, starts[i], traces[i])
+        assert np.abs(stacked[i] - F_global[:, loc.nodes]).max() < 1e-9
+        assert np.abs(alone - F_global[:, loc.nodes]).max() < 1e-9
+        one = ops.accumulate(i, residuals[i])
+        assert np.abs(swept[i] - one).max() <= 1e-10 * np.abs(one).max()
