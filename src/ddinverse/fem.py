@@ -12,9 +12,11 @@ boxes) and solve them together.  Every other system is solved by
 preconditioned conjugate gradients: with Jacobi below MULTILEVEL_SIZE free
 nodes, and from there on with one V-cycle of a smoothed-aggregation
 multilevel hierarchy, whose aggregates are bins of about AGGREGATE_SIZE
-nodes on every level and whose coarsest matrix, of at most COARSEST_SIZE
-unknowns, is inverted densely once.  Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps
-the count nearly independent of the mesh size.  Neither path imports
+nodes on every level, whose Jacobi smoothing is weighted on each level by
+a Lanczos estimate of that level's largest eigenvalue, and whose coarsest
+matrix, of at most COARSEST_SIZE unknowns, is inverted densely once.
+Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps the
+count nearly independent of the mesh size.  Neither path imports
 scipy.linalg or scipy.sparse.linalg, whose import alone adds several MB of
 resident memory.
 
@@ -39,9 +41,11 @@ import scipy.sparse as sp
 MULTILEVEL_SIZE = 4096
 # Nodes per aggregate on each level of the hierarchy (bins of about 3 x 3).
 AGGREGATE_SIZE = 9
-# Damped-Jacobi weight of the prolongation smoother and of the V-cycle's
-# smoothing steps.
-SMOOTHING_WEIGHT = 2.0 / 3.0
+# Lanczos steps of `largest_eigenvalue`.  20 steps come within 0.4% of the
+# largest eigenvalue of D^-1 A on the levels of the nx=112 hierarchies and
+# within 2% on small random-coefficient P1 operators; 12 steps fall up to
+# 3% and 4% short.
+LANCZOS_STEPS = 20
 # Coarsening stops once a level has at most this many unknowns; that
 # level's matrix is inverted densely.
 COARSEST_SIZE = 200
@@ -213,9 +217,10 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
     ||r|| <= tol * ||b||; returns (x, ||r|| / ||b||, iterations).  A
     right-hand side holding inf or nan gives an all-nan x after 0
     iterations, so the caller sees the failure in the solution.  Raises
-    SolverError when max_iter is exhausted, when p'Ap <= 0 (A is not
-    positive definite) or when the true residual ||b - A x|| at exit
-    exceeds TRUE_RESIDUAL_FACTOR * tol * ||b||.
+    SolverError when max_iter is exhausted, when r'z <= 0 before
+    convergence (the preconditioner is not positive definite), when
+    p'Ap <= 0 (A is not positive definite) or when the true residual
+    ||b - A x|| at exit exceeds TRUE_RESIDUAL_FACTOR * tol * ||b||.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -250,6 +255,14 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
                 residual=rnorm / bnorm,
                 iterations=it,
             )
+        if rz <= 0.0:
+            raise SolverError(
+                f"conjugate gradients broke down after {it} iterations: "
+                f"r'z = {rz:.3e} <= 0, the preconditioner is not positive "
+                f"definite",
+                residual=rnorm / bnorm,
+                iterations=it,
+            )
         Ap = A @ p
         pAp = np.dot(p, Ap)
         if pAp <= 0.0:
@@ -277,6 +290,40 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
             f"{true:.3e} after {it} iterations (target {tol:.1e})",
             residual=true, iterations=it)
     return x, rnorm / bnorm, it
+
+
+def largest_eigenvalue(operator, n: int) -> float:
+    """Estimate of the largest eigenvalue of a symmetric operator on R^n,
+    given as a function v -> A v returning a new array (it is overwritten):
+    the largest eigenvalue of the tridiagonal matrix of LANCZOS_STEPS
+    Lanczos steps (fewer when the Krylov space closes earlier) from a fixed
+    pseudo-random start, so reruns give the same bits.  A Ritz value, so it
+    never exceeds the largest eigenvalue, up to rounding.  Keeps two
+    Lanczos vectors and does not reorthogonalize them."""
+    v = np.random.default_rng(0).random(n) - 0.5
+    v /= math.sqrt(np.dot(v, v))
+    v_prev = np.zeros(n)
+    alpha, beta = [], [0.0]
+    a_max = 0.0
+    for _ in range(min(LANCZOS_STEPS, n)):
+        # w = A v - a v - b v_prev, in place; v_prev is scratch once used
+        w = operator(v)
+        a = float(np.dot(v, w))
+        alpha.append(a)
+        v_prev *= -beta[-1]
+        w += v_prev
+        w -= np.multiply(v, a, out=v_prev)
+        b = math.sqrt(np.dot(w, w))
+        a_max = max(a_max, abs(a))
+        if b <= 1e-12 * a_max:
+            break
+        beta.append(b)
+        w /= b
+        v_prev, v = v, w
+    k = len(alpha)
+    off = beta[1:k]
+    T = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(T)[-1])
 
 
 def _aggregates(coords):
@@ -313,15 +360,21 @@ class Multilevel:
     """Smoothed-aggregation multilevel preconditioner of an SPD matrix A
     (Vanek, Mandel and Brezina, Computing 56, 1996).
 
-    Row i of `coords` holds the coordinates of unknown i.  Each level bins
-    its unknowns into aggregates (`_aggregates`); the 0/1 matrix T of
-    unknown-in-aggregate is smoothed once by damped Jacobi into the
-    prolongation P = T - w D^-1 A T (w = SMOOTHING_WEIGHT, D = diag(A)),
-    the next level's matrix is P' A P and its unknowns sit at the aggregate
-    centroids.  Coarsening stops at COARSEST_SIZE unknowns or fewer, whose
-    matrix is inverted densely.  Each level keeps A, P, the transpose view
-    P' and w / diag(A).  `apply` is one symmetric V(1,1) cycle with
-    damped-Jacobi smoothing.  Raises ValueError when a level's matrix is not
+    Row i of `coords` holds the coordinates of unknown i.  Each level
+    estimates the largest eigenvalue lam of D^-1 A (D = diag(A)) by
+    `largest_eigenvalue` of D^-1/2 A D^-1/2 and bins its unknowns into
+    aggregates (`_aggregates`); the 0/1 matrix T of unknown-in-aggregate is
+    smoothed once by damped Jacobi into the prolongation
+    P = T - 4 / (3 lam) D^-1 A T, the next level's matrix is P' A P and its
+    unknowns sit at the aggregate centroids.  Coarsening stops at
+    COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely.  Each
+    level keeps A, P, its transpose P' as a CSR matrix and the smoothing
+    weights w / diag(A) with w = 8 / (5 lam), the weight of the best
+    damped-Jacobi smoothing factor on the 2-D Laplacian, 4/5 at lam = 2
+    (Trottenberg, Oosterlee and Schueller, Multigrid, 2001).  The cycle is
+    positive definite while w lam_max < 2, which leaves the estimate a
+    fifth of slack.  `apply` is one symmetric V(1,1) cycle with these
+    damped-Jacobi steps.  Raises ValueError when a level's matrix is not
     positive definite (checked on the diagonals and by a Cholesky
     factorization of the coarsest matrix).
     """
@@ -335,16 +388,17 @@ class Multilevel:
             n = A.shape[0]
             if n <= COARSEST_SIZE:
                 break
+            scale = 1.0 / np.sqrt(diag)
+            lam = largest_eigenvalue(lambda v: scale * (A @ (scale * v)), n)
             agg = _aggregates(coords)
             n_agg = int(agg.max()) + 1
-            scaled = SMOOTHING_WEIGHT / diag
             T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
                               shape=(n, n_agg))
             # A copy, because the difference keeps arrays sized for the
             # entries of both operands
-            P = (T - sp.diags(scaled) @ (A @ T)).copy()
-            PT = P.T
-            self.levels.append((A, P, PT, scaled))
+            P = (T - sp.diags(4.0 / (3.0 * lam) / diag) @ (A @ T)).copy()
+            PT = P.T.tocsr()
+            self.levels.append((A, P, PT, 8.0 / (5.0 * lam) / diag))
             A = (PT @ (A @ P)).tocsr()
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])

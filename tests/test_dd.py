@@ -300,6 +300,21 @@ def test_iteration_count_insensitive_to_solver_tol():
     assert ks[0] == ks[1]
 
 
+@pytest.mark.parametrize("exp,k_coarse", [("5.3", 14), ("5.1", 7)])
+def test_msa_iterations_do_not_grow_with_the_mesh(exp, k_coarse):
+    # the paper's headline claim, on the meshes the multilevel solver makes
+    # cheap: seed-0 msa keeps k within 1 of its nx=56 value at nx=112
+    # (also at nx=224, too slow for this suite)
+    ks = []
+    for nx in (56, 112):
+        prob = problems.make_problem(CAT[exp], nx, seed=0)
+        _, report = dd.run_msa(prob, dd.DDConfig(beta=CAT[exp].beta))
+        assert report.converged
+        ks.append(report.n_iterations)
+    assert ks[0] == k_coarse
+    assert abs(ks[1] - ks[0]) <= 1
+
+
 def test_report_csv_shape(source7):
     cfg = dd.DDConfig(beta=1e-3, max_iter=3, target_rel_error=None,
                       eps1=1e-300)

@@ -274,6 +274,108 @@ def test_v_cycle_is_symmetric_and_positive(case):
         assert r1 @ z1 > 0 and r2 @ z2 > 0
 
 
+def _level_estimate(A):
+    """The estimate `Multilevel` takes of the largest eigenvalue of
+    D^-1 A, D = diag(A)."""
+    scale = 1.0 / np.sqrt(A.diagonal())
+    return fem.largest_eigenvalue(lambda v: scale * (A @ (scale * v)),
+                                  A.shape[0])
+
+
+def _dense_largest_eigenvalue(A):
+    """The largest eigenvalue of D^-1 A by a dense eigensolver."""
+    root = np.sqrt(A.diagonal())
+    return np.linalg.eigvalsh(A.toarray() / np.outer(root, root))[-1]
+
+
+def _assert_estimate_within_two_percent(A):
+    # a Ritz value never exceeds the largest eigenvalue
+    exact = _dense_largest_eigenvalue(A)
+    estimate = _level_estimate(A)
+    assert 0.98 * exact <= estimate <= exact * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("experiment", ["5.1", "5.2", "5.3", "5.4", "5.5"])
+@pytest.mark.parametrize("nx", [7, 14])
+def test_largest_eigenvalue_estimate_on_small_operators(experiment, nx):
+    # the global operators of the elliptic experiments: with Dirichlet
+    # walls (source) or without (all-Neumann flux), 105 to 435 unknowns
+    _, system = _global_system(experiment, nx)
+    _assert_estimate_within_two_percent(system.K_ff)
+
+
+def test_largest_eigenvalue_of_a_closed_krylov_space():
+    # one Lanczos step spans an invariant subspace of the identity, and
+    # five steps all of R^5
+    assert fem.largest_eigenvalue(lambda v: 3.0 * v, 4096) == pytest.approx(
+        3.0, rel=1e-14)
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.5 * np.eye(5, k=1) \
+        + 0.5 * np.eye(5, k=-1)
+    assert fem.largest_eigenvalue(lambda v: A @ v, 5) == pytest.approx(
+        np.linalg.eigvalsh(A)[-1], rel=1e-12)
+
+
+@st.composite
+def p1_operators(draw):
+    """A P1 operator -div(a grad u) + c u on a random mesh of up to 17 x 17
+    nodes, with a random diffusion a on each element, spread over up to
+    four orders of magnitude, a random constant reaction c >= 0 and
+    Dirichlet walls or none."""
+    m = mesh.build_mesh(draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    contrast = draw(st.sampled_from([1.0, 1e2, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 0.5 * np.log(contrast)
+    a = np.exp(rng.uniform(-spread, spread, m.elements.shape[0]))
+    K = fem.assemble(m, lambda x, y: a, rng.uniform(0.0, 10.0))
+    walls = draw(st.booleans()) and m.n_nodes > m.boundary_mask.sum()
+    fixed = np.flatnonzero(m.boundary_mask) if walls else []
+    return fem.DirichletSystem(K, fixed, m.nodes).K_ff
+
+
+@settings(max_examples=60, deadline=None)
+@given(p1_operators())
+def test_largest_eigenvalue_estimate_on_random_operators(A):
+    _assert_estimate_within_two_percent(A)
+
+
+def _largest_eigenvalue_bound(A):
+    """An upper bound of the largest eigenvalue of D^-1 A: the eigenvalue
+    itself up to 1000 unknowns, Gershgorin's max_i sum_j |a_ij| / a_ii
+    beyond."""
+    if A.shape[0] <= 1000:
+        return _dense_largest_eigenvalue(A)
+    return (abs(A).sum(axis=1).A1 / A.diagonal()).max()
+
+
+@pytest.mark.parametrize("case", ["box-n112", "global-n56", "flux-n56"])
+def test_smoothing_weights_keep_the_v_cycle_positive(case):
+    # the V(1,1) cycle is positive definite while the smoothing weight w of
+    # every level keeps w lam_max(D^-1 A) < 2
+    if case == "box-n112":
+        spec = problems.example_catalog()["5.3"]
+        m = mesh.build_mesh(112, 224)
+        K = fem.assemble(m, spec.diffusion, spec.reaction)
+        system = fem.BoxSystem(m, mesh.build_subdomains(m), 0, K).system
+    else:
+        _, system = _global_system("5.3" if case == "global-n56" else "5.1",
+                                   56)
+    for A, _, _, scaled in system.multilevel.levels:
+        weight = (scaled * A.diagonal()).max()
+        assert weight * _largest_eigenvalue_bound(A) < 2.0
+
+
+def test_indefinite_v_cycle_breaks_pcg_down():
+    # smoothing weights inflated to twice the measured ones, past 2 / lam,
+    # make the V-cycle indefinite; p'Ap stays positive, r'z does not
+    m, system = _global_system("5.3", 56)
+    A, P, PT, scaled = system.multilevel.levels[0]
+    system.multilevel.levels[0] = (A, P, PT, 2.0 * scaled)
+    with pytest.raises(fem.SolverError,
+                       match="preconditioner is not positive definite"):
+        fem.pcg(system.K_ff, _random_load(m, system),
+                multilevel=system.multilevel)
+
+
 def test_multilevel_iterations_do_not_grow_with_the_mesh():
     # the 5.3 global system at nx=56 and nx=112 (6105 and 24,753 unknowns);
     # Jacobi PCG needs about twice as many iterations on the finer mesh
