@@ -39,6 +39,15 @@ _DEFAULTS = {
     "tol": 1e-10, "max_iter": 200, "nt": None, "sigma": None,
     "out": "runs", "target_rel_error": 0.1, "eps1": None,
 }
+# The type of every value (of each mesh size for nx): float takes an int
+# too, and no type takes a bool.  None passes for the keys that default to
+# None and for target_rel_error.
+_TYPES = {
+    "experiment": str, "algorithm": str, "nx": int, "ny": int,
+    "beta": float, "delta": float, "A": float, "lambda": float, "seed": int,
+    "tol": float, "max_iter": int, "nt": int, "sigma": float, "out": str,
+    "target_rel_error": float, "eps1": float,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additive relaxation weight in (0,1)")
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--tol", type=float,
-                   help="relative residual of the iterative (PCG) solves: "
+                   help="relative residual of the PCG solves, in (0, 1): "
                         "every elliptic system and the heat systems with at "
                         "least 4096 free nodes; smaller heat systems are "
                         "factored and solved directly")
@@ -105,7 +114,23 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _has_type(key: str, value) -> bool:
+    if value is None:
+        return _DEFAULTS[key] is None or key == "target_rel_error"
+    kind = _TYPES[key]
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float) if kind is float else kind))
+
+
 def _validate(cfg: dict) -> None:
+    for key, value in cfg.items():
+        items = value if key == "nx" and isinstance(value, list) else [value]
+        for item in items:
+            if not _has_type(key, item):
+                raise ValueError(f"{key} must be of type "
+                                 f"{_TYPES[key].__name__}, got {item!r}")
+    if not 0.0 < cfg["tol"] < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {cfg['tol']}")
     catalog = problems.example_catalog()
     if cfg["experiment"] not in catalog:
         raise ValueError(

@@ -374,8 +374,8 @@ class _InversionBase:
         v[self.decomp.multiplicity == 0] = 0.0
         return v
 
-    def global_solution(self, param, warm="obj"):
-        return self.ops.forward_global(param, warm=warm)
+    def global_solution(self, param):
+        return self.ops.forward_global(param)
 
     def local_minimize_all(self, components, traces, config) -> list:
         """`local_minimize` of every box from the same state (the additive
@@ -443,14 +443,13 @@ class SourceInversion(_InversionBase):
     kind = "source"
 
     def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param[self.box_nodes[i]], trace,
-                                      warm="sweep")
+        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
 
     def local_minimize(self, i, components, anchor, trace, config):
         return self._local_update(
             i, components, anchor, config,
-            lambda f: self.ops.forward_local(i, f, trace, warm="min"),
-            lambda r: self.ops.forward_local(i, r, None, warm="res"))
+            lambda f: self.ops.forward_local(i, f, trace),
+            lambda r: self.ops.forward_local(i, r))
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -459,8 +458,7 @@ class SourceInversion(_InversionBase):
                 + config.beta * self.param_inner(param, param))
 
     def surrogate_normal_apply(self, v) -> np.ndarray:
-        return self.ops.forward_global(self.ops.forward_global(v, warm=None),
-                                       warm=None)
+        return self.ops.forward_global(self.ops.forward_global(v))
 
 
 class FluxInversion(_InversionBase):
@@ -492,8 +490,7 @@ class FluxInversion(_InversionBase):
         return out
 
     def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param[self.box_nodes[i]], trace,
-                                      warm="sweep")
+        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
 
     def local_minimize(self, i, components, anchor, trace, config):
         # A box without flux support runs no solve: its component stays zero.
@@ -505,8 +502,8 @@ class FluxInversion(_InversionBase):
             return components[i].copy()
         return self._local_update(
             i, components, anchor, config,
-            lambda h: self.ops.forward_local(i, h, trace, warm="min"),
-            lambda r: self.ops.adjoint_local(i, r, None, warm="res"))
+            lambda h: self.ops.forward_local(i, h, trace),
+            lambda r: self.ops.adjoint_local(i, r))
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -521,8 +518,8 @@ class FluxInversion(_InversionBase):
         return v
 
     def surrogate_normal_apply(self, v) -> np.ndarray:
-        u = self.ops.forward_global(v, warm=None)
-        adj = self.ops.adjoint_volume(u, warm=None)
+        u = self.ops.forward_global(v)
+        adj = self.ops.adjoint_volume(u)
         out = np.zeros_like(adj)
         out[self.ops.gamma1_nodes] = adj[self.ops.gamma1_nodes]
         return out
@@ -546,9 +543,6 @@ class InitialValueInversion(_InversionBase):
 
     def solve_calls(self):
         return self.ops.step_count
-
-    def global_solution(self, param, warm=None):
-        return self.ops.forward_global(param)
 
     def local_solution(self, i, param, trace):
         return self.ops.forward_local(i, param[self.box_nodes[i]], trace)

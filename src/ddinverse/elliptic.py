@@ -37,22 +37,15 @@ def _box_boundary_mass(mesh, edges, inside, nodes):
 
 
 class _Operators:
-    """Shared plumbing: every solve is counted in `solve_count`, and a solve
-    with a key `warm` starts from the last solution stored under that key
-    and stores its own."""
+    """Shared plumbing: every solve is counted in `solve_count`."""
 
     def __init__(self, mesh, decomp, tol):
         self.mesh, self.decomp, self.tol = mesh, decomp, tol
-        self._warm: dict = {}
         self.solve_count = 0
 
-    def _solve(self, system, rhs, fixed_values=None, warm=None):
+    def _solve(self, system, rhs, fixed_values=None):
         self.solve_count += 1
-        x = system.solve(rhs, fixed_values, tol=self.tol,
-                         x0=None if warm is None else self._warm.get(warm))
-        if warm is not None:
-            self._warm[warm] = x
-        return x
+        return system.solve(rhs, fixed_values, tol=self.tol)
 
 
 class SourceOperators(_Operators):
@@ -89,19 +82,17 @@ class SourceOperators(_Operators):
         return self._solve(self.global_system, np.zeros(self.mesh.n_nodes),
                            gvals)
 
-    def forward_global(self, f: np.ndarray, *, warm=None) -> np.ndarray:
+    def forward_global(self, f: np.ndarray) -> np.ndarray:
         """Solve with source f and zero boundary values; linear in f."""
-        return self._solve(self.global_system, self.lumped * f, None,
-                           ("g", warm))
+        return self._solve(self.global_system, self.lumped * f)
 
-    def forward_local(self, i: int, f: np.ndarray, trace=None, *,
-                      warm=None) -> np.ndarray:
+    def forward_local(self, i: int, f: np.ndarray, trace=None) -> np.ndarray:
         """Local solve on box i: box source f, zero values on the outer
         boundary part, Dirichlet `trace` on the inner boundary (zero when
         None).  Box fields are numbered by the box nodes `locals[i].nodes`."""
         loc = self.locals[i]
         return self._solve(loc.system, loc.lumped * f,
-                           loc.fixed_values(trace), ("l", i, warm))
+                           loc.fixed_values(trace))
 
 
 class FluxOperators(_Operators):
@@ -166,42 +157,35 @@ class FluxOperators(_Operators):
             return np.zeros(self.mesh.n_nodes)
         return self._solve(self.global_system, rhs)
 
-    def forward_global(self, h: np.ndarray, *, warm=None) -> np.ndarray:
+    def forward_global(self, h: np.ndarray) -> np.ndarray:
         """All-Neumann solve driven by the flux h (full-length vector with
         values on the right-side nodes); returns the volume field."""
-        return self._solve(self.global_system, self.bmass1 @ h, None,
-                           ("g", warm))
+        return self._solve(self.global_system, self.bmass1 @ h)
 
-    def adjoint_volume(self, w: np.ndarray, *, warm=None) -> np.ndarray:
+    def adjoint_volume(self, w: np.ndarray) -> np.ndarray:
         """All-Neumann solve driven by data w on the measurement boundary."""
-        return self._solve(self.global_system, self.bmass0 @ w, None,
-                           ("a", warm))
+        return self._solve(self.global_system, self.bmass0 @ w)
 
-    def adjoint_global(self, w: np.ndarray, *, warm=None) -> np.ndarray:
+    def adjoint_global(self, w: np.ndarray) -> np.ndarray:
         """Adjoint map as a trace: values on the right-side nodes."""
-        return self.adjoint_volume(w, warm=warm)[self.gamma1_nodes]
+        return self.adjoint_volume(w)[self.gamma1_nodes]
 
-    def _local_solve(self, i, bmass_loc, field, trace, warm):
+    def _local_solve(self, i, bmass_loc, field, trace):
         """Local solve on box i loaded by the box field `field` through the
         box boundary mass `bmass_loc` (no load when the box misses that
         boundary part).  Box fields are numbered by the box nodes."""
         loc = self.locals[i]
         rhs_local = (np.zeros(loc.nodes.size) if bmass_loc is None
                      else bmass_loc @ field)
-        return self._solve(loc.system, rhs_local, loc.fixed_values(trace),
-                           warm)
+        return self._solve(loc.system, rhs_local, loc.fixed_values(trace))
 
-    def forward_local(self, i: int, h: np.ndarray, trace=None, *,
-                      warm=None) -> np.ndarray:
+    def forward_local(self, i: int, h: np.ndarray, trace=None) -> np.ndarray:
         """Local solve on box i with the box flux h on its right-side part,
         zero data on its measurement part and Dirichlet `trace` on the inner
         boundary closure."""
-        return self._local_solve(i, self.bmass1_loc[i], h, trace,
-                                 ("lf", i, warm))
+        return self._local_solve(i, self.bmass1_loc[i], h, trace)
 
-    def adjoint_local(self, i: int, w: np.ndarray, trace=None, *,
-                      warm=None) -> np.ndarray:
+    def adjoint_local(self, i: int, w: np.ndarray, trace=None) -> np.ndarray:
         """Local adjoint solve on box i: box Neumann data w on its measurement
         part, zero flux, Dirichlet `trace` on the inner boundary closure."""
-        return self._local_solve(i, self.bmass0_loc[i], w, trace,
-                                 ("la", i, warm))
+        return self._local_solve(i, self.bmass0_loc[i], w, trace)

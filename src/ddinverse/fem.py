@@ -4,21 +4,21 @@ Assembly returns scipy CSR matrices; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
 systems eliminate their Dirichlet conditions symmetrically, so every
 assembled operator stays symmetric positive definite.  A system that asks
-for a direct solve and has fewer than MULTILEVEL_SIZE free nodes, with at
+for a direct solve and has fewer than FACTOR_SIZE free nodes, with at
 most MAX_BAND_ENTRIES free nodes times bandwidth, is factored once, by
 block cyclic reduction over blocks of its bandwidth in plain numpy, and
 solved directly; one factor can hold a stack of such systems (the heat
 boxes) and solve them together.  Every other system is solved by
-preconditioned conjugate gradients: with Jacobi below MULTILEVEL_SIZE free
-nodes, and from there on with one V-cycle of a smoothed-aggregation
-multilevel hierarchy, whose aggregates are bins of about AGGREGATE_SIZE
-nodes on every level, whose Jacobi smoothing is weighted on each level by
-a Lanczos estimate of that level's largest eigenvalue, and whose coarsest
-matrix, of at most COARSEST_SIZE unknowns, is inverted densely once.
-Jacobi alone needs O(1/h) iterations per solve; the V-cycle keeps the
-count nearly independent of the mesh size.  Neither path imports
-scipy.linalg or scipy.sparse.linalg, whose import alone adds several MB of
-resident memory.
+preconditioned conjugate gradients with one V-cycle of a smoothed-
+aggregation multilevel hierarchy, whose aggregates are bins of about
+AGGREGATE_SIZE nodes on every level, whose Jacobi smoothing is weighted on
+each level by a Lanczos estimate of that level's largest eigenvalue, and
+whose coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted
+densely once.  A system of at most COARSEST_SIZE unknowns is its own
+coarsest level, so PCG solves it in one iteration; on larger ones the
+V-cycle keeps the count nearly independent of the mesh size.  Neither path
+imports scipy.linalg or scipy.sparse.linalg, whose import alone adds
+several MB of resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -35,10 +35,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-# Systems with at least this many free nodes are solved by PCG with the
-# multilevel preconditioner; smaller ones are factored, or solved with
-# Jacobi PCG alone.
-MULTILEVEL_SIZE = 4096
+# A system that asks for a direct solve is factored when it has fewer free
+# nodes than this (and fits the band budget below); every other system is
+# solved by PCG with the multilevel preconditioner.
+FACTOR_SIZE = 4096
 # Nodes per aggregate on each level of the hierarchy (bins of about 3 x 3).
 AGGREGATE_SIZE = 9
 # Lanczos steps of `largest_eigenvalue`.  20 steps come within 0.4% of the
@@ -53,7 +53,7 @@ COARSEST_SIZE = 200
 # about (free nodes) x (bandwidth)^2 operations; a system above this many
 # is solved iteratively instead.  A square grid just below the size rule,
 # 64 x 64 nodes, has a bandwidth of about 64.
-MAX_BAND_ENTRIES = MULTILEVEL_SIZE * 64
+MAX_BAND_ENTRIES = FACTOR_SIZE * 64
 # Block cyclic reduction stops once at most this many unknowns remain and
 # inverts the rest densely.
 DENSE_TAIL = 64
@@ -205,22 +205,19 @@ def inner_product(u, v, mass) -> float:
     return float(0.5 * (np.dot(u, mass @ v) + np.dot(v, mass @ u)))
 
 
-def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
-        x0=None):
-    """Preconditioned conjugate gradients for SPD A.
+def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
+    """Preconditioned conjugate gradients for SPD A from x0 (zero when
+    None).
 
-    The preconditioner is one V-cycle of `multilevel`, a `Multilevel`
-    hierarchy of A, when given, and Jacobi, z = inv_diag * r with
-    inv_diag = 1/diag(A) (computed when not given), otherwise.
-
-    Stops when the recursively updated residual r satisfies
-    ||r|| <= tol * ||b||; returns (x, ||r|| / ||b||, iterations).  A
-    right-hand side holding inf or nan gives an all-nan x after 0
-    iterations, so the caller sees the failure in the solution.  Raises
-    SolverError when max_iter is exhausted, when r'z <= 0 before
-    convergence (the preconditioner is not positive definite), when
-    p'Ap <= 0 (A is not positive definite) or when the true residual
-    ||b - A x|| at exit exceeds TRUE_RESIDUAL_FACTOR * tol * ||b||.
+    `precondition(r, out)` writes M r to `out` and returns it, for a
+    symmetric positive definite M, e.g. `Multilevel.apply`.  Stops when the
+    recursively updated residual r satisfies ||r|| <= tol * ||b||; returns
+    (x, ||r|| / ||b||, iterations).  A right-hand side holding inf or nan
+    gives an all-nan x after 0 iterations, so the caller sees the failure
+    in the solution.  Raises SolverError when max_iter is exhausted, when
+    r'z <= 0 before convergence (the preconditioner is not positive
+    definite), when p'Ap <= 0 (A is not positive definite) or when the true
+    residual ||b - A x|| at exit exceeds TRUE_RESIDUAL_FACTOR * tol * ||b||.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -230,15 +227,6 @@ def pcg(A, b, *, inv_diag=None, multilevel=None, tol=1e-10, max_iter=None,
         return np.zeros(n), 0.0, 0
     if not math.isfinite(bnorm):
         return np.full(n, math.nan), math.nan, 0
-    if multilevel is not None:
-        precondition = multilevel.apply
-    else:
-        if inv_diag is None:
-            inv_diag = 1.0 / A.diagonal()
-
-        def precondition(r, out):
-            return np.multiply(inv_diag, r, out=out)
-
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x if x0 is not None else b.copy()
     z = precondition(r, np.empty(n))
@@ -367,7 +355,8 @@ class Multilevel:
     smoothed once by damped Jacobi into the prolongation
     P = T - 4 / (3 lam) D^-1 A T, the next level's matrix is P' A P and its
     unknowns sit at the aggregate centroids.  Coarsening stops at
-    COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely.  Each
+    COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely; a
+    matrix that small has no levels, and one cycle solves it.  Each
     level keeps A, P, its transpose P' as a CSR matrix and the smoothing
     weights w / diag(A) with w = 8 / (5 lam), the weight of the best
     damped-Jacobi smoothing factor on the 2-D Laplacian, 4/5 at lam = 2
@@ -593,10 +582,10 @@ def restrict(K, nodes):
 
 def factorable(rows, cols, n: int) -> bool:
     """Whether a system of n free nodes with entries at (rows, cols) is
-    factored when a direct solve is asked for: fewer than MULTILEVEL_SIZE
-    free nodes and at most MAX_BAND_ENTRIES free nodes times bandwidth."""
+    factored when a direct solve is asked for: fewer than FACTOR_SIZE free
+    nodes and at most MAX_BAND_ENTRIES free nodes times bandwidth."""
     bandwidth = int(np.abs(rows - cols).max(initial=0))
-    return n < MULTILEVEL_SIZE and n * bandwidth <= MAX_BAND_ENTRIES
+    return n < FACTOR_SIZE and n * bandwidth <= MAX_BAND_ENTRIES
 
 
 def eliminate(K: sp.csr_matrix, fixed):
@@ -638,14 +627,16 @@ class DirichletSystem:
     Splits K into the free-free block and the free-fixed coupling once
     (`eliminate`), so repeated solves with different right-hand sides and
     boundary values stay cheap.  With direct=True, a system with fewer than
-    MULTILEVEL_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes times
+    FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes times
     bandwidth factors its free-free block once (a `BandFactor` of one
     matrix) and solves directly.  Every other system keeps K_ff and solves
-    by PCG: with Jacobi below MULTILEVEL_SIZE free nodes, and from there on
-    with the `Multilevel` hierarchy of K_ff, binned by the coordinates
-    `coords` of its free nodes (one row of `coords` per node of K).
-    Solutions are returned on the full index set with the boundary values
-    imposed exactly.
+    by PCG, preconditioned by the `Multilevel` hierarchy of K_ff, binned by
+    the coordinates `coords` of its free nodes (one row of `coords` per node
+    of K).  PCG starts from the last solution of the same kind, with
+    homogeneous or with given fixed values (`last`, one slot each), so
+    repeated solves of one kind, such as the local solves of successive
+    Schwarz sweeps, start close to their answer.  Solutions are returned on
+    the full index set with the boundary values imposed exactly.
     """
 
     def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray,
@@ -654,23 +645,20 @@ class DirichletSystem:
         self.free, self.fixed, entries, self.K_fd = eliminate(K, fixed)
         rows, cols, vals = entries
         n_free = self.free.size
-        self.factor = self.K_ff = self.inv_diag = self.multilevel = None
+        self.factor = self.K_ff = self.multilevel = None
         if direct and factorable(rows, cols, n_free):
             self.factor = BandFactor([(rows, cols, vals, n_free)])
             return
         self.K_ff = _csr(rows, cols, vals, (n_free, n_free))
-        if n_free < MULTILEVEL_SIZE:
-            self.inv_diag = 1.0 / self.K_ff.diagonal()
-        else:
-            self.multilevel = Multilevel(self.K_ff, coords[self.free])
+        self.multilevel = Multilevel(self.K_ff, coords[self.free])
+        self.last = [None, None]
 
-    def solve(self, rhs, fixed_values=None, *, tol=1e-10, max_iter=None, x0=None):
+    def solve(self, rhs, fixed_values=None, *, tol=1e-10):
         """Solve K x = rhs with x = fixed_values on the fixed set.
 
         rhs is the full-length load vector; fixed_values is a vector over the
-        fixed set (or None for homogeneous).  tol, max_iter and x0 (a
-        full-length warm start) apply to PCG systems only; factored systems
-        solve directly and ignore them.
+        fixed set (or None for homogeneous).  tol is the relative residual
+        of PCG; factored systems solve directly and ignore it.
         """
         b = rhs[self.free]
         vals = fixed_values
@@ -682,10 +670,11 @@ class DirichletSystem:
         if self.factor is not None:
             xf = self.factor.solve(b[None])[0]
         else:
-            guess = x0[self.free] if x0 is not None else None
-            xf, _, _ = pcg(self.K_ff, b, inv_diag=self.inv_diag,
-                           multilevel=self.multilevel, tol=tol,
-                           max_iter=max_iter, x0=guess)
+            slot = vals is not None
+            xf, relres, _ = pcg(self.K_ff, b, self.multilevel.apply, tol=tol,
+                                x0=self.last[slot])
+            if math.isfinite(relres):  # a non-finite load leaves no start
+                self.last[slot] = xf
         x = np.zeros(self.n)
         x[self.free] = xf
         if vals is not None:

@@ -121,11 +121,10 @@ def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None) -> dict:
     """
     delta = spec.delta if delta is None else float(delta)
     exact = exact_parameter_field(spec, ops)
+    clean = ops.forward_global(exact)
     if spec.kind == "initial_value":
-        clean = ops.forward_global(exact)
         u0 = np.zeros_like(clean)
     else:
-        clean = ops.forward_global(exact, warm=None)
         u0 = ops.solve_u0()
     u = clean + u0
     rng = np.random.default_rng(seed)

@@ -25,6 +25,12 @@ def decomp14(mesh14):
     return mesh.build_subdomains(mesh14)
 
 
+def jacobi(A):
+    """The Jacobi preconditioner of A for `fem.pcg`: r -> r / diag(A)."""
+    inv_diag = 1.0 / A.diagonal()
+    return lambda r, out: np.multiply(inv_diag, r, out=out)
+
+
 def node_at(m, x, y):
     """Index of the mesh node at (x, y); fails the test if absent."""
     hits = np.flatnonzero(

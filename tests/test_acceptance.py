@@ -113,8 +113,8 @@ def test_criterion_5_adjoint_identities():
         w = rng.standard_normal(m.n_nodes)
         nf = np.sqrt(fem.inner_product(f, f, sops.lumped))
         nw = np.sqrt(fem.inner_product(w, w, sops.lumped))
-        track(fem.inner_product(sops.forward_global(f, warm=None), w, sops.lumped),
-              fem.inner_product(f, sops.forward_global(w, warm=None), sops.lumped),
+        track(fem.inner_product(sops.forward_global(f), w, sops.lumped),
+              fem.inner_product(f, sops.forward_global(w), sops.lumped),
               nf * nw)
         for i in range(4):
             loc = sops.locals[i]
@@ -134,8 +134,8 @@ def test_criterion_5_adjoint_identities():
         w[fops.gamma0_nodes] = rng.standard_normal(fops.gamma0_nodes.size)
         nh = np.sqrt(fem.inner_product(h, h, fops.bmass1))
         nw = np.sqrt(fem.inner_product(w, w, fops.bmass0))
-        track(fem.inner_product(fops.forward_global(h, warm=None), w, fops.bmass0),
-              fem.inner_product(h, fops.adjoint_volume(w, warm=None), fops.bmass1),
+        track(fem.inner_product(fops.forward_global(h), w, fops.bmass0),
+              fem.inner_product(h, fops.adjoint_volume(w), fops.bmass1),
               nh * nw)
         for i in range(4):
             loc = fops.locals[i]
@@ -223,7 +223,7 @@ def test_criterion_7_objective_gap_to_global_minimizer():
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        forward[:, j] = prob.ops.forward_global(e, warm=None)
+        forward[:, j] = prob.ops.forward_global(e)
     normal = forward.T @ (lump[:, None] * forward) + beta * np.diag(lump)
     rhs = forward.T @ (lump * prob.z0)
     star, info = spla.cg(spla.aslinearoperator(normal), rhs,

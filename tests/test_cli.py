@@ -152,6 +152,33 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run_cli(["--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "1"])
+def test_tol_outside_the_unit_interval_exits_1(tmp_path, capsys, tol):
+    # with tol nan or inf every PCG solve would return at once, so a run
+    # would "converge" on zero solutions
+    out = tmp_path / "x"
+    code = run_cli(["--experiment", "5.3", "--nx", "7", f"--tol={tol}",
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"error: tol must lie in (0, 1), got {float(tol)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"nx": "7"}, {"nx": [7, 14.0]}, {"beta": "1e-3"}, {"tol": "x"},
+    {"tol": None}, {"max_iter": 2.5}, {"seed": True}, {"algorithm": ["msa"]}])
+def test_config_file_rejects_wrong_types(tmp_path, capsys, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "5.3", "nx": 7, **entry}))
+    out = tmp_path / "o"
+    assert run_cli(["--config", str(path), "--out", str(out)]) == 1
+    key, = entry
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
+    assert not out.exists()
+
+
 def test_dump_mesh(tmp_path):
     target = tmp_path / "mesh.txt"
     assert run_cli(["--dump-mesh", str(target), "--nx", "7"]) == 0

@@ -154,7 +154,7 @@ def _dense_tikhonov_minimizer(prob, beta):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        U[:, j] = prob.ops.forward_global(e, warm=None)
+        U[:, j] = prob.ops.forward_global(e)
     A = U.T @ (m[:, None] * U) + beta * np.diag(m)
     return np.linalg.solve(A, U.T @ (m * prob.z0))
 
@@ -227,7 +227,7 @@ def test_surrogate_dominates_local_functional(source7):
     assert check.estimate <= cfg.A  # the default constant is large enough
     rng = np.random.default_rng(12)
     comps = source7.split(source7.random_param(rng))
-    seeded = source7.global_solution(dd.total_component(comps), "tmp")
+    seeded = source7.global_solution(dd.total_component(comps))
     for i in range(4):
         trace = seeded[source7.trace_nodes[i]]
         base = local_surrogate(source7, i, comps, trace, comps[i], cfg)
@@ -270,7 +270,7 @@ def test_check_surrogate_constant_zero_operator():
 def test_surrogate_gap_monotone_in_A(source7):
     rng = np.random.default_rng(14)
     v = source7.random_param(rng)
-    Uv = source7.ops.forward_global(v, warm=None)
+    Uv = source7.ops.forward_global(v)
     nv = source7.param_inner(v, v)
     nUv = source7.param_inner(Uv, Uv)
     for A in (0.5, 1.0, 2.0):

@@ -60,7 +60,7 @@ def test_affine_split(mesh7, decomp7):
                                    boundary_data=lambda x, y: x + 0.5 * y)
     f = _rand_field(mesh7, 21)
     u0 = ops.solve_u0()
-    U = ops.forward_global(f, warm=None)
+    U = ops.forward_global(f)
     K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     xb, yb = mesh7.nodes[bnd].T
@@ -70,13 +70,12 @@ def test_affine_split(mesh7, decomp7):
 
 
 def test_forward_source_zero_and_linear(source_ops, mesh7):
-    assert np.all(source_ops.forward_global(np.zeros(mesh7.n_nodes),
-                                            warm=None) == 0.0)
+    assert np.all(source_ops.forward_global(np.zeros(mesh7.n_nodes)) == 0.0)
     f1 = _rand_field(mesh7, 1)
     f2 = _rand_field(mesh7, 2)
-    lhs = source_ops.forward_global(f1 + f2, warm=None)
-    rhs = (source_ops.forward_global(f1, warm=None)
-           + source_ops.forward_global(f2, warm=None))
+    lhs = source_ops.forward_global(f1 + f2)
+    rhs = (source_ops.forward_global(f1)
+           + source_ops.forward_global(f2))
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -84,8 +83,8 @@ def test_forward_source_self_adjoint(source_ops, mesh7):
     for seed in range(5):
         f = _rand_field(mesh7, 100 + seed)
         w = _rand_field(mesh7, 200 + seed)
-        Uf = source_ops.forward_global(f, warm=None)
-        Uw = source_ops.forward_global(w, warm=None)
+        Uf = source_ops.forward_global(f)
+        Uw = source_ops.forward_global(w)
         lhs = fem.inner_product(Uf, w, source_ops.lumped)
         rhs = fem.inner_product(f, Uw, source_ops.lumped)
         scale = (np.sqrt(fem.inner_product(f, f, source_ops.lumped))
@@ -109,7 +108,7 @@ def test_local_source_split_and_zero(source_ops, mesh7, decomp7):
 
 def test_local_source_consistency(source_ops, mesh7, decomp7):
     f = _rand_field(mesh7, 17)
-    U = source_ops.forward_global(f, warm=None)
+    U = source_ops.forward_global(f)
     for i in range(4):
         trace = U[decomp7.interfaces[i]]
         box = source_ops.locals[i].nodes
@@ -149,24 +148,22 @@ def _rand_gamma0(ops, seed):
 
 
 def test_forward_flux_zero_and_linear(flux_ops, mesh7):
-    assert np.all(flux_ops.forward_global(np.zeros(mesh7.n_nodes),
-                                          warm=None) == 0.0)
+    assert np.all(flux_ops.forward_global(np.zeros(mesh7.n_nodes)) == 0.0)
     h1 = _rand_flux(flux_ops, 1)
     h2 = _rand_flux(flux_ops, 2)
-    lhs = flux_ops.forward_global(h1 + h2, warm=None)
-    rhs = (flux_ops.forward_global(h1, warm=None)
-           + flux_ops.forward_global(h2, warm=None))
+    lhs = flux_ops.forward_global(h1 + h2)
+    rhs = (flux_ops.forward_global(h1)
+           + flux_ops.forward_global(h2))
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def test_adjoint_flux_zero_and_linear(flux_ops, mesh7):
-    assert np.all(flux_ops.adjoint_global(np.zeros(mesh7.n_nodes),
-                                          warm=None) == 0.0)
+    assert np.all(flux_ops.adjoint_global(np.zeros(mesh7.n_nodes)) == 0.0)
     w1 = _rand_gamma0(flux_ops, 3)
     w2 = _rand_gamma0(flux_ops, 4)
-    lhs = flux_ops.adjoint_global(w1 + w2, warm=None)
-    rhs = (flux_ops.adjoint_global(w1, warm=None)
-           + flux_ops.adjoint_global(w2, warm=None))
+    lhs = flux_ops.adjoint_global(w1 + w2)
+    rhs = (flux_ops.adjoint_global(w1)
+           + flux_ops.adjoint_global(w2))
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -174,8 +171,8 @@ def test_flux_duality(flux_ops):
     for seed in range(5):
         h = _rand_flux(flux_ops, 600 + seed)
         w = _rand_gamma0(flux_ops, 700 + seed)
-        Uh = flux_ops.forward_global(h, warm=None)
-        Uw = flux_ops.adjoint_volume(w, warm=None)
+        Uh = flux_ops.forward_global(h)
+        Uw = flux_ops.adjoint_volume(w)
         lhs = fem.inner_product(Uh, w, flux_ops.bmass0)
         rhs = fem.inner_product(h, Uw, flux_ops.bmass1)
         scale = (np.sqrt(fem.inner_product(h, h, flux_ops.bmass1))
@@ -209,7 +206,7 @@ def test_local_flux_duality_box2(flux_ops):
 
 def test_local_flux_consistency(flux_ops, decomp7):
     h = _rand_flux(flux_ops, 23)
-    U = flux_ops.forward_global(h, warm=None)
+    U = flux_ops.forward_global(h)
     for i in range(4):
         trace = U[decomp7.interface_closures[i]]
         box = flux_ops.locals[i].nodes
@@ -221,7 +218,7 @@ def test_local_flux_adjoint_consistency_with_trace(flux_ops, decomp7):
     # the restricted global adjoint solves the local adjoint system with its
     # own inner-boundary values imposed
     w = _rand_gamma0(flux_ops, 41)
-    V = flux_ops.adjoint_volume(w, warm=None)
+    V = flux_ops.adjoint_volume(w)
     for i in range(4):
         trace = V[decomp7.interface_closures[i]]
         box = flux_ops.locals[i].nodes
@@ -232,7 +229,7 @@ def test_local_flux_adjoint_consistency_with_trace(flux_ops, decomp7):
 def test_flux_support_free_boxes_solve_trace_only(flux_ops, decomp7):
     # boxes away from the flux side still deliver local solutions from traces
     h = _rand_flux(flux_ops, 31)
-    U = flux_ops.forward_global(h, warm=None)
+    U = flux_ops.forward_global(h)
     box = flux_ops.locals[0].nodes
     local = flux_ops.forward_local(0, h[box], U[decomp7.interface_closures[0]])
     assert np.abs(local - U[box]).max() < 1e-9

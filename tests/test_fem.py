@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import consistent_mass
+from conftest import consistent_mass, jacobi
 from ddinverse import elliptic, fem, mesh, parabolic, problems
 
 
@@ -67,7 +67,7 @@ def test_boundary_mass_rejects_empty(mesh7):
 
 def test_solve_constant_solution(mesh7):
     K = fem.assemble(mesh7, 1.0, 1.0)
-    u, _, _ = fem.pcg(K, fem.lumped_mass(mesh7), tol=1e-12)
+    u, _, _ = fem.pcg(K, fem.lumped_mass(mesh7), jacobi(K), tol=1e-12)
     assert np.abs(u - 1.0).max() < 1e-9
 
 
@@ -147,7 +147,7 @@ def test_solver_residual_contract(mesh7):
     K = fem.assemble(mesh7, 1.0, 1.0)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(mesh7.n_nodes)
-    x, relres, _ = fem.pcg(K.tocsr(), b, tol=1e-10)
+    x, relres, _ = fem.pcg(K, b, jacobi(K), tol=1e-10)
     assert relres <= 1e-10
     assert np.linalg.norm(K @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -156,7 +156,7 @@ def test_nonconvergence_raises(mesh7):
     K = fem.assemble(mesh7, 1.0, 1.0)
     b = np.ones(mesh7.n_nodes)
     with pytest.raises(fem.SolverError) as err:
-        fem.pcg(K.tocsr(), b, tol=1e-14, max_iter=2)
+        fem.pcg(K, b, jacobi(K), tol=1e-14, max_iter=2)
     assert err.value.residual > 0
 
 
@@ -164,7 +164,7 @@ def test_pcg_breakdown_raises():
     # indefinite: the first search direction has p'Ap = 1 - 1 = 0
     A = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(fem.SolverError, match="not positive definite") as err:
-        fem.pcg(A, np.ones(2))
+        fem.pcg(A, np.ones(2), jacobi(A))
     assert err.value.iterations == 0
 
 
@@ -191,18 +191,17 @@ def test_two_level_pcg_matches_jacobi(experiment):
     m, system = _global_system(experiment, 56)
     assert system.multilevel is not None
     b = _random_load(m, system)
-    x_jac, _, it_jac = fem.pcg(system.K_ff, b)
-    x_two, relres, it_two = fem.pcg(system.K_ff, b,
-                                    multilevel=system.multilevel)
+    x_jac, _, it_jac = fem.pcg(system.K_ff, b, jacobi(system.K_ff))
+    x_two, relres, it_two = fem.pcg(system.K_ff, b, system.multilevel.apply)
     assert relres <= 1e-10
     assert np.abs(x_two - x_jac).max() <= 1e-8 * np.abs(x_jac).max()
     assert 2 * it_two <= it_jac
 
 
 def test_coarse_space_size_rule():
-    # 4096 free nodes is the smallest system with the multilevel hierarchy;
-    # on a 64 x 64 grid each level bins about 3 x 3 nodes (21 x 21 bins,
-    # then 7 x 7) until at most 200 unknowns are left
+    # 4096 free nodes is the smallest system that is never factored; on a
+    # 64 x 64 grid each level bins about 3 x 3 nodes (21 x 21 bins, then
+    # 7 x 7) until at most 200 unknowns are left
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     K = sp.identity(4096, format="csr")
@@ -210,36 +209,55 @@ def test_coarse_space_size_rule():
     shapes = [P.shape for _, P, _, _ in system.multilevel.levels]
     assert shapes == [(4096, 441), (441, 49)]
     assert system.multilevel.coarsest_inv.shape == (49, 49)
-    assert system.factor is None and system.inv_diag is None
+    assert system.factor is None
     x = system.solve(np.arange(4096.0))
     assert np.allclose(x, np.arange(4096.0), rtol=1e-10, atol=1e-10)
-    # one node fewer: factored when a direct solve is asked for, plain
-    # Jacobi PCG otherwise
+    # one node fewer: factored when a direct solve is asked for, and solved
+    # by PCG on the same kind of hierarchy otherwise
     smaller = fem.DirichletSystem(K, [0], coords, direct=True)
     assert smaller.multilevel is None and smaller.K_ff is None
     assert smaller.factor is not None
     x = smaller.solve(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
     iterative = fem.DirichletSystem(K, [0], coords)
-    assert iterative.factor is None and iterative.multilevel is None
-    assert iterative.K_ff is not None
+    assert iterative.factor is None and iterative.K_ff is not None
+    assert len(iterative.multilevel.levels) == 2
+    x = iterative.solve(np.arange(4096.0), np.array([5.0]))
+    assert x[0] == 5.0
+    assert np.allclose(x[1:], np.arange(1.0, 4096.0), rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("nx, ny, factored", [(630, 7, False), (7, 630, True)])
 def test_band_budget_rule(nx, ny, factored):
     # both meshes have 3774 free nodes; numbered row by row, the wide one
     # has a bandwidth of about 630, beyond the factor's budget, and is
-    # solved by Jacobi PCG, the tall one a bandwidth of about 7
+    # solved by multilevel PCG, the tall one a bandwidth of about 7
     m = mesh.build_mesh(nx, ny)
     K = fem.assemble(m, 1.0, 1.0)
     system = fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask),
                                  m.nodes, direct=True)
     assert system.free.size == 3774
     assert (system.factor is not None) == factored
-    assert (system.K_ff is None) == factored and system.multilevel is None
+    assert (system.K_ff is None) == (system.multilevel is None) == factored
     x = system.solve(np.ones(m.n_nodes))
     residual = (K @ x - np.ones(m.n_nodes))[system.free]
     assert np.abs(residual).max() <= 1e-8
+
+
+@pytest.mark.parametrize("experiment", ["5.3", "5.1"])
+@pytest.mark.parametrize("nx, levels, max_iterations",
+                         [(7, 0, 1), (14, 1, 20), (28, 1, 20)])
+def test_multilevel_on_small_systems(experiment, nx, levels, max_iterations):
+    # the global systems at nx 7 to 28, 78 to 1653 free nodes, on which
+    # Jacobi PCG takes 24 to 234 iterations; at nx=7 there are at most
+    # COARSEST_SIZE, so the hierarchy has no level and one V-cycle is a
+    # dense solve
+    m, system = _global_system(experiment, nx)
+    assert len(system.multilevel.levels) == levels
+    b = _random_load(m, system)
+    x, relres, it = fem.pcg(system.K_ff, b, system.multilevel.apply)
+    assert relres <= 1e-10 and it <= max_iterations
+    assert np.linalg.norm(system.K_ff @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_indefinite_coarse_operator_raises():
@@ -373,7 +391,7 @@ def test_indefinite_v_cycle_breaks_pcg_down():
     with pytest.raises(fem.SolverError,
                        match="preconditioner is not positive definite"):
         fem.pcg(system.K_ff, _random_load(m, system),
-                multilevel=system.multilevel)
+                system.multilevel.apply)
 
 
 def test_multilevel_iterations_do_not_grow_with_the_mesh():
@@ -383,7 +401,7 @@ def test_multilevel_iterations_do_not_grow_with_the_mesh():
     for nx in (56, 112):
         m, system = _global_system("5.3", nx)
         _, relres, it = fem.pcg(system.K_ff, _random_load(m, system),
-                                multilevel=system.multilevel)
+                                system.multilevel.apply)
         assert relres <= 1e-10
         counts.append(it)
     assert counts[1] <= counts[0] + 5
@@ -405,7 +423,7 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
     system = fem.DirichletSystem(K, [], coords)
     assert system.multilevel is not None
     b = np.cos(3.0 * coords[:, 0])
-    x, relres, it = fem.pcg(system.K_ff, b, multilevel=system.multilevel)
+    x, relres, it = fem.pcg(system.K_ff, b, system.multilevel.apply)
     assert relres <= 1e-10 and np.all(np.isfinite(x))
     # each axis gets at most one bin per distinct coordinate, so the strip's
     # aggregates are 9-node bins along it (76 iterations; 567 with bins
@@ -426,9 +444,9 @@ def test_pcg_checks_the_true_residual_at_exit():
     K = fem.assemble(m, 1.0, 1.0)
     b = np.cos(3.0 * m.nodes[:, 0])
     with pytest.raises(fem.SolverError, match="true relative residual") as err:
-        fem.pcg(K, b)
+        fem.pcg(K, b, jacobi(K))
     assert err.value.residual > fem.TRUE_RESIDUAL_FACTOR * 1e-10
-    x, relres, _ = fem.pcg(K, b, tol=1e-9)
+    x, relres, _ = fem.pcg(K, b, jacobi(K), tol=1e-9)
     assert np.linalg.norm(K @ x - b) <= 1e-7 * np.linalg.norm(b)
 
 
@@ -617,7 +635,7 @@ def test_factored_solve_matches_pcg(factored_cases, name):
     free = system.free
     K_ff = K.tocsr()[np.ix_(free, free)]
     rhs = np.random.default_rng(7).standard_normal(system.n)
-    x_pcg, relres, _ = fem.pcg(K_ff, rhs[free], tol=1e-12)
+    x_pcg, relres, _ = fem.pcg(K_ff, rhs[free], jacobi(K_ff), tol=1e-12)
     assert relres <= 1e-12
     x = system.solve(rhs)
     assert np.all(x[system.fixed] == 0.0)
@@ -625,15 +643,15 @@ def test_factored_solve_matches_pcg(factored_cases, name):
 
 
 def test_pcg_passes_non_finite_input_through():
-    x, relres, iterations = fem.pcg(sp.diags([2.0, 3.0]).tocsr(),
-                                    np.array([np.inf, 1.0]))
+    A = sp.diags([2.0, 3.0]).tocsr()
+    x, relres, iterations = fem.pcg(A, np.array([np.inf, 1.0]), jacobi(A))
     assert not np.all(np.isfinite(x))
     assert iterations == 0 and not np.isfinite(relres)
 
 
 @pytest.mark.parametrize("n", [100, 4096])
 def test_dirichlet_solve_passes_non_finite_input_through(n):
-    # 100 free nodes are factored, 4096 solved by two-level PCG
+    # 100 free nodes are factored, 4096 solved by multilevel PCG
     side = int(np.ceil(np.sqrt(n)))
     coords = np.column_stack([np.arange(n) % side, np.arange(n) // side])
     K = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
@@ -643,3 +661,33 @@ def test_dirichlet_solve_passes_non_finite_input_through(n):
     rhs = np.ones(n)
     rhs[n // 2] = np.nan
     assert not np.all(np.isfinite(system.solve(rhs)))
+    # the failed solve leaves no warm start for the next one
+    assert np.all(np.isfinite(system.solve(np.ones(n))))
+
+
+def test_warm_start_slots(monkeypatch):
+    # a 5.3 box at nx=28: PCG starts from the last solution with given
+    # fixed values or from the last with zero ones, whichever the call has,
+    # so repeating a traced solve after a zero-trace one takes 0 iterations
+    spec = problems.example_catalog()["5.3"]
+    m = mesh.build_mesh(28, 56)
+    ops = elliptic.SourceOperators(m, mesh.build_subdomains(m),
+                                   spec.diffusion, spec.reaction)
+    iterations, pcg = [], fem.pcg
+
+    def counted(*args, **kwargs):
+        result = pcg(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(fem, "pcg", counted)
+    loc = ops.locals[0]
+    assert loc.system.factor is None
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(loc.nodes.size)
+    trace = rng.standard_normal(loc.trace_local.size)
+    first = ops.forward_local(0, f, trace)
+    ops.forward_local(0, f)
+    again = ops.forward_local(0, f, trace)
+    assert iterations[0] > 0 and iterations[1] > 0 and iterations[2] == 0
+    assert np.array_equal(again, first)

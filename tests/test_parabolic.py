@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddinverse import fem, parabolic
+from ddinverse import fem, parabolic, problems
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +205,36 @@ def test_unequal_boxes_march_as_one_padded_stack(mesh7):
         assert np.abs(alone - F_global[:, loc.nodes]).max() < 1e-9
         one = ops.accumulate(i, residuals[i])
         assert np.abs(swept[i] - one).max() <= 1e-10 * np.abs(one).max()
+
+
+def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
+                                                      decomp7):
+    # with no band budget every system is solved by PCG (`_Iterative`)
+    # instead of the stacked band factor, to the PCG tolerance
+    spec = problems.example_catalog()["5.6"]
+    grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
+    factored = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
+    monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
+    iterative = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
+    assert isinstance(factored.boxes.factor, fem.BandFactor)
+    assert isinstance(iterative.global_stack.factor, parabolic._Iterative)
+    assert isinstance(iterative.boxes.factor, parabolic._Iterative)
+    rng = np.random.default_rng(8)
+    phi = _interior_field(mesh7, 9)
+    phis = [phi[loc.nodes] for loc in factored.locals]
+    traces = [rng.standard_normal((grid.nt + 1, nodes.size))
+              for nodes in decomp7.interfaces]
+    residuals = [rng.standard_normal((grid.nt + 1, loc.nodes.size))
+                 for loc in factored.locals]
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-9 * np.abs(a).max()
+
+    assert close(factored.forward_global(phi), iterative.forward_global(phi))
+    for method, args in (("forward_boxes", (phis, traces)),
+                         ("accumulate_boxes", (residuals,))):
+        for a, b in zip(getattr(factored, method)(*args),
+                        getattr(iterative, method)(*args)):
+            assert close(a, b)
+    assert close(factored.forward_local(1, phis[1], traces[1]),
+                 iterative.forward_local(1, phis[1], traces[1]))

@@ -52,7 +52,7 @@ def test_synthesize_noise_free(mesh7, decomp7):
     prob = problems.make_problem(CAT["5.3"], 7, seed=0, delta=0.0)
     # with g = 0 the background solution vanishes and z0 is the clean field
     exact = problems.exact_parameter_field(CAT["5.3"], prob.ops)
-    clean = prob.ops.forward_global(exact, warm=None)
+    clean = prob.ops.forward_global(exact)
     assert np.abs(prob.z0 - clean).max() < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_synthesize_deterministic_and_bounded():
     spec = CAT["5.1"]
     prob = problems.make_problem(spec, 14, seed=7, delta=0.0)
     exact = problems.exact_parameter_field(spec, prob.ops)
-    u = prob.ops.forward_global(exact, warm=None)
+    u = prob.ops.forward_global(exact)
     assert np.all(np.abs(a.z0 - u) <= 0.05 * np.abs(u) + 1e-14)
 
 
