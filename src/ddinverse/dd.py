@@ -47,7 +47,8 @@ class DDConfig:
     additive relaxation weight; eps1 the successive-iterate stopping
     threshold (None picks 1e-4 times the first increment); target_rel_error
     stops as soon as the reconstruction error against the known exact
-    parameter drops below it (table protocol; None disables).
+    parameter drops below it (table protocol; None disables).  A, beta and,
+    when given, eps1 and target_rel_error must be positive and finite.
     """
 
     beta: float
@@ -58,14 +59,15 @@ class DDConfig:
     target_rel_error: float | None = 0.1
 
     def __post_init__(self):
-        if self.A <= 0:
-            raise ValueError("surrogate constant A must be positive")
-        if self.beta <= 0:
-            raise ValueError("regularization weight beta must be positive")
+        for name, value in (("surrogate constant A", self.A),
+                            ("regularization weight beta", self.beta),
+                            ("eps1", self.eps1),
+                            ("target_rel_error", self.target_rel_error)):
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("relaxation weight must lie in (0, 1)")
-        if self.eps1 is not None and self.eps1 <= 0:
-            raise ValueError("eps1 must be positive when given")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

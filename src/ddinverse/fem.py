@@ -16,9 +16,11 @@ each level by a Lanczos estimate of that level's largest eigenvalue, and
 whose coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted
 densely once.  A system of at most COARSEST_SIZE unknowns is its own
 coarsest level, so PCG solves it in one iteration; on larger ones the
-V-cycle keeps the count nearly independent of the mesh size.  Neither path
-imports scipy.linalg or scipy.sparse.linalg, whose import alone adds
-several MB of resident memory.
+V-cycle keeps the count nearly independent of the mesh size.  Each level
+keeps its matrix in diagonal (DIA) storage when that takes no more memory
+than CSR, as the 7-diagonal grid operators do, so the K_ff that PCG
+multiplies by may be a DIA matrix.  Neither path imports scipy.linalg or
+scipy.sparse.linalg, whose import alone adds several MB of resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -344,6 +346,26 @@ def _aggregates(coords):
     return agg
 
 
+def _diagonal_form(A: sp.csr_matrix):
+    """Square A, without duplicate entries, in DIA storage when that takes
+    no more memory than CSR, 8 (diagonals) n <= 12 nnz + 4 (n + 1) bytes;
+    else A itself.  DIA sums each row in ascending offset order, as CSR
+    does over sorted columns, and its padding adds exact zeros, so the
+    products of the two are equal to the bit."""
+    n = A.shape[0]
+    # col - row + n - 1, in intp, which numpy indexes by without a copy
+    offset = np.repeat(np.arange(n - 1, -1, -1), np.diff(A.indptr))
+    offset += A.indices
+    offsets = np.flatnonzero(np.bincount(offset, minlength=2 * n - 1))
+    if 8 * offsets.size * n > 12 * A.nnz + 4 * (n + 1):
+        return A
+    start = np.empty(2 * n - 1, dtype=np.intp)  # k n on the k-th diagonal
+    start[offsets] = np.arange(0, offsets.size * n, n)
+    data = np.zeros((offsets.size, n))
+    data.reshape(-1)[start[offset] + A.indices] = A.data
+    return sp.dia_matrix((data, offsets - (n - 1)), shape=(n, n))
+
+
 class Multilevel:
     """Smoothed-aggregation multilevel preconditioner of an SPD matrix A
     (Vanek, Mandel and Brezina, Computing 56, 1996).
@@ -356,16 +378,17 @@ class Multilevel:
     P = T - 4 / (3 lam) D^-1 A T, the next level's matrix is P' A P and its
     unknowns sit at the aggregate centroids.  Coarsening stops at
     COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely; a
-    matrix that small has no levels, and one cycle solves it.  Each
-    level keeps A, P, its transpose P' as a CSR matrix and the smoothing
-    weights w / diag(A) with w = 8 / (5 lam), the weight of the best
-    damped-Jacobi smoothing factor on the 2-D Laplacian, 4/5 at lam = 2
-    (Trottenberg, Oosterlee and Schueller, Multigrid, 2001).  The cycle is
-    positive definite while w lam_max < 2, which leaves the estimate a
-    fifth of slack.  `apply` is one symmetric V(1,1) cycle with these
-    damped-Jacobi steps.  Raises ValueError when a level's matrix is not
-    positive definite (checked on the diagonals and by a Cholesky
-    factorization of the coarsest matrix).
+    matrix that small has no levels, and one cycle solves it.  The
+    products A T and P' A P are taken in CSR.  Each level keeps A, in DIA
+    storage when that takes no more memory (`_diagonal_form`), P, its
+    transpose P' as a CSR matrix and the smoothing weights w / diag(A) with
+    w = 8 / (5 lam), the weight of the best damped-Jacobi smoothing factor
+    on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg, Oosterlee and
+    Schueller, Multigrid, 2001).  The cycle is positive definite while
+    w lam_max < 2, which leaves the estimate a fifth of slack.  `apply` is
+    one symmetric V(1,1) cycle with these damped-Jacobi steps.  Raises
+    ValueError when a level's matrix is not positive definite (checked on
+    the diagonals and by a Cholesky factorization of the coarsest matrix).
     """
 
     def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
@@ -377,8 +400,10 @@ class Multilevel:
             n = A.shape[0]
             if n <= COARSEST_SIZE:
                 break
+            stored = _diagonal_form(A)
             scale = 1.0 / np.sqrt(diag)
-            lam = largest_eigenvalue(lambda v: scale * (A @ (scale * v)), n)
+            lam = largest_eigenvalue(lambda v: scale * (stored @ (scale * v)),
+                                     n)
             agg = _aggregates(coords)
             n_agg = int(agg.max()) + 1
             T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
@@ -387,7 +412,7 @@ class Multilevel:
             # entries of both operands
             P = (T - sp.diags(4.0 / (3.0 * lam) / diag) @ (A @ T)).copy()
             PT = P.T.tocsr()
-            self.levels.append((A, P, PT, 8.0 / (5.0 * lam) / diag))
+            self.levels.append((stored, P, PT, 8.0 / (5.0 * lam) / diag))
             A = (PT @ (A @ P)).tocsr()
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])
@@ -629,14 +654,17 @@ class DirichletSystem:
     boundary values stay cheap.  With direct=True, a system with fewer than
     FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes times
     bandwidth factors its free-free block once (a `BandFactor` of one
-    matrix) and solves directly.  Every other system keeps K_ff and solves
-    by PCG, preconditioned by the `Multilevel` hierarchy of K_ff, binned by
-    the coordinates `coords` of its free nodes (one row of `coords` per node
-    of K).  PCG starts from the last solution of the same kind, with
-    homogeneous or with given fixed values (`last`, one slot each), so
-    repeated solves of one kind, such as the local solves of successive
-    Schwarz sweeps, start close to their answer.  Solutions are returned on
-    the full index set with the boundary values imposed exactly.
+    matrix) and solves directly.  Every other system solves by PCG,
+    preconditioned by the `Multilevel` hierarchy of its free-free block,
+    binned by the coordinates `coords` of its free nodes (one row of
+    `coords` per node of K).  K_ff is that block as the hierarchy keeps it
+    on its first level, the same object, so it may be in DIA storage (CSR
+    when the hierarchy has no level).  PCG starts from the last solution of
+    the same kind, with homogeneous or with given fixed values (`last`, one
+    slot each), so repeated solves of one kind, such as the local solves of
+    successive Schwarz sweeps, start close to their answer.  Solutions are
+    returned on the full index set with the boundary values imposed
+    exactly.
     """
 
     def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray,
@@ -649,8 +677,10 @@ class DirichletSystem:
         if direct and factorable(rows, cols, n_free):
             self.factor = BandFactor([(rows, cols, vals, n_free)])
             return
-        self.K_ff = _csr(rows, cols, vals, (n_free, n_free))
-        self.multilevel = Multilevel(self.K_ff, coords[self.free])
+        K_ff = _csr(rows, cols, vals, (n_free, n_free))
+        self.multilevel = Multilevel(K_ff, coords[self.free])
+        levels = self.multilevel.levels
+        self.K_ff = levels[0][0] if levels else K_ff
         self.last = [None, None]
 
     def solve(self, rhs, fixed_values=None, *, tol=1e-10):

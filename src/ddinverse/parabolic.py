@@ -89,7 +89,7 @@ def _block_diagonal(blocks, col_starts, n_cols):
 class _Iterative:
     """PCG in place of a `fem.BandFactor` for systems too large to factor:
     system k preconditioned by the hierarchy of its `fem.DirichletSystem`
-    and warm-started from its previous solution."""
+    and warm-started from its previous finite solution."""
 
     def __init__(self, systems, tol):
         self.systems, self.tol = systems, tol
@@ -103,10 +103,11 @@ class _Iterative:
         out = np.zeros_like(rhs)
         for k, system in enumerate(self.systems):
             n = system.free.size
-            out[k, :n], _, _ = fem.pcg(system.K_ff, rhs[k, :n],
-                                       system.multilevel.apply, tol=self.tol,
-                                       x0=self.last[k])
-            self.last[k] = out[k, :n]
+            out[k, :n], relres, _ = fem.pcg(system.K_ff, rhs[k, :n],
+                                            system.multilevel.apply,
+                                            tol=self.tol, x0=self.last[k])
+            if np.isfinite(relres):  # a non-finite load leaves no start
+                self.last[k] = out[k, :n]
         return out
 
 

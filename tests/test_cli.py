@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,7 +214,7 @@ for args in (["--experiment", "5.3", "--nx", "7"],
 side = np.arange(64.0)
 coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
 system = fem.DirichletSystem(sp.identity(4096, format="csr"), [], coords)
-assert system.multilevel is not None
+assert system.multilevel is not None and system.K_ff.format == "dia"
 system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))
@@ -224,3 +225,22 @@ print(sorted(m for m in sys.modules
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().split("\n")[-1] == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["--A", "nan"], ["--A", "inf"], ["--beta", "nan"],
+    {"eps1": math.nan}, {"target_rel_error": math.nan},
+    {"target_rel_error": -1}])
+def test_non_finite_loop_parameters_exit_1(tmp_path, capsys, args):
+    # nan passed the old checks (nan <= 0 is false): the run wrote its
+    # artifacts and stopped as non-finite with exit code 2
+    out = tmp_path / "o"
+    if isinstance(args, dict):  # only a config file sets these
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(args))
+        args = ["--config", str(path)]
+    assert run_cli(["--experiment", "5.3", "--nx", "7", *args,
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and "must be positive and finite" in err[0]
+    assert not out.exists()

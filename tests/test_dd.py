@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         dd.DDConfig(beta=1e-3, eps1=-1.0)
     dd.DDConfig(beta=1e-3)  # defaults are valid
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A", math.nan), ("A", math.inf), ("beta", math.nan), ("beta", math.inf),
+    ("eps1", math.nan), ("eps1", math.inf), ("target_rel_error", math.nan),
+    ("target_rel_error", -1.0), ("target_rel_error", 0.0)])
+def test_config_rejects_non_finite_and_non_positive_values(field, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        dd.DDConfig(**{"beta": 1e-3, field: value})
 
 
 def test_source_minimizer_zero_inputs(source7):

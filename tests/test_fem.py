@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -422,6 +424,7 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
         coords = np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, 0.5)])
     system = fem.DirichletSystem(K, [], coords)
     assert system.multilevel is not None
+    _assert_storage_by_the_memory_rule(system, K)
     b = np.cos(3.0 * coords[:, 0])
     x, relres, it = fem.pcg(system.K_ff, b, system.multilevel.apply)
     assert relres <= 1e-10 and np.all(np.isfinite(x))
@@ -434,6 +437,93 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
     # recursive one; pcg fails beyond TRUE_RESIDUAL_FACTOR times the target
     assert (np.linalg.norm(K @ x - b)
             <= fem.TRUE_RESIDUAL_FACTOR * 1e-10 * np.linalg.norm(b))
+
+
+def _assert_storage_by_the_memory_rule(system, A, seed=0):
+    """Walk the hierarchy of `system` along the Galerkin products of A, its
+    free-free block in canonical CSR form: a level keeps its matrix in DIA
+    storage exactly when 8 (diagonals) n <= 12 nnz + 4 (n + 1) bytes, with
+    the same entries, and then multiplies to the bit as the CSR matrix with
+    sorted columns.  The finest level's matrix is the system's K_ff."""
+    rng = np.random.default_rng(seed)
+    levels = system.multilevel.levels
+    assert not levels or system.K_ff is levels[0][0]
+    for stored, P, PT, _ in levels:
+        n = A.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        diagonals = np.unique(A.indices - rows).size
+        assert ((stored.format == "dia")
+                == (8 * diagonals * n <= 12 * A.nnz + 4 * (n + 1)))
+        assert abs(stored - A).max() == 0.0
+        x = rng.standard_normal(n)
+        reference = A.sorted_indices() if stored.format == "dia" else A
+        assert np.array_equal(stored @ x, reference @ x)
+        A = (PT @ (A @ P)).tocsr()
+
+
+@st.composite
+def grid_boxes(draw):
+    """A mesh of up to 60 x 60 cells with a random diffusion on each
+    element and a random reaction, both positive, a random grid-aligned box
+    of it with at least one interior node, a Dirichlet mode, and whether
+    the mesh nodes are numbered at random."""
+    nx, ny = draw(st.integers(2, 60)), draw(st.integers(2, 60))
+    ix0 = draw(st.integers(0, nx - 2))
+    jy0 = draw(st.integers(0, ny - 2))
+    bounds = (ix0, draw(st.integers(ix0 + 2, nx)),
+              jy0, draw(st.integers(jy0 + 2, ny)))
+    mode = draw(st.sampled_from(["box-boundary", "interface-closure"]))
+    return (nx, ny, bounds, mode, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_boxes())
+@example((60, 60, (0, 60, 0, 60), "box-boundary", False, 0))  # two levels
+@example((60, 60, (0, 60, 0, 60), "interface-closure", False, 1))
+@example((60, 60, (3, 57, 5, 60), "interface-closure", True, 2))
+def test_diagonal_storage_multiplies_to_the_bit(case):
+    # a box system in the given Dirichlet mode, and the global system with
+    # Dirichlet walls (box-boundary) or none (interface-closure); numbered
+    # at random, the global operator has about n diagonals and stays CSR
+    nx, ny, (ix0, ix1, jy0, jy1), mode, shuffled, seed = case
+    m = mesh.build_mesh(nx, ny)
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(-2.0, 2.0, m.n_elements))
+    K = fem.assemble(m, lambda x, y: a, rng.uniform(0.1, 10.0))
+    box = mesh.Box(Fraction(ix0, nx), Fraction(ix1, nx),
+                   Fraction(2 * jy0, ny), Fraction(2 * jy1, ny))
+    whole = mesh.Box(Fraction(0), mesh.WIDTH, Fraction(0), mesh.HEIGHT)
+    loc = fem.BoxSystem(m, mesh.build_subdomains(m, (box, whole)), 0, K,
+                        mode)
+    _assert_storage_by_the_memory_rule(
+        loc.system, fem.restrict(fem.restrict(K, loc.nodes), loc.system.free))
+    fixed = (np.flatnonzero(m.boundary_mask) if mode == "box-boundary"
+             else np.array([], dtype=np.int64))
+    coords = m.nodes
+    if shuffled:
+        order = rng.permutation(m.n_nodes)
+        K, coords = K[order][:, order].sorted_indices(), coords[order]
+        fixed = np.argsort(order)[fixed]
+    system = fem.DirichletSystem(K, fixed, coords)
+    _assert_storage_by_the_memory_rule(system,
+                                       fem.restrict(K, system.free))
+
+
+@pytest.mark.parametrize("coupled, form", [(1365, "csr"), (1366, "dia")])
+def test_diagonal_storage_memory_rule_at_its_bound(coupled, form):
+    # 4096 unknowns on the offsets 0 and +-1, with `coupled` entries on each
+    # off-diagonal: DIA takes 8 * 3 * 4096 = 98,304 bytes, CSR 12 nnz +
+    # 4 * 4097 = 98,300 bytes at 1365 and 98,324 at 1366
+    n = 4096
+    off = np.where(np.arange(n - 1) < coupled, -1.0, 0.0)
+    K = sp.diags([off, np.full(n, 4.0), off], [-1, 0, 1], format="csr")
+    K.eliminate_zeros()
+    side = np.arange(64.0)
+    coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
+    system = fem.DirichletSystem(K, [], coords)
+    assert system.K_ff.format == form
+    _assert_storage_by_the_memory_rule(system, K)
 
 
 def test_pcg_checks_the_true_residual_at_exit():

@@ -1,11 +1,12 @@
 """Golden outputs: the exact history.csv text and solve count of three
-seed-0 runs, one per problem kind.  A change that moves a single bit of the
-iteration (a warm start, the order of solves, an update formula) changes at
-least one of these literals."""
+seed-0 runs, one per problem kind, and of one run whose box systems are
+solved by PCG on multilevel hierarchies with levels.  A change that moves a
+single bit of the iteration (a warm start, the order of solves, an update
+formula, a matrix-vector product) changes at least one of these literals."""
 
 import pytest
 
-from ddinverse import dd, problems
+from ddinverse import dd, fem, problems
 
 CAT = problems.example_catalog()
 
@@ -32,6 +33,24 @@ iter,increment_norm,rel_error,objective
 5,0.0732187,0.169731,0.0249482
 6,0.0636285,0.112914,0.0079844
 7,0.0544635,0.0710267,0.00141288
+"""
+
+SOURCE_MSA_N28 = """\
+iter,increment_norm,rel_error,objective
+1,0.21514,0.741525,0.0585415
+2,0.13077,0.578946,0.0318018
+3,0.0894107,0.465246,0.018992
+4,0.0652798,0.381228,0.0120479
+5,0.0495383,0.317069,0.00799532
+6,0.0385749,0.26696,0.00550946
+7,0.030617,0.227166,0.00392723
+8,0.0246684,0.195152,0.00289062
+9,0.0201194,0.169128,0.0021955
+10,0.0165763,0.147793,0.00172033
+11,0.0137752,0.130174,0.00139021
+12,0.0115332,0.115531,0.00115762
+13,0.00972069,0.10329,0.000991682
+14,0.00824296,0.0929994,0.00087193
 """
 
 HEAT_ASA_N7 = """\
@@ -70,3 +89,26 @@ def test_golden_history(exp, algorithm, nx, kwargs, history, solve_calls):
     _, report = runner(prob, dd.DDConfig(beta=spec.beta))
     assert report.to_csv() == history
     assert report.solve_calls == solve_calls
+
+
+def test_golden_history_on_the_hierarchy_path(monkeypatch):
+    # 5.3 msa at nx=28: the boxes and the global system are solved by PCG
+    # with V-cycles over at least one level, so the iteration count pins
+    # every product of the hierarchy
+    iterations, pcg = [], fem.pcg
+
+    def counted(*args, **kwargs):
+        result = pcg(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(fem, "pcg", counted)
+    spec = CAT["5.3"]
+    prob = problems.make_problem(spec, 28, seed=0)
+    assert all(len(loc.system.multilevel.levels) >= 1
+               for loc in prob.ops.locals)
+    _, report = dd.run_msa(prob, dd.DDConfig(beta=spec.beta))
+    assert report.to_csv() == SOURCE_MSA_N28
+    assert report.solve_calls == 234
+    # two global solves synthesize the data, 234 run the iteration
+    assert len(iterations) == 236 and sum(iterations) == 3014

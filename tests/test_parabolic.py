@@ -238,3 +238,18 @@ def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
             assert close(a, b)
     assert close(factored.forward_local(1, phis[1], traces[1]),
                  iterative.forward_local(1, phis[1], traces[1]))
+
+
+def test_iterative_fallback_keeps_no_non_finite_warm_start(monkeypatch,
+                                                           mesh7, decomp7):
+    # a march from a field holding nan solves every step with a non-finite
+    # load; the next march, of a finite field, must not start PCG there
+    spec = problems.example_catalog()["5.6"]
+    grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
+    monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
+    ops = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
+    assert isinstance(ops.global_stack.factor, parabolic._Iterative)
+    phi = np.ones(mesh7.n_nodes)
+    phi[mesh7.n_nodes // 2] = np.nan
+    assert not np.all(np.isfinite(ops.forward_global(phi)))
+    assert np.all(np.isfinite(ops.forward_global(np.ones(mesh7.n_nodes))))
