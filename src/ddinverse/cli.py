@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -131,6 +132,10 @@ def _validate(cfg: dict) -> None:
                                  f"{_TYPES[key].__name__}, got {item!r}")
     if not 0.0 < cfg["tol"] < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {cfg['tol']}")
+    if cfg["delta"] is not None and not 0.0 <= cfg["delta"] < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {cfg['delta']}")
+    if cfg["seed"] < 0:
+        raise ValueError(f"seed must be at least 0, got {cfg['seed']}")
     catalog = problems.example_catalog()
     if cfg["experiment"] not in catalog:
         raise ValueError(
@@ -140,12 +145,12 @@ def _validate(cfg: dict) -> None:
         raise ValueError(f"unknown algorithm {cfg['algorithm']!r}")
     if not cfg["nx"]:
         raise ValueError("at least one mesh size --nx is required")
-    for nx in cfg["nx"]:
-        if nx < 1:
-            raise ValueError(f"mesh size must be positive, got {nx}")
-        if nx % 7:
+    for n in cfg["nx"] + ([] if cfg["ny"] is None else [cfg["ny"]]):
+        if n < 1:
+            raise ValueError(f"mesh size must be positive, got {n}")
+        if n % 7:
             raise ValueError(
-                f"mesh size {nx} is not divisible by 7, so the subdomain "
+                f"mesh size {n} is not divisible by 7, so the subdomain "
                 f"cut lines would not be mesh lines")
     if cfg["ny"] is not None and len(cfg["nx"]) != 1:
         raise ValueError("an explicit ny is only meaningful for a single run")
@@ -180,9 +185,9 @@ def _write_profile(path: Path, problem, recon) -> None:
                                     for c in columns)))
 
 
-def _run_one(spec, cfg, config, nx, outdir: Path):
+def _run_one(spec, cfg, config, nx, ny, outdir: Path):
     problem = problems.make_problem(
-        spec, nx, ny=cfg["ny"], seed=cfg["seed"], tol=cfg["tol"],
+        spec, nx, ny=ny, seed=cfg["seed"], tol=cfg["tol"],
         delta=cfg["delta"], nt=cfg["nt"], sigma=cfg["sigma"])
     runner = dd.run_msa if cfg["algorithm"] == "msa" else dd.run_asa
     # The loop stops on a non-finite increment or objective and main reports
@@ -191,7 +196,6 @@ def _run_one(spec, cfg, config, nx, outdir: Path):
         state, report = runner(problem, config)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    ny = problem.ops.mesh.ny
     final_err = report.rows[-1]["rel_error"] if report.rows else float("nan")
     k = report.n_iterations
     if report.reason == "non_finite":  # flagged like a solver failure
@@ -238,6 +242,8 @@ def main(argv=None) -> int:
             A=cfg["A"], lam=cfg["lambda"], eps1=cfg["eps1"],
             max_iter=cfg["max_iter"],
             target_rel_error=cfg["target_rel_error"])
+        if spec.kind == "initial_value":
+            problems.time_grid(spec, cfg["nt"], cfg["sigma"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -248,11 +254,12 @@ def main(argv=None) -> int:
     failed = False
     for nx in cfg["nx"]:
         outdir = out_root / f"N{nx}" if sweep else out_root
+        ny = 2 * nx if cfg["ny"] is None else cfg["ny"]
         try:
-            report, row = _run_one(spec, cfg, config, nx, outdir)
+            report, row = _run_one(spec, cfg, config, nx, ny, outdir)
         except (RuntimeError, ValueError) as exc:  # solver failure mid-sweep
             print(f"error: run at N={nx} failed: {exc}", file=sys.stderr)
-            rows.append(_table_row(cfg["algorithm"], nx, 2 * nx, config.beta,
+            rows.append(_table_row(cfg["algorithm"], nx, ny, config.beta,
                                    float("nan"), -1))
             failed = True
             break

@@ -223,51 +223,6 @@ def run_asa(problem, config: DDConfig, initial=None):
     return _run(problem, config, initial, "asa")
 
 
-@dataclass
-class SurrogateCheck:
-    estimate: float
-    bound: float
-    ok: bool
-    iterations: int
-
-
-def check_surrogate_constant(problem, config: DDConfig, *, max_iter=200,
-                             rtol=1e-6, seed=0) -> SurrogateCheck:
-    """Estimate the squared norm of the forward map by power iteration on its
-    normal operator and compare against the surrogate bound.
-
-    A too-small constant is reported with a warning, not an error: the loops
-    still run, they just lose the majorization guarantee.
-    """
-    rng = np.random.default_rng(seed)
-    v = problem.random_param(rng)
-    nrm = problem.param_norm(v)
-    estimate = 0.0
-    iterations = 0
-    if nrm > 0:
-        v = v / nrm
-        for iterations in range(1, max_iter + 1):
-            w = problem.surrogate_normal_apply(v)
-            new_estimate = problem.param_inner(v, w)
-            wn = problem.param_norm(w)
-            if wn == 0.0:
-                estimate = 0.0
-                break
-            v = w / wn
-            if abs(new_estimate - estimate) <= rtol * max(abs(new_estimate), 1e-300):
-                estimate = new_estimate
-                break
-            estimate = new_estimate
-    bound = config.A * problem.surrogate_scale
-    ok = bound >= estimate
-    if not ok:
-        logger.warning(
-            "surrogate constant %.3g scaled to %.3g does not dominate the "
-            "estimated squared operator norm %.3g", config.A, bound, estimate)
-    return SurrogateCheck(estimate=estimate, bound=bound, ok=ok,
-                          iterations=iterations)
-
-
 class _InversionBase:
     """Shared plumbing of the three inversion adapters.
 
@@ -281,13 +236,16 @@ class _InversionBase:
     """
 
     def __init__(self, ops, z0, exact=None, initial_value=0.0, *,
-                 supports=None, trace_nodes=None):
+                 supports=None, trace_nodes=None, weight=None):
         self.ops = ops
         self.decomp = ops.decomp
         self.z0 = np.asarray(z0, dtype=float)
         self.exact = None if exact is None else np.asarray(exact, dtype=float)
         self.initial_value = float(initial_value)
-        self.weight = ops.lumped
+        self.weight = ops.lumped if weight is None else weight
+        if self.exact is not None and not self.param_norm(self.exact) > 0:
+            raise ValueError("the exact parameter has zero norm, so the "
+                             "relative error is undefined")
         dec = self.decomp
         self.supports = list(dec.interior_masks if supports is None
                              else supports)
@@ -370,11 +328,6 @@ class _InversionBase:
         out = np.zeros(self.ops.mesh.n_nodes)
         out[self.decomp.multiplicity > 0] = self.initial_value
         return out
-
-    def random_param(self, rng) -> np.ndarray:
-        v = rng.standard_normal(self.ops.mesh.n_nodes)
-        v[self.decomp.multiplicity == 0] = 0.0
-        return v
 
     def global_solution(self, param):
         return self.ops.forward_global(param)
@@ -459,9 +412,6 @@ class SourceInversion(_InversionBase):
         return (fem.inner_product(d, d, self.weight)
                 + config.beta * self.param_inner(param, param))
 
-    def surrogate_normal_apply(self, v) -> np.ndarray:
-        return self.ops.forward_global(self.ops.forward_global(v))
-
 
 class FluxInversion(_InversionBase):
     """Boundary-flux identification wired for the Schwarz loops.
@@ -482,8 +432,8 @@ class FluxInversion(_InversionBase):
             mask[nodes] = True
             supports.append(mask)
         super().__init__(ops, z0, exact, initial_value, supports=supports,
-                         trace_nodes=ops.decomp.interface_closures)
-        self.weight = ops.bmass1
+                         trace_nodes=ops.decomp.interface_closures,
+                         weight=ops.bmass1)
         self._warned_empty = False
 
     def default_initial(self) -> np.ndarray:
@@ -512,19 +462,6 @@ class FluxInversion(_InversionBase):
         d = u - self.z0
         return (fem.inner_product(d, d, self.ops.bmass0)
                 + config.beta * self.param_inner(param, param))
-
-    def random_param(self, rng) -> np.ndarray:
-        v = np.zeros(self.ops.mesh.n_nodes)
-        v[self.ops.gamma1_nodes] = rng.standard_normal(
-            self.ops.gamma1_nodes.size)
-        return v
-
-    def surrogate_normal_apply(self, v) -> np.ndarray:
-        u = self.ops.forward_global(v)
-        adj = self.ops.adjoint_volume(u)
-        out = np.zeros_like(adj)
-        out[self.ops.gamma1_nodes] = adj[self.ops.gamma1_nodes]
-        return out
 
 
 class InitialValueInversion(_InversionBase):
@@ -571,7 +508,3 @@ class InitialValueInversion(_InversionBase):
         w = self.ops.grid.weights()
         misfit = float(np.einsum("k,kn,n,kn->", w, d, self.weight, d))
         return misfit + config.beta * self.param_inner(param, param)
-
-    def surrogate_normal_apply(self, v) -> np.ndarray:
-        traj = self.ops.forward_global(v)
-        return self.ops.accumulate_global(traj)

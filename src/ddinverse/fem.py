@@ -84,25 +84,21 @@ def _coefficient_values(coef, cx, cy):
     return np.full(cx.shape, float(coef))
 
 
-def assemble(mesh, diffusion, reaction, elements=None):
-    """Assemble the operator matrix over a set of elements.
+def assemble(mesh, diffusion, reaction):
+    """Assemble the operator matrix over the elements of the mesh.
 
     Parameters
     ----------
     mesh : TriMesh
     diffusion, reaction : scalar or callable (x, y) -> value
         Coefficients of the -div(a grad u) + c u form, sampled at centroids.
-    elements : optional int or bool array selecting elements (default: all).
 
     Returns
     -------
     K : CSR matrix of size n_nodes x n_nodes, the discrete operator
         (diffusion stiffness plus reaction mass).
     """
-    elems = mesh.elements if elements is None else mesh.elements[elements]
-    if elems.shape[0] == 0:
-        raise ValueError("element selection is empty")
-    p = mesh.nodes[elems]  # (m, 3, 2)
+    p = mesh.nodes[mesh.elements]  # (m, 3, 2)
     x, y = p[..., 0], p[..., 1]
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                   - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
@@ -138,7 +134,7 @@ def assemble(mesh, diffusion, reaction, elements=None):
     kloc += work
     del work
 
-    elems = elems.astype(np.int32)
+    elems = mesh.elements.astype(np.int32)
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
     n = mesh.n_nodes

@@ -18,10 +18,6 @@ import numpy as np
 WIDTH = Fraction(1)
 HEIGHT = Fraction(2)
 
-# Order matters: nodes shared by two sides get the first matching tag, so the
-# corners of the right side (the flux identification boundary) stay "right".
-_SIDE_ORDER = ("right", "left", "bottom", "top")
-
 
 @dataclass(frozen=True)
 class Box:
@@ -71,10 +67,8 @@ class TriMesh:
         Node coordinates, row-major by y: node (i, j) has index j*(nx+1)+i.
     elements : (n_elements, 3) int array
         Node index triples, counterclockwise.
-    boundary_tags : (n_nodes,) str array
-        One of "interior", "left", "right", "bottom", "top".  Corner nodes
-        carry the first matching side in the order right, left, bottom, top,
-        so (1,0) and (1,2) are tagged "right".
+    boundary_mask : (n_nodes,) bool array
+        Node lies on the boundary of the rectangle.
     """
 
     def __init__(self, nx: int, ny: int):
@@ -110,18 +104,14 @@ class TriMesh:
         self.elements[0::2] = lower
         self.elements[1::2] = upper
 
-        tags = np.full(self.n_nodes, "interior", dtype=object)
-        side_masks = {
+        self._side_masks = {
             "right": self.grid_i == nx,
             "left": self.grid_i == 0,
             "bottom": self.grid_j == 0,
             "top": self.grid_j == ny,
         }
-        for side in reversed(_SIDE_ORDER):
-            tags[side_masks[side]] = side
-        self.boundary_tags = tags
-        self.boundary_mask = tags != "interior"
-        self._side_masks = side_masks
+        self.boundary_mask = np.logical_or.reduce(
+            list(self._side_masks.values()))
 
     @property
     def n_nodes(self) -> int:
@@ -131,13 +121,9 @@ class TriMesh:
     def n_elements(self) -> int:
         return 2 * self.nx * self.ny
 
-    def node_index(self, i: int, j: int) -> int:
-        return j * (self.nx + 1) + i
-
     def side_nodes(self, side: str) -> np.ndarray:
         """Node indices on one side of the rectangle, corners included."""
-        idx = np.flatnonzero(self._side_masks[side])
-        return idx
+        return np.flatnonzero(self._side_masks[side])
 
     def side_edges(self, side: str) -> np.ndarray:
         """Consecutive node pairs forming the edges of one side."""

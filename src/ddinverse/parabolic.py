@@ -57,9 +57,6 @@ class TimeGrid:
     def window_start(self) -> int:
         return int(round((self.T - self.sigma) / self.dt))
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.nt + 1)
-
     def weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over the observation window,
         zero elsewhere; they sum to sigma."""
@@ -295,10 +292,6 @@ class HeatOperators:
         """Backward evolution with terminal value omega at t = T; entry k of
         the result holds the value at time k*dt."""
         return self.forward_global(omega)[::-1].copy()
-
-    def accumulate_global(self, residual: np.ndarray) -> np.ndarray:
-        """Global variant of `accumulate` (whole-domain boxless operator)."""
-        return self._accumulate(self.global_stack, residual)
 
     # -- local operators ---------------------------------------------------
 

@@ -11,13 +11,12 @@ generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import dd, elliptic, fem, parabolic
+from . import dd, elliptic, parabolic
 from .mesh import build_mesh, build_subdomains
 
 # Default number of time steps for the heat problem (terminal time 4.0).
@@ -91,16 +90,6 @@ def example_catalog() -> dict[str, ExperimentSpec]:
     return {s.id: s for s in specs}
 
 
-def relative_error(recon, exact, mass) -> float:
-    """Relative L2 error ||recon - exact|| / ||exact|| in the product given
-    by `mass` (matrix or diagonal).  Rejects a vanishing exact parameter."""
-    denom = fem.inner_product(exact, exact, mass)
-    if denom <= 0.0:
-        raise ValueError("exact parameter has zero norm on the chosen region")
-    diff = np.asarray(recon, float) - np.asarray(exact, float)
-    return math.sqrt(max(fem.inner_product(diff, diff, mass), 0.0) / denom)
-
-
 def exact_parameter_field(spec: ExperimentSpec, ops) -> np.ndarray:
     """Nodal representation of the exact parameter on the mesh owned by ops."""
     mesh = ops.mesh
@@ -133,15 +122,20 @@ def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None) -> dict:
     return {"exact": exact, "u": u, "z": z, "z0": z - u0, "delta": delta}
 
 
+def time_grid(spec: ExperimentSpec, nt=None, sigma=None) -> parabolic.TimeGrid:
+    """The time grid of a heat experiment; mesh-independent by default,
+    since dt, not h, governs the iteration count (see the README)."""
+    return parabolic.TimeGrid(T=spec.T, nt=(DEFAULT_NT if nt is None else nt),
+                              sigma=(spec.T if sigma is None else sigma))
+
+
 def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
-                 tol=1e-10, delta=None, nt=None, sigma=None,
-                 initial_value=None):
+                 tol=1e-10, delta=None, nt=None, sigma=None):
     """Wire mesh, decomposition, operators and noisy data into an inversion
     adapter ready for the Schwarz loops."""
     ny = 2 * nx if ny is None else ny
     mesh = build_mesh(nx, ny)
     decomp = build_subdomains(mesh)
-    start = spec.initial_guess if initial_value is None else initial_value
 
     if spec.kind == "source":
         ops = elliptic.SourceOperators(mesh, decomp, spec.diffusion,
@@ -152,16 +146,11 @@ def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
                                      spec.reaction, tol=tol)
         adapter = dd.FluxInversion
     elif spec.kind == "initial_value":
-        # Fixed, mesh-independent time grid by default: the loop's iteration
-        # count is governed by how strongly Crank-Nicolson damps the stiff
-        # modes over the observation window, i.e. by dt, not by h.  See the
-        # README for the measured sensitivity.
-        grid = parabolic.TimeGrid(T=spec.T, nt=(DEFAULT_NT if nt is None else nt),
-                                  sigma=(spec.T if sigma is None else sigma))
-        ops = parabolic.HeatOperators(mesh, decomp, spec.diffusion, grid,
-                                      tol=tol)
+        ops = parabolic.HeatOperators(mesh, decomp, spec.diffusion,
+                                      time_grid(spec, nt, sigma), tol=tol)
         adapter = dd.InitialValueInversion
     else:
         raise ValueError(f"unknown problem kind {spec.kind!r}")
     data = synthesize_data(spec, ops, seed, delta)
-    return adapter(ops, data["z0"], exact=data["exact"], initial_value=start)
+    return adapter(ops, data["z0"], exact=data["exact"],
+                   initial_value=spec.initial_guess)

@@ -188,7 +188,7 @@ def test_criterion_6_closed_form_minimizer_optimality():
          dd.DDConfig(beta=5e-5)),
     ]
     for prob, cfg in cases:
-        comps = prob.split(prob.random_param(rng))
+        comps = prob.split(rng.standard_normal(prob.ops.mesh.n_nodes))
         seed_solution = prob.global_solution(dd.total_component(comps))
         traces = [seed_solution[..., nodes].copy()
                   for nodes in prob.trace_nodes]
@@ -201,7 +201,7 @@ def test_criterion_6_closed_form_minimizer_optimality():
             best[i] = star
             j_star = local_surrogate(prob, i, best, traces[i], anchor, cfg)
             for t in range(20):
-                v = prob.random_param(rng)
+                v = rng.standard_normal(prob.ops.mesh.n_nodes)
                 v[~prob.supports[i]] = 0.0
                 v *= 1e-3 / prob.param_norm(v)
                 trial = list(comps)

@@ -244,3 +244,36 @@ def test_non_finite_loop_parameters_exit_1(tmp_path, capsys, args):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and "must be positive and finite" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--delta", "nan"], ["--delta", "inf"], ["--delta", "-1"],
+    ["--seed", "-1"], {"ny": 15}, {"ny": 0},
+    ["--experiment", "5.6", "--sigma", "nan"],
+    ["--experiment", "5.6", "--sigma", "5"],
+    ["--experiment", "5.6", "--nt", "0"]])
+def test_configuration_errors_exit_1_before_running(tmp_path, capsys, args):
+    # configuration errors: rejected before a problem is built, not
+    # reported as a failed run (exit 2) or run on meaningless data
+    out = tmp_path / "o"
+    if isinstance(args, dict):  # only a config file sets ny
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(args))
+        args = ["--config", str(path)]
+    assert run_cli(["--experiment", "5.3", "--nx", "7", *args,
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_failed_run_row_reports_configured_ny(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("solver breakdown")
+
+    monkeypatch.setattr(problems, "make_problem", failing)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"ny": 21}))
+    assert run_cli(["--experiment", "5.3", "--nx", "7", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == "msa,7,21,0.001,,-1\n"

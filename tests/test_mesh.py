@@ -38,11 +38,12 @@ def test_tiling_and_bounds(mesh7):
     assert mesh7.nodes[:, 1].min() >= 0 and mesh7.nodes[:, 1].max() <= 2
 
 
-def test_boundary_tags(mesh7):
-    # corners of the right side keep the "right" tag
-    assert mesh7.boundary_tags[node_at(mesh7, 1.0, 0.0)] == "right"
-    assert mesh7.boundary_tags[node_at(mesh7, 1.0, 2.0)] == "right"
-    assert mesh7.boundary_tags[node_at(mesh7, 0.5 - 1 / 14, 1.0)] == "interior"
+def test_boundary_sides(mesh7):
+    # the right side (the flux identification boundary) keeps its corners
+    right = mesh7.side_nodes("right")
+    assert node_at(mesh7, 1.0, 0.0) in right
+    assert node_at(mesh7, 1.0, 2.0) in right
+    assert not mesh7.boundary_mask[node_at(mesh7, 0.5 - 1 / 14, 1.0)]
     n_boundary = mesh7.boundary_mask.sum()
     assert n_boundary == 2 * 7 + 2 * 14  # perimeter nodes of an 8x15 grid
 
@@ -106,7 +107,7 @@ def test_refinement_nesting(mesh7, decomp7, mesh14, decomp14):
     for i in range(4):
         for k in range(mesh7.n_nodes):
             gi, gj = mesh7.grid_i[k], mesh7.grid_j[k]
-            kf = mesh14.node_index(2 * gi, 2 * gj)
+            kf = 2 * gj * (mesh14.nx + 1) + 2 * gi
             assert decomp7.masks[i, k] == decomp14.masks[i, kf]
             assert decomp7.interior_masks[i, k] == decomp14.interior_masks[i, kf]
 

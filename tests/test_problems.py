@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ddinverse import fem, problems
+from ddinverse import problems
 from conftest import node_at
 
 CAT = problems.example_catalog()
@@ -80,17 +82,19 @@ def test_noise_statistics_at_fixed_node():
     assert abs(draws.mean()) <= 3 * sigma / np.sqrt(draws.size)
 
 
-def test_relative_error_identities(mesh7):
-    lump = fem.lumped_mass(mesh7)
-    rng = np.random.default_rng(1)
-    exact = rng.standard_normal(mesh7.n_nodes)
-    assert problems.relative_error(exact, exact, lump) == 0.0
-    assert abs(problems.relative_error(np.zeros_like(exact), exact, lump)
-               - 1.0) < 1e-14
-    assert abs(problems.relative_error(1.1 * exact, exact, lump)
-               - 0.1) < 1e-12
-    with pytest.raises(ValueError):
-        problems.relative_error(exact, np.zeros_like(exact), lump)
+def test_relative_error_identities():
+    for exp, nx in (("5.3", 7), ("5.1", 14), ("5.6", 7)):
+        prob = problems.make_problem(CAT[exp], nx, seed=0)
+        exact = prob.exact
+        assert prob.rel_error(exact) == 0.0
+        assert abs(prob.rel_error(np.zeros_like(exact)) - 1.0) < 1e-14
+        assert abs(prob.rel_error(1.1 * exact) - 0.1) < 1e-12
+        # rel_error divides by the norm of the exact parameter, so a
+        # vanishing one is rejected when the problem is built, not in the
+        # first iteration
+        zero = dataclasses.replace(CAT[exp], exact=lambda x, y: 0 * x)
+        with pytest.raises(ValueError, match="zero norm"):
+            problems.make_problem(zero, nx, seed=0)
 
 
 def test_flux_exact_field_lives_on_measured_side():
