@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="regularization weight override")
     p.add_argument("--delta", type=float, help="noise level override")
     p.add_argument("--A", type=float, dest="A", help="surrogate constant")
-    p.add_argument("--lambda", type=float, dest="lam",
+    p.add_argument("--lambda", type=float,
                    help="additive relaxation weight in (0,1)")
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--tol", type=float,
@@ -100,16 +100,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    flag_map = {
-        "experiment": args.experiment, "algorithm": args.algorithm,
-        "nx": args.nx, "beta": args.beta, "delta": args.delta, "A": args.A,
-        "lambda": args.lam, "seed": args.seed, "tol": args.tol,
-        "max_iter": args.max_iter, "nt": args.nt, "sigma": args.sigma,
-        "out": args.out,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in _DEFAULTS and val is not None)
     if isinstance(cfg["nx"], int):
         cfg["nx"] = [cfg["nx"]]
     return cfg

@@ -89,10 +89,13 @@ class IterationReport:
     "non_finite" (the increment or objective overflowed)."""
 
     algorithm: str
-    converged: bool
     reason: str
     rows: list
     solve_calls: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("target_rel_error", "increment")
 
     @property
     def n_iterations(self) -> int:
@@ -164,7 +167,6 @@ def _run(problem, config, initial, algorithm):
 
     rows = []
     eps1 = config.eps1
-    converged = False
     reason = "max_iter"
     solves0 = problem.solve_calls()
 
@@ -190,11 +192,9 @@ def _run(problem, config, initial, algorithm):
             eps1 = 1e-4 * increment
         if (config.target_rel_error is not None and math.isfinite(rel)
                 and rel <= config.target_rel_error):
-            converged = True
             reason = "target_rel_error"
             break
         if increment <= eps1:
-            converged = True
             reason = "increment"
             break
         if it == config.max_iter:
@@ -207,8 +207,7 @@ def _run(problem, config, initial, algorithm):
     if algorithm == "asa":
         components = problem.split(iterate)
     state = DDState(components=components, traces=traces, iterate=iterate)
-    report = IterationReport(algorithm=algorithm, converged=converged,
-                             reason=reason, rows=rows,
+    report = IterationReport(algorithm=algorithm, reason=reason, rows=rows,
                              solve_calls=problem.solve_calls() - solves0)
     return state, report
 

@@ -2,12 +2,14 @@
 
 Two stationary settings share the machinery:
 
-* volume-source identification: -div(a grad u) + c u = f with Dirichlet data
-  on the whole boundary; the parameter is the source f and the data live in
-  the volume;
-* boundary-flux identification: the same operator with Neumann data
-  everywhere, the unknown flux on the right side (x = 1) and measurements on
-  the remaining boundary.
+* volume-source identification: -div(a grad u) + c u = f with zero
+  Dirichlet values on the whole boundary; the parameter is the source f and
+  the data live in the volume;
+* boundary-flux identification: the same operator with zero source and
+  Neumann data zero except for the unknown flux on the right side (x = 1),
+  and measurements on the remaining boundary.
+
+Both problems carry no fixed data, so both forward maps are linear.
 
 Local operators solve the same equation on one overlapping box with the
 inherited outer boundary condition and Dirichlet values on the inner
@@ -51,17 +53,14 @@ class _Operators:
 class SourceOperators(_Operators):
     """Forward/adjoint operators for volume-source identification.
 
-    The homogeneous-data operator maps a nodal source to the solution with
-    zero Dirichlet values; it is self-adjoint in the lumped L2 product, and
-    its subdomain-local version with zero inner-boundary values is
+    The forward map takes a nodal source to the solution with zero
+    Dirichlet values, linearly; it is self-adjoint in the lumped L2 product,
+    and its subdomain-local version with zero inner-boundary values is
     self-adjoint in the local product.
     """
 
-    def __init__(self, mesh, decomp, diffusion, reaction,
-                 boundary_data=None, tol=1e-10):
+    def __init__(self, mesh, decomp, diffusion, reaction, tol=1e-10):
         super().__init__(mesh, decomp, tol)
-        self.boundary_data = boundary_data
-
         K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
@@ -71,16 +70,6 @@ class SourceOperators(_Operators):
             fem.BoxSystem(mesh, decomp, i, K, "box-boundary")
             for i in range(decomp.n_subdomains)
         ]
-
-    def solve_u0(self) -> np.ndarray:
-        """Solution with zero source and the problem's fixed boundary data."""
-        if self.boundary_data is None:
-            return np.zeros(self.mesh.n_nodes)
-        xb, yb = self.mesh.nodes[self.boundary_nodes].T
-        gvals = np.asarray(self.boundary_data(xb, yb), dtype=float)
-        gvals = np.broadcast_to(gvals, self.boundary_nodes.shape).astype(float)
-        return self._solve(self.global_system, np.zeros(self.mesh.n_nodes),
-                           gvals)
 
     def forward_global(self, f: np.ndarray) -> np.ndarray:
         """Solve with source f and zero boundary values; linear in f."""
@@ -99,18 +88,15 @@ class FluxOperators(_Operators):
     """Forward/adjoint operators for boundary-flux identification.
 
     The forward map takes a flux on the right side to the solution of the
-    all-Neumann problem; the adjoint map feeds data on the remaining boundary
+    all-Neumann problem with zero source and zero Neumann data elsewhere,
+    linearly; the adjoint map feeds data on the remaining boundary
     back through the same operator.  Both are realized with the same
     symmetric matrix, so the discrete duality pairing (boundary mass inner
     products) holds to solver tolerance.
     """
 
-    def __init__(self, mesh, decomp, diffusion, reaction,
-                 volume_source=None, neumann_data=None, tol=1e-10):
+    def __init__(self, mesh, decomp, diffusion, reaction, tol=1e-10):
         super().__init__(mesh, decomp, tol)
-        self.volume_source = volume_source
-        self.neumann_data = neumann_data
-
         K = fem.assemble(mesh, diffusion, reaction)
         # Without Dirichlet data, K annihilates the constants exactly when
         # the reaction term vanishes: the stiffness rows sum to zero.
@@ -139,23 +125,6 @@ class FluxOperators(_Operators):
                 mesh, gamma1_edges, decomp.masks[i], loc.nodes))
             self.bmass0_loc.append(_box_boundary_mass(
                 mesh, gamma0_edges, decomp.masks[i], loc.nodes))
-
-    def solve_u0(self) -> np.ndarray:
-        """Solution with zero unknown flux and the fixed source/Neumann data."""
-        rhs = np.zeros(self.mesh.n_nodes)
-        if self.volume_source is not None:
-            x, y = self.mesh.nodes.T
-            rhs += self.lumped * np.asarray(self.volume_source(x, y), dtype=float)
-        if self.neumann_data is not None:
-            x, y = self.mesh.nodes.T
-            g = np.zeros(self.mesh.n_nodes)
-            g[self.gamma0_nodes] = np.asarray(
-                self.neumann_data(x[self.gamma0_nodes], y[self.gamma0_nodes]),
-                dtype=float)
-            rhs += self.bmass0 @ g
-        if not np.any(rhs):
-            return np.zeros(self.mesh.n_nodes)
-        return self._solve(self.global_system, rhs)
 
     def forward_global(self, h: np.ndarray) -> np.ndarray:
         """All-Neumann solve driven by the flux h (full-length vector with

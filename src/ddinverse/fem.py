@@ -682,29 +682,25 @@ class DirichletSystem:
     def solve(self, rhs, fixed_values=None, *, tol=1e-10):
         """Solve K x = rhs with x = fixed_values on the fixed set.
 
-        rhs is the full-length load vector; fixed_values is a vector over the
-        fixed set (or None for homogeneous).  tol is the relative residual
-        of PCG; factored systems solve directly and ignore it.
+        rhs is the full-length load vector; fixed_values is an array over
+        the fixed set (or None for homogeneous).  tol is the relative
+        residual of PCG; factored systems solve directly and ignore it.
         """
         b = rhs[self.free]
-        vals = fixed_values
-        if vals is not None:
-            vals = np.asarray(vals, dtype=float)
-            if vals.ndim == 0:
-                vals = np.full(self.fixed.size, float(vals))
-            b = b - self.K_fd @ vals
+        if fixed_values is not None:
+            b = b - self.K_fd @ fixed_values
         if self.factor is not None:
             xf = self.factor.solve(b[None])[0]
         else:
-            slot = vals is not None
+            slot = fixed_values is not None
             xf, relres, _ = pcg(self.K_ff, b, self.multilevel.apply, tol=tol,
                                 x0=self.last[slot])
             if math.isfinite(relres):  # a non-finite load leaves no start
                 self.last[slot] = xf
         x = np.zeros(self.n)
         x[self.free] = xf
-        if vals is not None:
-            x[self.fixed] = vals
+        if fixed_values is not None:
+            x[self.fixed] = fixed_values
         return x
 
 

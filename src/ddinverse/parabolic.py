@@ -90,8 +90,7 @@ class _Iterative:
 
     def __init__(self, systems, tol):
         self.systems, self.tol = systems, tol
-        self.B, self.n = len(systems), max(s.free.size for s in systems)
-        self.last = [None] * self.B
+        self.last = [None] * len(systems)
 
     def box(self, k: int) -> "_Iterative":
         return _Iterative([self.systems[k]], self.tol)
@@ -99,42 +98,44 @@ class _Iterative:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rhs)
         for k, system in enumerate(self.systems):
-            n = system.free.size
-            out[k, :n], relres, _ = fem.pcg(system.K_ff, rhs[k, :n],
-                                            system.multilevel.apply,
-                                            tol=self.tol, x0=self.last[k])
+            out[k], relres, _ = fem.pcg(system.K_ff, rhs[k],
+                                        system.multilevel.apply,
+                                        tol=self.tol, x0=self.last[k])
             if np.isfinite(relres):  # a non-finite load leaves no start
-                self.last[k] = out[k, :n]
+                self.last[k] = out[k]
         return out
 
 
 class _Stack:
-    """Crank-Nicolson steps of B systems solved together.
+    """Crank-Nicolson steps of B systems of equal size solved together.
 
     System k is given by (S_k, Stilde_k, fixed_k, coords_k): the step
     matrices on its nodes, its fixed Dirichlet set and its node
-    coordinates.  Its state is row k of a (B, size) array, size the largest
-    system size, zero past the system's own size.  `explicit` applies the
-    free rows of every Stilde_k to the flattened states, `coupling` the
-    free-fixed blocks of every S_k to the fixed values of all systems,
-    concatenated, and `factor` solves for the free values: the
+    coordinates.  Every system has the same size and the same number of
+    free nodes (ValueError otherwise).  The states of all systems are one
+    flattened array, system k's at [k * size, (k + 1) * size).  `explicit`
+    applies the free rows of every Stilde_k to the flattened states,
+    `coupling` the free-fixed blocks of every S_k to the fixed values of
+    all systems, concatenated, and `factor` solves for the free values: the
     `fem.BandFactor` of the free-free blocks, or PCG with relative residual
     `tol` (`_Iterative`) when a block is too large to factor
     (`fem.factorable`).  `free` and `fixed` are the flattened positions of
-    the free and fixed nodes; `solved` places the free rows in the factor's
-    padded numbering (None when no system is padded).
+    the free and fixed nodes.
     """
 
     def __init__(self, systems, tol):
         parts = [fem.eliminate(S, fixed) for S, _, fixed, _ in systems]
+        if (len({S.shape[0] for S, _, _, _ in systems}) > 1
+                or len({free.size for free, *_ in parts}) > 1):
+            raise ValueError("the systems of a stack must have equal sizes "
+                             "and equal numbers of free nodes")
         blocks = [(*entries, free.size) for free, _, entries, _ in parts]
         if all(fem.factorable(rows, cols, n) for rows, cols, _, n in blocks):
             self.factor = fem.BandFactor(blocks)
         else:
             self.factor = _Iterative([fem.DirichletSystem(S, fixed, coords)
                                       for S, _, fixed, coords in systems], tol)
-        self.sizes = [S.shape[0] for S, _, _, _ in systems]
-        self.B, self.size = len(systems), max(self.sizes)
+        self.B, self.size = len(systems), systems[0][0].shape[0]
         # system k's free rows start at free_starts[k], its fixed values at
         # fixed_starts[k]
         self.free_starts = np.cumsum([0] + [p[0].size for p in parts])
@@ -150,17 +151,13 @@ class _Stack:
                                     for k, (free, *_) in enumerate(parts)])
         self.fixed = np.concatenate(
             [k * self.size + fixed for k, (_, fixed, *_) in enumerate(parts)])
-        self.solved = np.concatenate([k * self.factor.n + np.arange(free.size)
-                                      for k, (free, *_) in enumerate(parts)])
-        if self.solved.size == self.B * self.factor.n:
-            self.solved = None
 
     def box(self, k: int) -> "_Stack":
         """System k alone: its rows of this stack, solved with its view of
         the same factor."""
         view = copy.copy(self)
         view.factor = self.factor.box(k)
-        view.B, view.sizes = 1, [self.sizes[k]]
+        view.B = 1
         rows = slice(self.free_starts[k], self.free_starts[k + 1])
         lo, hi = self.fixed_starts[k], self.fixed_starts[k + 1]
         view.explicit = _block_diagonal([self.explicit[rows]],
@@ -168,8 +165,6 @@ class _Stack:
         view.coupling = _block_diagonal([self.coupling[rows]], [-lo], hi - lo)
         view.free = self.free[rows] - k * self.size
         view.fixed = self.fixed[lo:hi] - k * self.size
-        if self.solved is not None:
-            view.solved = self.solved[rows] - k * self.factor.n
         return view
 
     def step(self, state: np.ndarray, out: np.ndarray, fixed_values=None):
@@ -180,25 +175,7 @@ class _Stack:
         rhs = self.explicit @ state
         if fixed_values is not None:
             rhs -= self.coupling @ fixed_values
-        if self.solved is not None:  # pad to the factor's numbering
-            padded = np.zeros(self.B * self.factor.n)
-            padded[self.solved] = rhs
-            rhs = padded
-        x = self.factor.solve(rhs.reshape(self.B, -1)).reshape(-1)
-        out[self.free] = x if self.solved is None else x[self.solved]
-
-    def pack(self, fields) -> np.ndarray:
-        """The fields of the B systems, of shape (..., size_k), as one
-        array (..., B * size), zero past each system's size."""
-        out = np.zeros(fields[0].shape[:-1] + (self.B, self.size))
-        for k, field in enumerate(fields):
-            out[..., k, :field.shape[-1]] = field
-        return out.reshape(out.shape[:-2] + (-1,))
-
-    def unpack(self, packed: np.ndarray) -> list:
-        """The B fields, views of one array (..., B * size)."""
-        return [packed[..., k * self.size:k * self.size + size]
-                for k, size in enumerate(self.sizes)]
+        out[self.free] = self.factor.solve(rhs.reshape(self.B, -1)).reshape(-1)
 
 
 class HeatOperators:
@@ -280,7 +257,8 @@ class HeatOperators:
         if traces is not None:
             fixed = np.concatenate([self.locals[i].fixed_values(t)
                                     for i, t in zip(boxes, traces)], axis=-1)
-        return stack.unpack(self._march(stack, stack.pack(starts), fixed))
+        return np.split(self._march(stack, np.concatenate(starts, axis=-1),
+                                    fixed), stack.B, axis=-1)
 
     # -- global operators --------------------------------------------------
 
@@ -331,10 +309,10 @@ class HeatOperators:
         Equals sum_k w_k E^k r_k where E is one zero-Dirichlet step and w are
         the observation-window weights.
         """
-        stack = self.boxes
-        return stack.unpack(self._accumulate(stack, stack.pack(residuals)))
+        return np.split(self._accumulate(self.boxes,
+                                         np.concatenate(residuals, axis=-1)),
+                        self.boxes.B, axis=-1)
 
     def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
         """`accumulate_boxes` of box i alone."""
-        stack = self._box_view(i)
-        return stack.unpack(self._accumulate(stack, stack.pack([residual])))[0]
+        return self._accumulate(self._box_view(i), residual)

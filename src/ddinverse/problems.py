@@ -105,21 +105,17 @@ def exact_parameter_field(spec: ExperimentSpec, ops) -> np.ndarray:
 def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None) -> dict:
     """Solve the forward problem with the exact parameter and perturb it.
 
-    Returns the exact parameter, the clean forward solution, the noisy data
-    and the noisy data with the fixed-data contribution removed.
+    The problems carry no fixed data, so the forward map is linear and the
+    noisy data feed the inversion as they are.  Returns the exact
+    parameter, the clean forward solution, the noisy data and delta.
     """
     delta = spec.delta if delta is None else float(delta)
     exact = exact_parameter_field(spec, ops)
-    clean = ops.forward_global(exact)
-    if spec.kind == "initial_value":
-        u0 = np.zeros_like(clean)
-    else:
-        u0 = ops.solve_u0()
-    u = clean + u0
+    u = ops.forward_global(exact)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-1.0, 1.0, size=u.shape)
     z = u * (1.0 + delta * noise)
-    return {"exact": exact, "u": u, "z": z, "z0": z - u0, "delta": delta}
+    return {"exact": exact, "u": u, "z": z, "delta": delta}
 
 
 def time_grid(spec: ExperimentSpec, nt=None, sigma=None) -> parabolic.TimeGrid:
@@ -152,5 +148,5 @@ def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
     else:
         raise ValueError(f"unknown problem kind {spec.kind!r}")
     data = synthesize_data(spec, ops, seed, delta)
-    return adapter(ops, data["z0"], exact=data["exact"],
+    return adapter(ops, data["z"], exact=data["exact"],
                    initial_value=spec.initial_guess)

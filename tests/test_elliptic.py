@@ -36,36 +36,33 @@ def _rand_field(mesh, seed, interior_only=False):
     return v
 
 
-def test_u0_vanishes_for_zero_data(mesh7, decomp7, flux_ops):
-    ops = elliptic.SourceOperators(mesh7, decomp7, 1.0, 1.0)
-    assert np.all(ops.solve_u0() == 0.0)
-    assert np.all(flux_ops.solve_u0() == 0.0)
-
-
-def test_u0_residual_for_unit_dirichlet(mesh7, decomp7):
-    ops = elliptic.SourceOperators(mesh7, decomp7, 1.0, 1.0,
-                                   boundary_data=lambda x, y: 1.0)
-    u0 = ops.solve_u0()
-    assert np.allclose(u0[ops.boundary_nodes], 1.0)
+def test_u0_residual_for_unit_dirichlet(mesh7):
+    # the zero-source solve with unit boundary values
     K = fem.assemble(mesh7, 1.0, 1.0)
+    bnd = np.flatnonzero(mesh7.boundary_mask)
+    u0 = fem.DirichletSystem(K, bnd, mesh7.nodes).solve(
+        np.zeros(mesh7.n_nodes), np.ones(bnd.size))
+    assert np.all(u0[bnd] == 1.0)
     res = (K @ u0)[~mesh7.boundary_mask]
     # interior equations hold up to the solver tolerance on an O(1) load
     assert np.abs(res).max() <= 1e-8
 
 
-def test_affine_split(mesh7, decomp7):
-    # full solve with boundary data equals the zero-data solve plus the
-    # homogeneous-boundary forward map
-    ops = elliptic.SourceOperators(mesh7, decomp7, 1.0, 1.0,
-                                   boundary_data=lambda x, y: x + 0.5 * y)
-    f = _rand_field(mesh7, 21)
-    u0 = ops.solve_u0()
-    U = ops.forward_global(f)
+def test_affine_split(mesh7):
+    # a solve with boundary values and a source equals the zero-source
+    # solve with those values plus the zero-boundary solve with the source
     K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     xb, yb = mesh7.nodes[bnd].T
-    direct = fem.DirichletSystem(K, bnd, mesh7.nodes).solve(
-        ops.lumped * f, xb + 0.5 * yb, tol=1e-12)
+    load = fem.lumped_mass(mesh7) * _rand_field(mesh7, 21)
+
+    def solve(rhs, fixed_values):
+        return fem.DirichletSystem(K, bnd, mesh7.nodes).solve(
+            rhs, fixed_values, tol=1e-12)
+
+    u0 = solve(np.zeros(mesh7.n_nodes), xb + 0.5 * yb)
+    U = solve(load, None)
+    direct = solve(load, xb + 0.5 * yb)
     assert np.abs(direct - (u0 + U)).max() < 1e-8
 
 

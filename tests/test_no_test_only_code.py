@@ -1,8 +1,10 @@
 """Every function and class in `src/ddinverse` is reached from the library
-itself: a definition that only tests call is test code kept in the wrong
-place."""
+itself, and every defaulted parameter of a function is passed by some call
+in the library: a definition or a parameter that only tests use is test
+code kept in the wrong place."""
 
 import ast
+import math
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddinverse"
@@ -11,6 +13,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ddinverse"
 ALLOWED = {
     "adjoint_global": "criterion 5 checks the local maps against it",
     "adjoint_volume": "criterion 5 checks the local maps against it",
+}
+
+# Defaulted parameters kept although no call in the library passes them.
+ALLOWED_PARAMETERS = {
+    "main(argv=)": "the benchmark and the tests call the CLI in-process",
+    "DirichletSystem(direct=)": "open item 1 makes factoring the default",
+    "pcg(max_iter=)": "the stall test caps the iterations",
+    "build_subdomains(boxes=)": "tests build other box layouts",
+    "FluxOperators.adjoint_local(trace=)":
+        "the local-adjoint-with-trace consistency checks",
+    "HeatOperators.adjoint_local(trace=)":
+        "the local-adjoint-with-trace consistency checks",
 }
 
 
@@ -55,3 +69,103 @@ def unreached_definitions(src=SRC) -> list:
 def test_every_definition_is_reached_from_the_library():
     assert [name for name in unreached_definitions()
             if name not in ALLOWED] == []
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _passed(call):
+    """The positional count and keyword names of a call: a starred argument
+    fills every position, and ** every keyword (name None)."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return (math.inf if starred else len(call.args),
+            {keyword.arg for keyword in call.keywords})
+
+
+def _defaulted(fn, offset):
+    """(name, index) of the defaulted parameters of `fn`: index counts the
+    positions a call fills (past `offset` bound ones), None for a
+    keyword-only parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(arg.arg, i - offset) for i, arg in enumerate(positional)
+             if i >= first]
+            + [(arg.arg, None) for arg, default in
+               zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None])
+
+
+def unpassed_parameters(src=SRC) -> list:
+    """The defaulted parameters, as "qualname(name=)", of the functions of
+    the modules under `src` that no call there passes, by keyword or by
+    position.  Calls match a function by its name, and an `__init__` by
+    its class name or by `super().__init__` in a subclass.  Functions that
+    are also used as values (passed or bound to a name) may be called
+    indirectly and are skipped."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    # per callee name, `_passed` of each call; callees and base classes are
+    # names that are not used as values
+    calls, not_values = {}, {base for cls in classes for base in cls.bases}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            not_values.add(node.func)
+            calls.setdefault(_callee(node), []).append(_passed(node))
+    for cls in classes:
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Call) and _callee(node) == "__init__"
+                    and isinstance(node.func.value, ast.Call)
+                    and _callee(node.func.value) == "super"):
+                for base in cls.bases:
+                    if isinstance(base, ast.Name):
+                        calls.setdefault(base.id, []).append(_passed(node))
+    values = {node.id if isinstance(node, ast.Name) else node.attr
+              for node in nodes
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load) and node not in not_values}
+
+    owned = [(None, node) for tree in trees for node in tree.body]
+    owned += [(cls, node) for cls in classes for node in cls.body]
+    out = []
+    for cls, fn in owned:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name == "__init__":
+            key = label = cls.name
+        elif fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        else:
+            key = fn.name
+            label = fn.name if cls is None else f"{cls.name}.{fn.name}"
+        if key in values:
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        offset = 0 if cls is None or static else 1
+        for name, index in _defaulted(fn, offset):
+            if not any(None in keywords or name in keywords
+                       or (index is not None and count > index)
+                       for count, keywords in calls.get(key, [])):
+                out.append(f"{label}({name}=)")
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed_from_the_library():
+    assert [entry for entry in unpassed_parameters()
+            if entry not in ALLOWED_PARAMETERS] == []
+
+
+def test_unpassed_parameters_of_a_sample_module(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        "def f(a, b=1, *, c=2):\n    return a\n"
+        "class Base:\n    def __init__(self, x=0, y=0):\n        pass\n"
+        "class Child(Base):\n    def __init__(self):\n"
+        "        super().__init__(1)\n"
+        "def g(d=3):\n    return d\n"
+        "f(0, c=1)\nhook = g\n")
+    assert unpassed_parameters(tmp_path) == ["Base(y=)", "f(b=)"]

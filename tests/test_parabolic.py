@@ -178,33 +178,17 @@ def test_second_order_in_time(mesh7, decomp7):
     assert 4 * 0.8 <= errs[0] / errs[1] <= 4 * 1.2
 
 
-def test_unequal_boxes_march_as_one_padded_stack(mesh7):
-    # a wider top-left box makes the four boxes differ in size, so the
-    # stack pads them; stacked and one-box marches both restrict the
-    # global trajectory, and the stacked sweep matches the one-box sweeps
+def test_unequal_boxes_are_rejected(mesh7):
+    # a wider top-left box makes the four boxes differ in size, and the box
+    # stack marches only boxes of equal size
     from fractions import Fraction as F
 
     from ddinverse import mesh
     boxes = (mesh.Box(F(0), F(5, 7), F(6, 7), F(2)),) + mesh.DEFAULT_BOXES[1:]
     dec = mesh.build_subdomains(mesh7, boxes)
     grid = parabolic.TimeGrid(T=4.0, nt=8, sigma=4.0)
-    ops = parabolic.HeatOperators(mesh7, dec, 1.0, grid)
-    assert len(set(ops.boxes.sizes)) > 1 and ops.boxes.solved is not None
-    phi = _interior_field(mesh7, 31)
-    F_global = ops.forward_global(phi)
-    starts = [phi[loc.nodes] for loc in ops.locals]
-    traces = [F_global[:, dec.interfaces[i]] for i in range(4)]
-    stacked = ops.forward_boxes(starts, traces)
-    rng = np.random.default_rng(32)
-    residuals = [rng.standard_normal((grid.nt + 1, loc.nodes.size))
-                 for loc in ops.locals]
-    swept = ops.accumulate_boxes(residuals)
-    for i, loc in enumerate(ops.locals):
-        alone = ops.forward_local(i, starts[i], traces[i])
-        assert np.abs(stacked[i] - F_global[:, loc.nodes]).max() < 1e-9
-        assert np.abs(alone - F_global[:, loc.nodes]).max() < 1e-9
-        one = ops.accumulate(i, residuals[i])
-        assert np.abs(swept[i] - one).max() <= 1e-10 * np.abs(one).max()
+    with pytest.raises(ValueError, match="equal sizes"):
+        parabolic.HeatOperators(mesh7, dec, 1.0, grid)
 
 
 def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,

@@ -52,7 +52,7 @@ def test_catalog_coefficients():
 
 def test_synthesize_noise_free(mesh7, decomp7):
     prob = problems.make_problem(CAT["5.3"], 7, seed=0, delta=0.0)
-    # with g = 0 the background solution vanishes and z0 is the clean field
+    # without noise the data are the clean field
     exact = problems.exact_parameter_field(CAT["5.3"], prob.ops)
     clean = prob.ops.forward_global(exact)
     assert np.abs(prob.z0 - clean).max() < 1e-12
