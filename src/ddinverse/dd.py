@@ -234,11 +234,11 @@ class _InversionBase:
     `push`) are computed once here.
     """
 
-    def __init__(self, ops, z0, exact=None, initial_value=0.0, *,
+    def __init__(self, ops, z, exact=None, initial_value=0.0, *,
                  supports=None, trace_nodes=None, weight=None):
         self.ops = ops
         self.decomp = ops.decomp
-        self.z0 = np.asarray(z0, dtype=float)
+        self.z = np.asarray(z, dtype=float)
         self.exact = None if exact is None else np.asarray(exact, dtype=float)
         self.initial_value = float(initial_value)
         self.weight = ops.lumped if weight is None else weight
@@ -351,10 +351,10 @@ class _InversionBase:
         With a the anchor, n the sum of the other components, F the local
         forward map with the current inner-boundary values and B the adjoint
         of its zero-trace part, the minimizer is
-        (s a + B(z0 - F(n + a)) - beta n) / (s + beta) on the support of box
+        (s a + B(z - F(n + a)) - beta n) / (s + beta) on the support of box
         i and zero elsewhere, with s = A * surrogate_scale.  `propagate`
         maps the box fields n + a of all the boxes to their F, and
-        `back_project` the box residuals z0 - F(n + a) to their B.
+        `back_project` the box residuals z - F(n + a) to their B.
         """
         s = config.A * self.surrogate_scale
         nsub = len(components)
@@ -362,7 +362,7 @@ class _InversionBase:
                                        if j != i]) for i in boxes]
         fields = propagate([(n + a)[self.box_nodes[i]]
                             for i, n, a in zip(boxes, neighbours, anchors)])
-        residuals = [self.z0[..., self.box_nodes[i]] - u
+        residuals = [self.z[..., self.box_nodes[i]] - u
                      for i, u in zip(boxes, fields)]
         del fields  # free the local solutions before the back-projection
         back = back_project(residuals)
@@ -407,7 +407,7 @@ class SourceInversion(_InversionBase):
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
-        d = u - self.z0
+        d = u - self.z
         return (fem.inner_product(d, d, self.weight)
                 + config.beta * self.param_inner(param, param))
 
@@ -424,13 +424,13 @@ class FluxInversion(_InversionBase):
 
     kind = "flux"
 
-    def __init__(self, ops, z0, exact=None, initial_value=0.0):
+    def __init__(self, ops, z, exact=None, initial_value=0.0):
         supports = []
         for nodes in flux_support(ops.mesh, ops.decomp):
             mask = np.zeros(ops.mesh.n_nodes, dtype=bool)
             mask[nodes] = True
             supports.append(mask)
-        super().__init__(ops, z0, exact, initial_value, supports=supports,
+        super().__init__(ops, z, exact, initial_value, supports=supports,
                          trace_nodes=ops.decomp.interface_closures,
                          weight=ops.bmass1)
         self._warned_empty = False
@@ -458,7 +458,7 @@ class FluxInversion(_InversionBase):
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
-        d = u - self.z0
+        d = u - self.z
         return (fem.inner_product(d, d, self.ops.bmass0)
                 + config.beta * self.param_inner(param, param))
 
@@ -475,8 +475,8 @@ class InitialValueInversion(_InversionBase):
 
     kind = "initial_value"
 
-    def __init__(self, ops, z0, exact=None, initial_value=0.0):
-        super().__init__(ops, z0, exact, initial_value)
+    def __init__(self, ops, z, exact=None, initial_value=0.0):
+        super().__init__(ops, z, exact, initial_value)
         self.surrogate_scale = ops.grid.sigma
 
     def solve_calls(self):
@@ -503,7 +503,7 @@ class InitialValueInversion(_InversionBase):
 
     def objective(self, param, config) -> float:
         traj = self.ops.forward_global(param)
-        d = traj - self.z0
+        d = traj - self.z
         w = self.ops.grid.weights()
         misfit = float(np.einsum("k,kn,n,kn->", w, d, self.weight, d))
         return misfit + config.beta * self.param_inner(param, param)

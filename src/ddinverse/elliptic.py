@@ -64,8 +64,8 @@ class SourceOperators(_Operators):
         K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        self.global_system = fem.DirichletSystem(K, self.boundary_nodes,
-                                                 mesh.nodes)
+        self.global_system = fem.DirichletSystem(
+            [(K, self.boundary_nodes, mesh.nodes)])
         self.locals = [
             fem.BoxSystem(mesh, decomp, i, K, "box-boundary")
             for i in range(decomp.n_subdomains)
@@ -114,7 +114,7 @@ class FluxOperators(_Operators):
         self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
 
         self.global_system = fem.DirichletSystem(
-            K, np.array([], dtype=np.int64), mesh.nodes)
+            [(K, np.array([], dtype=np.int64), mesh.nodes)])
         self.locals = []
         self.bmass1_loc = []
         self.bmass0_loc = []

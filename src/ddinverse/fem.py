@@ -3,13 +3,14 @@
 Assembly returns scipy CSR matrices; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
 systems eliminate their Dirichlet conditions symmetrically, so every
-assembled operator stays symmetric positive definite.  A system that asks
-for a direct solve and has fewer than FACTOR_SIZE free nodes, with at
-most MAX_BAND_ENTRIES free nodes times bandwidth, is factored once, by
-block cyclic reduction over blocks of its bandwidth in plain numpy, and
-solved directly; one factor can hold a stack of such systems (the heat
-boxes) and solve them together.  Every other system is solved by
-preconditioned conjugate gradients with one V-cycle of a smoothed-
+assembled operator stays symmetric positive definite.  One class,
+`DirichletSystem`, does this for all three problems, on a stack of systems
+of equal size solved together: a global system or one box alone, or the
+four heat boxes.  A stack that asks for a direct solve, whose systems have
+fewer than FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes
+times bandwidth, is factored once, by block cyclic reduction over blocks of
+its bandwidth in plain numpy, and solved directly.  Every other system is
+solved by preconditioned conjugate gradients with one V-cycle of a smoothed-
 aggregation multilevel hierarchy, whose aggregates are bins of about
 AGGREGATE_SIZE nodes on every level, whose Jacobi smoothing is weighted on
 each level by a Lanczos estimate of that level's largest eigenvalue, and
@@ -37,9 +38,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-# A system that asks for a direct solve is factored when it has fewer free
-# nodes than this (and fits the band budget below); every other system is
-# solved by PCG with the multilevel preconditioner.
+# A stack that asks for a direct solve is factored when its systems have
+# fewer free nodes than this (and fit the band budget below); every other
+# system is solved by PCG with the multilevel preconditioner.
 FACTOR_SIZE = 4096
 # Nodes per aggregate on each level of the hierarchy (bins of about 3 x 3).
 AGGREGATE_SIZE = 9
@@ -601,12 +602,19 @@ def restrict(K, nodes):
                 (nodes.size, nodes.size))
 
 
-def factorable(rows, cols, n: int) -> bool:
-    """Whether a system of n free nodes with entries at (rows, cols) is
-    factored when a direct solve is asked for: fewer than FACTOR_SIZE free
-    nodes and at most MAX_BAND_ENTRIES free nodes times bandwidth."""
-    bandwidth = int(np.abs(rows - cols).max(initial=0))
-    return n < FACTOR_SIZE and n * bandwidth <= MAX_BAND_ENTRIES
+def block_diagonal(blocks, width):
+    """CSR matrix with the CSR `blocks` of `width` columns each on its
+    diagonal; each row keeps its entry order."""
+    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
+    for block in blocks:
+        indptr.append(block.indptr[1:] + nnz)
+        nnz += block.indptr[-1]
+    return sp.csr_matrix(
+        (np.concatenate([block.data for block in blocks]),
+         np.concatenate([block.indices + k * width
+                         for k, block in enumerate(blocks)]),
+         np.concatenate(indptr)),
+        shape=(sum(block.shape[0] for block in blocks), len(blocks) * width))
 
 
 def eliminate(K: sp.csr_matrix, fixed):
@@ -643,61 +651,102 @@ def eliminate(K: sp.csr_matrix, fixed):
 
 
 class DirichletSystem:
-    """An SPD operator with a fixed Dirichlet node set eliminated symmetrically.
+    """A stack of B SPD operators of equal size n and equal free-node count
+    (ValueError otherwise), each with its fixed Dirichlet nodes eliminated
+    symmetrically; member k is given by (K_k, fixed_k, coords_k), coords_k
+    holding one row of coordinates per node of K_k.
 
-    Splits K into the free-free block and the free-fixed coupling once
-    (`eliminate`), so repeated solves with different right-hand sides and
-    boundary values stay cheap.  With direct=True, a system with fewer than
-    FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes times
-    bandwidth factors its free-free block once (a `BandFactor` of one
-    matrix) and solves directly.  Every other system solves by PCG,
-    preconditioned by the `Multilevel` hierarchy of its free-free block,
-    binned by the coordinates `coords` of its free nodes (one row of
-    `coords` per node of K).  K_ff is that block as the hierarchy keeps it
-    on its first level, the same object, so it may be in DIA storage (CSR
-    when the hierarchy has no level).  PCG starts from the last solution of
-    the same kind, with homogeneous or with given fixed values (`last`, one
-    slot each), so repeated solves of one kind, such as the local solves of
-    successive Schwarz sweeps, start close to their answer.  Solutions are
-    returned on the full index set with the boundary values imposed
-    exactly.
+    Fields are flattened, member k's at [k n, (k + 1) n): `free` and `fixed`
+    are the flattened free and fixed nodes, and `K_fd` the block-diagonal
+    free-fixed coupling, split off once (`eliminate`).  With direct=True, a
+    stack whose members have fewer than FACTOR_SIZE free nodes and at most
+    MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free blocks
+    once, as one `BandFactor`, and solves directly.  Every other stack
+    solves each member by PCG, preconditioned by the `Multilevel` hierarchy
+    of its free-free block, binned by the coordinates of its free nodes;
+    K_ff[k] is that block as the hierarchy keeps it on its first level, the
+    same object, so it may be in DIA storage (CSR when the hierarchy has no
+    level).  PCG starts from the member's last solution of the same kind,
+    with homogeneous or with given fixed values (`last[k]`, one slot each),
+    so repeated solves of one kind, such as the local solves of successive
+    Schwarz sweeps or the steps of a march, start close to their answer.
     """
 
-    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, coords: np.ndarray,
-                 *, direct: bool = False):
-        self.n = K.shape[0]
-        self.free, self.fixed, entries, self.K_fd = eliminate(K, fixed)
-        rows, cols, vals = entries
-        n_free = self.free.size
+    def __init__(self, systems, *, direct: bool = False):
+        frees, fixeds, blocks, couplings = zip(*(eliminate(K, fixed)
+                                                 for K, fixed, _ in systems))
+        if len({(K.shape[0], free.size)
+                for (K, _, _), free in zip(systems, frees)}) > 1:
+            raise ValueError("the systems of a stack must have equal sizes "
+                             "and equal numbers of free nodes")
+        self.B, self.n = len(systems), systems[0][0].shape[0]
+        n_free, n_fixed = frees[0].size, fixeds[0].size
+        self.free = np.concatenate([k * self.n + f
+                                    for k, f in enumerate(frees)])
+        self.fixed = np.concatenate([k * self.n + f
+                                     for k, f in enumerate(fixeds)])
+        self.K_fd = block_diagonal(couplings, n_fixed)
+        bandwidth = max(int(np.abs(rows - cols).max(initial=0))
+                        for rows, cols, _ in blocks)
         self.factor = self.K_ff = self.multilevel = None
-        if direct and factorable(rows, cols, n_free):
-            self.factor = BandFactor([(rows, cols, vals, n_free)])
+        if (direct and n_free < FACTOR_SIZE
+                and n_free * bandwidth <= MAX_BAND_ENTRIES):
+            self.factor = BandFactor([(rows, cols, vals, n_free)
+                                      for rows, cols, vals in blocks])
             return
-        K_ff = _csr(rows, cols, vals, (n_free, n_free))
-        self.multilevel = Multilevel(K_ff, coords[self.free])
-        levels = self.multilevel.levels
-        self.K_ff = levels[0][0] if levels else K_ff
-        self.last = [None, None]
+        self.K_ff, self.multilevel = [], []
+        for free, entries, (_, _, coords) in zip(frees, blocks, systems):
+            K_ff = _csr(*entries, (n_free, n_free))
+            self.multilevel.append(Multilevel(K_ff, coords[free]))
+            levels = self.multilevel[-1].levels
+            self.K_ff.append(levels[0][0] if levels else K_ff)
+        self.last = [[None, None] for _ in systems]
+
+    def box(self, k: int) -> "DirichletSystem":
+        """Member k alone: a view of this stack's arrays, factor and
+        hierarchy, sharing the member's warm-start slots."""
+        view = copy.copy(self)
+        view.B = 1
+        n_free = self.free.size // self.B
+        n_fixed = self.n - n_free
+        rows = slice(k * n_free, (k + 1) * n_free)
+        view.free = self.free[rows] - k * self.n
+        view.fixed = self.fixed[k * n_fixed:(k + 1) * n_fixed] - k * self.n
+        view.K_fd = self.K_fd[rows, k * n_fixed:(k + 1) * n_fixed]
+        if self.factor is not None:
+            view.factor = self.factor.box(k)
+        else:
+            view.K_ff = self.K_ff[k:k + 1]
+            view.multilevel = self.multilevel[k:k + 1]
+            view.last = self.last[k:k + 1]
+        return view
 
     def solve(self, rhs, fixed_values=None, *, tol=1e-10):
-        """Solve K x = rhs with x = fixed_values on the fixed set.
+        """Solve K x = rhs with x = fixed_values on the fixed set, for every
+        member, and return x on the full flattened index set.
 
-        rhs is the full-length load vector; fixed_values is an array over
-        the fixed set (or None for homogeneous).  tol is the relative
-        residual of PCG; factored systems solve directly and ignore it.
+        rhs is the flattened load; fixed_values is an array over the
+        flattened fixed set (or None for homogeneous).  tol is the relative
+        residual of PCG; factored stacks solve directly and ignore it.
         """
         b = rhs[self.free]
         if fixed_values is not None:
             b = b - self.K_fd @ fixed_values
         if self.factor is not None:
-            xf = self.factor.solve(b[None])[0]
+            xf = self.factor.solve(b.reshape(self.B, -1)).reshape(-1)
         else:
             slot = fixed_values is not None
-            xf, relres, _ = pcg(self.K_ff, b, self.multilevel.apply, tol=tol,
-                                x0=self.last[slot])
-            if math.isfinite(relres):  # a non-finite load leaves no start
-                self.last[slot] = xf
-        x = np.zeros(self.n)
+            parts = []
+            for K_ff, multilevel, last, part in zip(
+                    self.K_ff, self.multilevel, self.last,
+                    np.split(b, self.B)):
+                x, relres, _ = pcg(K_ff, part, multilevel.apply, tol=tol,
+                                   x0=last[slot])
+                if math.isfinite(relres):  # a non-finite load leaves no start
+                    last[slot] = x
+                parts.append(x)
+            xf = np.concatenate(parts)
+        x = np.zeros(self.B * self.n)
         x[self.free] = xf
         if fixed_values is not None:
             x[self.fixed] = fixed_values
@@ -735,8 +784,9 @@ class BoxSystem:
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
         self.system = None
         if matrix is not None:
-            self.system = DirichletSystem(restrict(matrix, self.nodes),
-                                          self.fixed, mesh.nodes[self.nodes])
+            self.system = DirichletSystem([(restrict(matrix, self.nodes),
+                                            self.fixed,
+                                            mesh.nodes[self.nodes])])
 
     def fixed_values(self, trace):
         """Values on the fixed set: `trace` on the inner-boundary nodes,

@@ -14,8 +14,8 @@ separate backward solves exactly and costs one sweep instead of one solve
 per observation time.
 
 Every march advances a stack of systems one time level at a time: the
-global system alone, or the subdomain boxes together, with one stacked
-solve per level and box-local trajectories.
+global system alone, or the subdomain boxes together, with one solve of
+their `fem.DirichletSystem` per level and box-local trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 
@@ -68,114 +67,41 @@ class TimeGrid:
         return w
 
 
-def _block_diagonal(blocks, col_starts, n_cols):
-    """CSR matrix with the CSR `blocks` stacked down its rows, block k's
-    columns starting at col_starts[k]; each row keeps its entry order."""
-    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
-    for block in blocks:
-        indptr.append(block.indptr[1:] + nnz)
-        nnz += block.indptr[-1]
-    return sp.csr_matrix(
-        (np.concatenate([block.data for block in blocks]),
-         np.concatenate([block.indices + start
-                         for block, start in zip(blocks, col_starts)]),
-         np.concatenate(indptr)),
-        shape=(sum(block.shape[0] for block in blocks), n_cols))
-
-
-class _Iterative:
-    """PCG in place of a `fem.BandFactor` for systems too large to factor:
-    system k preconditioned by the hierarchy of its `fem.DirichletSystem`
-    and warm-started from its previous finite solution."""
-
-    def __init__(self, systems, tol):
-        self.systems, self.tol = systems, tol
-        self.last = [None] * len(systems)
-
-    def box(self, k: int) -> "_Iterative":
-        return _Iterative([self.systems[k]], self.tol)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rhs)
-        for k, system in enumerate(self.systems):
-            out[k], relres, _ = fem.pcg(system.K_ff, rhs[k],
-                                        system.multilevel.apply,
-                                        tol=self.tol, x0=self.last[k])
-            if np.isfinite(relres):  # a non-finite load leaves no start
-                self.last[k] = out[k]
-        return out
-
-
 class _Stack:
     """Crank-Nicolson steps of B systems of equal size solved together.
 
     System k is given by (S_k, Stilde_k, fixed_k, coords_k): the step
     matrices on its nodes, its fixed Dirichlet set and its node
-    coordinates.  Every system has the same size and the same number of
-    free nodes (ValueError otherwise).  The states of all systems are one
-    flattened array, system k's at [k * size, (k + 1) * size).  `explicit`
-    applies the free rows of every Stilde_k to the flattened states,
-    `coupling` the free-fixed blocks of every S_k to the fixed values of
-    all systems, concatenated, and `factor` solves for the free values: the
-    `fem.BandFactor` of the free-free blocks, or PCG with relative residual
-    `tol` (`_Iterative`) when a block is too large to factor
-    (`fem.factorable`).  `free` and `fixed` are the flattened positions of
-    the free and fixed nodes.
+    coordinates.  The states of all systems are one flattened array,
+    system k's at [k * size, (k + 1) * size).  `system` is the
+    `fem.DirichletSystem` of the S_k, factored when small enough and solved
+    by PCG with relative residual `tol` otherwise, and `explicit` applies
+    the block-diagonal Stilde to the flattened states.
     """
 
     def __init__(self, systems, tol):
-        parts = [fem.eliminate(S, fixed) for S, _, fixed, _ in systems]
-        if (len({S.shape[0] for S, _, _, _ in systems}) > 1
-                or len({free.size for free, *_ in parts}) > 1):
-            raise ValueError("the systems of a stack must have equal sizes "
-                             "and equal numbers of free nodes")
-        blocks = [(*entries, free.size) for free, _, entries, _ in parts]
-        if all(fem.factorable(rows, cols, n) for rows, cols, _, n in blocks):
-            self.factor = fem.BandFactor(blocks)
-        else:
-            self.factor = _Iterative([fem.DirichletSystem(S, fixed, coords)
-                                      for S, _, fixed, coords in systems], tol)
-        self.B, self.size = len(systems), systems[0][0].shape[0]
-        # system k's free rows start at free_starts[k], its fixed values at
-        # fixed_starts[k]
-        self.free_starts = np.cumsum([0] + [p[0].size for p in parts])
-        self.fixed_starts = np.cumsum([0] + [p[1].size for p in parts])
-        self.explicit = _block_diagonal(
-            [Stilde[free] for (_, Stilde, _, _), (free, *_) in
-             zip(systems, parts)],
-            np.arange(self.B) * self.size, self.B * self.size)
-        self.coupling = _block_diagonal([K_fd for *_, K_fd in parts],
-                                        self.fixed_starts,
-                                        self.fixed_starts[-1])
-        self.free = np.concatenate([k * self.size + free
-                                    for k, (free, *_) in enumerate(parts)])
-        self.fixed = np.concatenate(
-            [k * self.size + fixed for k, (_, fixed, *_) in enumerate(parts)])
+        self.system = fem.DirichletSystem(
+            [(S, fixed, coords) for S, _, fixed, coords in systems],
+            direct=True)
+        self.explicit = fem.block_diagonal(
+            [Stilde for _, Stilde, _, _ in systems], self.system.n)
+        self.tol = tol
 
     def box(self, k: int) -> "_Stack":
         """System k alone: its rows of this stack, solved with its view of
-        the same factor."""
+        the same system."""
         view = copy.copy(self)
-        view.factor = self.factor.box(k)
-        view.B = 1
-        rows = slice(self.free_starts[k], self.free_starts[k + 1])
-        lo, hi = self.fixed_starts[k], self.fixed_starts[k + 1]
-        view.explicit = _block_diagonal([self.explicit[rows]],
-                                        [-k * self.size], self.size)
-        view.coupling = _block_diagonal([self.coupling[rows]], [-lo], hi - lo)
-        view.free = self.free[rows] - k * self.size
-        view.fixed = self.fixed[lo:hi] - k * self.size
+        view.system = self.system.box(k)
+        part = slice(k * self.system.n, (k + 1) * self.system.n)
+        view.explicit = self.explicit[part, part]
         return view
 
-    def step(self, state: np.ndarray, out: np.ndarray, fixed_values=None):
-        """One step of every system from the flattened states `state`,
-        written to the free positions of `out`: the free rows of
+    def step(self, state: np.ndarray, fixed_values=None) -> np.ndarray:
+        """One step of every system from the flattened states `state`:
         S^-1 (Stilde state), with `fixed_values` (all systems, concatenated;
         None for zero) on the fixed nodes."""
-        rhs = self.explicit @ state
-        if fixed_values is not None:
-            rhs -= self.coupling @ fixed_values
-        out[self.free] = self.factor.solve(rhs.reshape(self.B, -1)).reshape(-1)
+        return self.system.solve(self.explicit @ state, fixed_values,
+                                 tol=self.tol)
 
 
 class HeatOperators:
@@ -186,12 +112,15 @@ class HeatOperators:
     fields and trajectories on box i are numbered by the box's nodes,
     `locals[i].nodes`, and are never embedded in full-length arrays.
 
-    Every Crank-Nicolson system is factored once and solved directly: the
-    global one alone, the four box systems as one stack (`fem.BandFactor`
-    with a box axis).  The boxes march together (`forward_boxes`,
-    `accumulate_boxes`), one stacked solve per time level, or one at a time
-    (`forward_local`, `accumulate`) on a one-box view of the same factor.
-    `step_count` counts one step per system and time level.
+    A march solves the same S at every time step, so every Crank-Nicolson
+    system asks for a direct solve: the global one alone and the four box
+    systems as one stack are factored once (the boxes share one
+    `fem.BandFactor` with a box axis) when small enough, and solved by
+    warm-started PCG otherwise.  The boxes march together
+    (`forward_boxes`, `accumulate_boxes`), one stacked solve per time
+    level, or one at a time (`forward_local`, `accumulate`) on a one-box
+    view of the same system.  `step_count` counts one step per system and
+    time level.
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):
@@ -202,11 +131,8 @@ class HeatOperators:
         K = fem.assemble(mesh, diffusion, 0.0)
         self.lumped = fem.lumped_mass(mesh)
         S, Stilde = fem.crank_nicolson(K, self.lumped, grid.dt)
-        self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
-        # A march solves the same S at every time step, so every system is
-        # factored once and solved directly.
         self.global_stack = _Stack(
-            [(S, Stilde, self.boundary_nodes, mesh.nodes)], tol)
+            [(S, Stilde, np.flatnonzero(mesh.boundary_mask), mesh.nodes)], tol)
         self.locals = [fem.BoxSystem(mesh, decomp, i)
                        for i in range(decomp.n_subdomains)]
         self.boxes = _Stack([(fem.restrict(S, loc.nodes),
@@ -226,15 +152,12 @@ class HeatOperators:
         nt = self.grid.nt
         traj = np.zeros((nt + 1, start.size))
         traj[0] = start
-        traj[0, stack.fixed] = (fixed_series[0] if fixed_series is not None
-                                else 0.0)
+        traj[0, stack.system.fixed] = (0.0 if fixed_series is None
+                                       else fixed_series[0])
         for k in range(1, nt + 1):
-            vals = None
-            if fixed_series is not None:
-                vals = fixed_series[k]
-                traj[k, stack.fixed] = vals
-            stack.step(traj[k - 1], traj[k], vals)
-            self.step_count += stack.B
+            traj[k] = stack.step(traj[k - 1], None if fixed_series is None
+                                 else fixed_series[k])
+            self.step_count += stack.system.B
         return traj
 
     def _accumulate(self, stack, residual):
@@ -243,11 +166,11 @@ class HeatOperators:
         single backward sweep."""
         w = self.grid.weights()
         psi = np.zeros(residual.shape[1])
-        free = stack.free
+        free = stack.system.free
         for k in range(self.grid.nt, -1, -1):
             if k < self.grid.nt:
-                stack.step(psi, psi)
-                self.step_count += stack.B
+                psi = stack.step(psi)
+                self.step_count += stack.system.B
             if w[k] != 0.0:
                 psi[free] += w[k] * residual[k, free]
         return psi
@@ -258,7 +181,7 @@ class HeatOperators:
             fixed = np.concatenate([self.locals[i].fixed_values(t)
                                     for i, t in zip(boxes, traces)], axis=-1)
         return np.split(self._march(stack, np.concatenate(starts, axis=-1),
-                                    fixed), stack.B, axis=-1)
+                                    fixed), stack.system.B, axis=-1)
 
     # -- global operators --------------------------------------------------
 
@@ -278,7 +201,7 @@ class HeatOperators:
         Dirichlet values traces[i] on its inner boundary per level (shape
         (nt+1, len(interface)); zero when traces is None), marched as one
         stack.  Returns the box trajectories, of shape (nt+1, n_i)."""
-        return self._forward_boxes(self.boxes, range(self.boxes.B), phis,
+        return self._forward_boxes(self.boxes, range(len(self.locals)), phis,
                                    traces)
 
     def _box_view(self, i):
@@ -311,7 +234,7 @@ class HeatOperators:
         """
         return np.split(self._accumulate(self.boxes,
                                          np.concatenate(residuals, axis=-1)),
-                        self.boxes.B, axis=-1)
+                        len(self.locals), axis=-1)
 
     def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
         """`accumulate_boxes` of box i alone."""

@@ -102,20 +102,19 @@ def exact_parameter_field(spec: ExperimentSpec, ops) -> np.ndarray:
     return np.asarray(spec.exact(x, y), dtype=float)
 
 
-def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None) -> dict:
+def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None):
     """Solve the forward problem with the exact parameter and perturb it.
 
     The problems carry no fixed data, so the forward map is linear and the
     noisy data feed the inversion as they are.  Returns the exact
-    parameter, the clean forward solution, the noisy data and delta.
+    parameter and the noisy data z.
     """
     delta = spec.delta if delta is None else float(delta)
     exact = exact_parameter_field(spec, ops)
     u = ops.forward_global(exact)
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-1.0, 1.0, size=u.shape)
-    z = u * (1.0 + delta * noise)
-    return {"exact": exact, "u": u, "z": z, "delta": delta}
+    return exact, u * (1.0 + delta * noise)
 
 
 def time_grid(spec: ExperimentSpec, nt=None, sigma=None) -> parabolic.TimeGrid:
@@ -147,6 +146,5 @@ def make_problem(spec: ExperimentSpec, nx: int, *, ny=None, seed=0,
         adapter = dd.InitialValueInversion
     else:
         raise ValueError(f"unknown problem kind {spec.kind!r}")
-    data = synthesize_data(spec, ops, seed, delta)
-    return adapter(ops, data["z"], exact=data["exact"],
-                   initial_value=spec.initial_guess)
+    exact, z = synthesize_data(spec, ops, seed, delta)
+    return adapter(ops, z, exact=exact, initial_value=spec.initial_guess)

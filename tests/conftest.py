@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddinverse import mesh
+from ddinverse import fem, mesh
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,21 @@ def mesh14():
 @pytest.fixture(scope="session")
 def decomp14(mesh14):
     return mesh.build_subdomains(mesh14)
+
+
+@pytest.fixture
+def pcg_iterations(monkeypatch):
+    """The iteration count of every `fem.pcg` call made during the test,
+    in call order."""
+    iterations, pcg = [], fem.pcg
+
+    def counted(*args, **kwargs):
+        result = pcg(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(fem, "pcg", counted)
+    return iterations
 
 
 def jacobi(A):

@@ -17,7 +17,7 @@ def local_surrogate(prob, i, components, trace, anchor, config) -> float:
     diff = (components[i] - anchor)[nodes]
     u = ops.forward_local(i, tot, trace)
     ud = ops.forward_local(i, diff, None)
-    d = u - prob.z0[..., nodes]
+    d = u - prob.z[..., nodes]
     if prob.kind == "flux":
         b0, b1 = ops.bmass0_loc[i], ops.bmass1_loc[i]
         value = fem.inner_product(d, d, b0) if b0 is not None else 0.0

@@ -225,7 +225,7 @@ def test_criterion_7_objective_gap_to_global_minimizer():
         e[j] = 1.0
         forward[:, j] = prob.ops.forward_global(e)
     normal = forward.T @ (lump[:, None] * forward) + beta * np.diag(lump)
-    rhs = forward.T @ (lump * prob.z0)
+    rhs = forward.T @ (lump * prob.z)
     star, info = spla.cg(spla.aslinearoperator(normal), rhs,
                          rtol=1e-10, atol=0.0, maxiter=20000)
     assert info == 0
@@ -250,7 +250,7 @@ def test_criterion_8_discretization_orders():
         x, y = m.nodes.T
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         bnd = np.flatnonzero(m.boundary_mask)
-        system = fem.DirichletSystem(K, bnd, m.nodes)
+        system = fem.DirichletSystem([(K, bnd, m.nodes)])
         u = system.solve(fem.lumped_mass(m) * (lam + 1.0) * ustar,
                          np.zeros(bnd.size), tol=1e-12)
         d = u - ustar

@@ -213,8 +213,8 @@ for args in (["--experiment", "5.3", "--nx", "7"],
 # one system large enough for the multilevel preconditioner
 side = np.arange(64.0)
 coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
-system = fem.DirichletSystem(sp.identity(4096, format="csr"), [], coords)
-assert system.multilevel is not None and system.K_ff.format == "dia"
+system = fem.DirichletSystem([(sp.identity(4096, format="csr"), [], coords)])
+assert system.multilevel is not None and system.K_ff[0].format == "dia"
 system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))

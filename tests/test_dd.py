@@ -65,10 +65,10 @@ def test_source_minimizer_proximal_identity(source7):
     rng = np.random.default_rng(4)
     a = rng.standard_normal(n)
     a[~source7.supports[i]] = 0.0
-    z0 = np.zeros(n)
-    z0[source7.box_nodes[i]] = source7.ops.forward_local(
+    z = np.zeros(n)
+    z[source7.box_nodes[i]] = source7.ops.forward_local(
         i, a[source7.box_nodes[i]], None)
-    prob = dd.SourceInversion(source7.ops, z0)
+    prob = dd.SourceInversion(source7.ops, z)
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
     trace = np.zeros(prob.trace_nodes[i].size)
@@ -94,10 +94,10 @@ def test_initial_minimizer_tiny_beta_returns_anchor(heat7):
     a = rng.standard_normal(n)
     a[~heat7.supports[i]] = 0.0
     nt = heat7.ops.grid.nt
-    z0 = np.zeros((nt + 1, n))
-    z0[:, heat7.box_nodes[i]] = heat7.ops.forward_local(
+    z = np.zeros((nt + 1, n))
+    z[:, heat7.box_nodes[i]] = heat7.ops.forward_local(
         i, a[heat7.box_nodes[i]], None)
-    prob = dd.InitialValueInversion(heat7.ops, z0)
+    prob = dd.InitialValueInversion(heat7.ops, z)
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
     trace = np.zeros((nt + 1, prob.trace_nodes[i].size))
@@ -167,7 +167,7 @@ def _dense_tikhonov_minimizer(prob, beta):
         e[j] = 1.0
         U[:, j] = prob.ops.forward_global(e)
     A = U.T @ (m[:, None] * U) + beta * np.diag(m)
-    return np.linalg.solve(A, U.T @ (m * prob.z0))
+    return np.linalg.solve(A, U.T @ (m * prob.z))
 
 
 def test_msa_stops_immediately_near_fixed_point():

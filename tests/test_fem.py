@@ -76,7 +76,7 @@ def test_solve_constant_solution(mesh7):
 def test_solve_zero_rhs(mesh7):
     K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
-    system = fem.DirichletSystem(K, bnd, mesh7.nodes)
+    system = fem.DirichletSystem([(K, bnd, mesh7.nodes)])
     u = system.solve(np.zeros(mesh7.n_nodes), np.zeros(bnd.size))
     assert np.all(u == 0.0)
 
@@ -91,7 +91,7 @@ def test_manufactured_convergence_order():
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         rhs = fem.lumped_mass(m) * (lam + 1.0) * ustar
         bnd = np.flatnonzero(m.boundary_mask)
-        u = fem.DirichletSystem(K, bnd, m.nodes).solve(
+        u = fem.DirichletSystem([(K, bnd, m.nodes)]).solve(
             rhs, np.zeros(bnd.size), tol=1e-12)
         d = u - ustar
         errors.append(np.sqrt(fem.inner_product(d, d, fem.lumped_mass(m))))
@@ -138,12 +138,12 @@ def test_inner_product_rejects_mismatch(mesh7):
 
 def test_spd_after_elimination(mesh7):
     K = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
-    system = fem.DirichletSystem(K, np.flatnonzero(mesh7.boundary_mask),
-                                 mesh7.nodes)
+    system = fem.DirichletSystem([(K, np.flatnonzero(mesh7.boundary_mask),
+                                   mesh7.nodes)])
     rng = np.random.default_rng(11)
     for _ in range(10):
         v = rng.standard_normal(system.free.size)
-        assert v @ (system.K_ff @ v) > 0
+        assert v @ (system.K_ff[0] @ v) > 0
 
 
 def test_solver_residual_contract(mesh7):
@@ -179,7 +179,7 @@ def _global_system(experiment, nx):
     K = fem.assemble(m, spec.diffusion, spec.reaction)
     fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
              else np.array([], dtype=np.int64))
-    return m, fem.DirichletSystem(K, fixed, m.nodes)
+    return m, fem.DirichletSystem([(K, fixed, m.nodes)])
 
 
 def _random_load(m, system, seed=3):
@@ -194,8 +194,9 @@ def test_two_level_pcg_matches_jacobi(experiment):
     m, system = _global_system(experiment, 56)
     assert system.multilevel is not None
     b = _random_load(m, system)
-    x_jac, _, it_jac = fem.pcg(system.K_ff, b, jacobi(system.K_ff))
-    x_two, relres, it_two = fem.pcg(system.K_ff, b, system.multilevel.apply)
+    K_ff = system.K_ff[0]
+    x_jac, _, it_jac = fem.pcg(K_ff, b, jacobi(K_ff))
+    x_two, relres, it_two = fem.pcg(K_ff, b, system.multilevel[0].apply)
     assert relres <= 1e-10
     assert np.abs(x_two - x_jac).max() <= 1e-8 * np.abs(x_jac).max()
     assert 2 * it_two <= it_jac
@@ -208,23 +209,23 @@ def test_coarse_space_size_rule():
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     K = sp.identity(4096, format="csr")
-    system = fem.DirichletSystem(K, [], coords, direct=True)
-    shapes = [P.shape for _, P, _, _ in system.multilevel.levels]
+    system = fem.DirichletSystem([(K, [], coords)], direct=True)
+    shapes = [P.shape for _, P, _, _ in system.multilevel[0].levels]
     assert shapes == [(4096, 441), (441, 49)]
-    assert system.multilevel.coarsest_inv.shape == (49, 49)
+    assert system.multilevel[0].coarsest_inv.shape == (49, 49)
     assert system.factor is None
     x = system.solve(np.arange(4096.0))
     assert np.allclose(x, np.arange(4096.0), rtol=1e-10, atol=1e-10)
     # one node fewer: factored when a direct solve is asked for, and solved
     # by PCG on the same kind of hierarchy otherwise
-    smaller = fem.DirichletSystem(K, [0], coords, direct=True)
+    smaller = fem.DirichletSystem([(K, [0], coords)], direct=True)
     assert smaller.multilevel is None and smaller.K_ff is None
     assert smaller.factor is not None
     x = smaller.solve(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
-    iterative = fem.DirichletSystem(K, [0], coords)
+    iterative = fem.DirichletSystem([(K, [0], coords)])
     assert iterative.factor is None and iterative.K_ff is not None
-    assert len(iterative.multilevel.levels) == 2
+    assert len(iterative.multilevel[0].levels) == 2
     x = iterative.solve(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0
     assert np.allclose(x[1:], np.arange(1.0, 4096.0), rtol=1e-10, atol=1e-10)
@@ -237,8 +238,8 @@ def test_band_budget_rule(nx, ny, factored):
     # solved by multilevel PCG, the tall one a bandwidth of about 7
     m = mesh.build_mesh(nx, ny)
     K = fem.assemble(m, 1.0, 1.0)
-    system = fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask),
-                                 m.nodes, direct=True)
+    system = fem.DirichletSystem([(K, np.flatnonzero(m.boundary_mask),
+                                   m.nodes)], direct=True)
     assert system.free.size == 3774
     assert (system.factor is not None) == factored
     assert (system.K_ff is None) == (system.multilevel is None) == factored
@@ -256,11 +257,12 @@ def test_multilevel_on_small_systems(experiment, nx, levels, max_iterations):
     # COARSEST_SIZE, so the hierarchy has no level and one V-cycle is a
     # dense solve
     m, system = _global_system(experiment, nx)
-    assert len(system.multilevel.levels) == levels
+    assert len(system.multilevel[0].levels) == levels
     b = _random_load(m, system)
-    x, relres, it = fem.pcg(system.K_ff, b, system.multilevel.apply)
+    x, relres, it = fem.pcg(system.K_ff[0], b, system.multilevel[0].apply)
     assert relres <= 1e-10 and it <= max_iterations
-    assert np.linalg.norm(system.K_ff @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert (np.linalg.norm(system.K_ff[0] @ x - b)
+            <= 1e-10 * np.linalg.norm(b))
 
 
 def test_indefinite_coarse_operator_raises():
@@ -270,7 +272,7 @@ def test_indefinite_coarse_operator_raises():
     m = mesh.build_mesh(56, 112)
     K = fem.assemble(m, 1.0, -5000.0)
     with pytest.raises(ValueError, match="coarse operator"):
-        fem.DirichletSystem(K, np.flatnonzero(m.boundary_mask), m.nodes)
+        fem.DirichletSystem([(K, np.flatnonzero(m.boundary_mask), m.nodes)])
 
 
 @pytest.mark.parametrize("case", ["box-n112", "global-n56"])
@@ -288,8 +290,8 @@ def test_v_cycle_is_symmetric_and_positive(case):
     rng = np.random.default_rng(5)
     for _ in range(3):
         r1, r2 = rng.standard_normal((2, system.free.size))
-        z1 = system.multilevel.apply(r1)
-        z2 = system.multilevel.apply(r2)
+        z1 = system.multilevel[0].apply(r1)
+        z2 = system.multilevel[0].apply(r2)
         a, b = r1 @ z2, r2 @ z1
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
         assert r1 @ z1 > 0 and r2 @ z2 > 0
@@ -322,7 +324,7 @@ def test_largest_eigenvalue_estimate_on_small_operators(experiment, nx):
     # the global operators of the elliptic experiments: with Dirichlet
     # walls (source) or without (all-Neumann flux), 105 to 435 unknowns
     _, system = _global_system(experiment, nx)
-    _assert_estimate_within_two_percent(system.K_ff)
+    _assert_estimate_within_two_percent(system.K_ff[0])
 
 
 def test_largest_eigenvalue_of_a_closed_krylov_space():
@@ -350,7 +352,7 @@ def p1_operators(draw):
     K = fem.assemble(m, lambda x, y: a, rng.uniform(0.0, 10.0))
     walls = draw(st.booleans()) and m.n_nodes > m.boundary_mask.sum()
     fixed = np.flatnonzero(m.boundary_mask) if walls else []
-    return fem.DirichletSystem(K, fixed, m.nodes).K_ff
+    return fem.DirichletSystem([(K, fixed, m.nodes)]).K_ff[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +382,7 @@ def test_smoothing_weights_keep_the_v_cycle_positive(case):
     else:
         _, system = _global_system("5.3" if case == "global-n56" else "5.1",
                                    56)
-    for A, _, _, scaled in system.multilevel.levels:
+    for A, _, _, scaled in system.multilevel[0].levels:
         weight = (scaled * A.diagonal()).max()
         assert weight * _largest_eigenvalue_bound(A) < 2.0
 
@@ -389,12 +391,13 @@ def test_indefinite_v_cycle_breaks_pcg_down():
     # smoothing weights inflated to twice the measured ones, past 2 / lam,
     # make the V-cycle indefinite; p'Ap stays positive, r'z does not
     m, system = _global_system("5.3", 56)
-    A, P, PT, scaled = system.multilevel.levels[0]
-    system.multilevel.levels[0] = (A, P, PT, 2.0 * scaled)
+    levels = system.multilevel[0].levels
+    A, P, PT, scaled = levels[0]
+    levels[0] = (A, P, PT, 2.0 * scaled)
     with pytest.raises(fem.SolverError,
                        match="preconditioner is not positive definite"):
-        fem.pcg(system.K_ff, _random_load(m, system),
-                system.multilevel.apply)
+        fem.pcg(system.K_ff[0], _random_load(m, system),
+                system.multilevel[0].apply)
 
 
 def test_multilevel_iterations_do_not_grow_with_the_mesh():
@@ -403,8 +406,8 @@ def test_multilevel_iterations_do_not_grow_with_the_mesh():
     counts = []
     for nx in (56, 112):
         m, system = _global_system("5.3", nx)
-        _, relres, it = fem.pcg(system.K_ff, _random_load(m, system),
-                                system.multilevel.apply)
+        _, relres, it = fem.pcg(system.K_ff[0], _random_load(m, system),
+                                system.multilevel[0].apply)
         assert relres <= 1e-10
         counts.append(it)
     assert counts[1] <= counts[0] + 5
@@ -423,11 +426,11 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
         n = 5000
         K = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
         coords = np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, 0.5)])
-    system = fem.DirichletSystem(K, [], coords)
+    system = fem.DirichletSystem([(K, [], coords)])
     assert system.multilevel is not None
     _assert_storage_by_the_memory_rule(system, K)
     b = np.cos(3.0 * coords[:, 0])
-    x, relres, it = fem.pcg(system.K_ff, b, system.multilevel.apply)
+    x, relres, it = fem.pcg(system.K_ff[0], b, system.multilevel[0].apply)
     assert relres <= 1e-10 and np.all(np.isfinite(x))
     # each axis gets at most one bin per distinct coordinate, so the strip's
     # aggregates are 9-node bins along it (76 iterations; 567 with bins
@@ -447,8 +450,8 @@ def _assert_storage_by_the_memory_rule(system, A, seed=0):
     the same entries, and then multiplies to the bit as the CSR matrix with
     sorted columns.  The finest level's matrix is the system's K_ff."""
     rng = np.random.default_rng(seed)
-    levels = system.multilevel.levels
-    assert not levels or system.K_ff is levels[0][0]
+    levels = system.multilevel[0].levels
+    assert not levels or system.K_ff[0] is levels[0][0]
     for stored, P, PT, _ in levels:
         n = A.shape[0]
         rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -506,7 +509,7 @@ def test_diagonal_storage_multiplies_to_the_bit(case):
         order = rng.permutation(m.n_nodes)
         K, coords = K[order][:, order].sorted_indices(), coords[order]
         fixed = np.argsort(order)[fixed]
-    system = fem.DirichletSystem(K, fixed, coords)
+    system = fem.DirichletSystem([(K, fixed, coords)])
     _assert_storage_by_the_memory_rule(system,
                                        fem.restrict(K, system.free))
 
@@ -522,8 +525,8 @@ def test_diagonal_storage_memory_rule_at_its_bound(coupled, form):
     K.eliminate_zeros()
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
-    system = fem.DirichletSystem(K, [], coords)
-    assert system.K_ff.format == form
+    system = fem.DirichletSystem([(K, [], coords)])
+    assert system.K_ff[0].format == form
     _assert_storage_by_the_memory_rule(system, K)
 
 
@@ -581,8 +584,8 @@ def _banded_case(n, bw, seed=0, fixed=()):
 def test_factored_solve_matches_dense(case):
     A, rhs, vals, fixed = case
     n = A.shape[0]
-    system = fem.DirichletSystem(sp.csr_matrix(A), fixed, np.zeros((n, 2)),
-                                 direct=True)
+    system = fem.DirichletSystem([(sp.csr_matrix(A), fixed,
+                                   np.zeros((n, 2)))], direct=True)
     assert system.factor is not None
     x = system.solve(rhs, vals if fixed.size else None)
     free = system.free
@@ -682,7 +685,8 @@ def _negative_reaction():
 def test_factor_rejects_non_positive_definite(case):
     A, fixed = case()
     with pytest.raises(ValueError, match="not positive definite"):
-        fem.DirichletSystem(A, fixed, np.zeros((A.shape[0], 2)), direct=True)
+        fem.DirichletSystem([(A, fixed, np.zeros((A.shape[0], 2)))],
+                            direct=True)
 
 
 @pytest.fixture(scope="module")
@@ -703,18 +707,19 @@ def factored_cases():
     K_box_s = K_source[np.ix_(box_s.nodes, box_s.nodes)]
     K_box_f = K_flux[np.ix_(box_f.nodes, box_f.nodes)]
     return {
-        "source-box": (fem.DirichletSystem(K_box_s, box_s.system.fixed,
-                                           m14.nodes[box_s.nodes],
+        "source-box": (fem.DirichletSystem([(K_box_s, box_s.system.fixed,
+                                             m14.nodes[box_s.nodes])],
                                            direct=True), K_box_s),
         "flux-interface-closure-box": (
-            fem.DirichletSystem(K_box_f, box_f.system.fixed,
-                                m14.nodes[box_f.nodes], direct=True), K_box_f),
+            fem.DirichletSystem([(K_box_f, box_f.system.fixed,
+                                  m14.nodes[box_f.nodes])], direct=True),
+            K_box_f),
         "flux-all-neumann-global": (
-            fem.DirichletSystem(K_flux, flux.global_system.fixed, m14.nodes,
-                                direct=True), K_flux),
+            fem.DirichletSystem([(K_flux, flux.global_system.fixed,
+                                  m14.nodes)], direct=True), K_flux),
         "heat-S-global": (
-            fem.DirichletSystem(S, np.flatnonzero(m7.boundary_mask), m7.nodes,
-                                direct=True), S),
+            fem.DirichletSystem([(S, np.flatnonzero(m7.boundary_mask),
+                                  m7.nodes)], direct=True), S),
     }
 
 
@@ -747,7 +752,7 @@ def test_dirichlet_solve_passes_non_finite_input_through(n):
     coords = np.column_stack([np.arange(n) % side, np.arange(n) // side])
     K = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1], format="csr")
-    system = fem.DirichletSystem(K, [], coords.astype(float), direct=True)
+    system = fem.DirichletSystem([(K, [], coords.astype(float))], direct=True)
     assert (system.factor is None) == (n >= 4096)
     rhs = np.ones(n)
     rhs[n // 2] = np.nan
@@ -756,7 +761,7 @@ def test_dirichlet_solve_passes_non_finite_input_through(n):
     assert np.all(np.isfinite(system.solve(np.ones(n))))
 
 
-def test_warm_start_slots(monkeypatch):
+def test_warm_start_slots(pcg_iterations):
     # a 5.3 box at nx=28: PCG starts from the last solution with given
     # fixed values or from the last with zero ones, whichever the call has,
     # so repeating a traced solve after a zero-trace one takes 0 iterations
@@ -764,14 +769,6 @@ def test_warm_start_slots(monkeypatch):
     m = mesh.build_mesh(28, 56)
     ops = elliptic.SourceOperators(m, mesh.build_subdomains(m),
                                    spec.diffusion, spec.reaction)
-    iterations, pcg = [], fem.pcg
-
-    def counted(*args, **kwargs):
-        result = pcg(*args, **kwargs)
-        iterations.append(result[2])
-        return result
-
-    monkeypatch.setattr(fem, "pcg", counted)
     loc = ops.locals[0]
     assert loc.system.factor is None
     rng = np.random.default_rng(4)
@@ -780,5 +777,6 @@ def test_warm_start_slots(monkeypatch):
     first = ops.forward_local(0, f, trace)
     ops.forward_local(0, f)
     again = ops.forward_local(0, f, trace)
-    assert iterations[0] > 0 and iterations[1] > 0 and iterations[2] == 0
+    assert (pcg_iterations[0] > 0 and pcg_iterations[1] > 0
+            and pcg_iterations[2] == 0)
     assert np.array_equal(again, first)

@@ -1,8 +1,11 @@
 """Golden bytes of every experiment: the sha256 of table.csv, history.csv
 and profile.csv of the seed-0 `msa` and `asa` CLI runs at each experiment's
-smallest catalog mesh.  A change that moves one byte of any of the 16 runs
-fails here; the digests are listed in golden/outputs.sha256 in the format
-of `sha256sum`, one line per file, named <experiment>-<algorithm>-n<nx>/."""
+smallest catalog mesh, and of three runs at nx=28.  A change that moves one
+byte of any of these runs fails here; the digests are listed in
+golden/outputs.sha256 in the format of `sha256sum`, one line per file,
+named <experiment>-<algorithm>-n<nx>/.  The heat systems' PCG fallback is
+pinned by the table.csv and history.csv of one run, named
+<experiment>-<algorithm>-n<nx>-nt<nt>/."""
 
 import hashlib
 from pathlib import Path
@@ -21,17 +24,36 @@ for line in (Path(__file__).parent / "golden" / "outputs.sha256").read_text(
 RUNS = [(exp, algorithm, min(spec.mesh_sizes))
         for exp, spec in problems.example_catalog().items()
         for algorithm in ("msa", "asa")]
+# At nx=7 the heat boxes' band factor has no cyclic-reduction level; at
+# nx=28 it has several, and the source boxes a multilevel hierarchy.
+RUNS += [("5.3", "msa", 28), ("5.6", "asa", 28), ("5.6", "msa", 28)]
+# Every heat system at nx=84 has more free nodes than fem.FACTOR_SIZE.
+FALLBACK = "5.6-asa-n84-nt2"
+
+
+def _digests(outdir):
+    return {file: hashlib.sha256((outdir / file).read_bytes()).hexdigest()
+            for file in DIGESTS[outdir.name]}
 
 
 def test_every_run_has_digests():
-    assert sorted(DIGESTS) == sorted(f"{e}-{a}-n{n}" for e, a, n in RUNS)
+    assert sorted(DIGESTS) == sorted([f"{e}-{a}-n{n}" for e, a, n in RUNS]
+                                     + [FALLBACK])
 
 
 @pytest.mark.parametrize("exp,algorithm,nx", RUNS)
 def test_output_bytes(tmp_path, exp, algorithm, nx):
+    out = tmp_path / f"{exp}-{algorithm}-n{nx}"
     assert cli.main(["--experiment", exp, "--algorithm", algorithm,
-                     "--nx", str(nx), "--seed", "0",
-                     "--out", str(tmp_path)]) == 0
-    assert {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
-            for file in DIGESTS[f"{exp}-{algorithm}-n{nx}"]} \
-        == DIGESTS[f"{exp}-{algorithm}-n{nx}"]
+                     "--nx", str(nx), "--seed", "0", "--out", str(out)]) == 0
+    assert _digests(out) == DIGESTS[out.name]
+
+
+def test_heat_pcg_fallback_output_bytes(tmp_path, pcg_iterations):
+    # only the heat systems' PCG fallback calls fem.pcg in a heat run
+    out = tmp_path / FALLBACK
+    assert cli.main(["--experiment", "5.6", "--algorithm", "asa", "--nx", "84",
+                     "--nt", "2", "--seed", "0", "--out", str(out)]) == 0
+    assert sum(pcg_iterations) > 0
+    assert (out / "table.csv").read_text().splitlines()[1].split(",")[5] == "4"
+    assert _digests(out) == DIGESTS[FALLBACK]

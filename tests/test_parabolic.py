@@ -193,16 +193,16 @@ def test_unequal_boxes_are_rejected(mesh7):
 
 def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
                                                       decomp7):
-    # with no band budget every system is solved by PCG (`_Iterative`)
-    # instead of the stacked band factor, to the PCG tolerance
+    # with no band budget every system is solved by PCG instead of the
+    # stacked band factor, to the PCG tolerance
     spec = problems.example_catalog()["5.6"]
     grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
     factored = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
     monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
     iterative = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
-    assert isinstance(factored.boxes.factor, fem.BandFactor)
-    assert isinstance(iterative.global_stack.factor, parabolic._Iterative)
-    assert isinstance(iterative.boxes.factor, parabolic._Iterative)
+    assert isinstance(factored.boxes.system.factor, fem.BandFactor)
+    assert iterative.global_stack.system.factor is None
+    assert iterative.boxes.system.factor is None
     rng = np.random.default_rng(8)
     phi = _interior_field(mesh7, 9)
     phis = [phi[loc.nodes] for loc in factored.locals]
@@ -232,7 +232,7 @@ def test_iterative_fallback_keeps_no_non_finite_warm_start(monkeypatch,
     grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
     monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
     ops = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
-    assert isinstance(ops.global_stack.factor, parabolic._Iterative)
+    assert ops.global_stack.system.factor is None
     phi = np.ones(mesh7.n_nodes)
     phi[mesh7.n_nodes // 2] = np.nan
     assert not np.all(np.isfinite(ops.forward_global(phi)))

@@ -55,21 +55,21 @@ def test_synthesize_noise_free(mesh7, decomp7):
     # without noise the data are the clean field
     exact = problems.exact_parameter_field(CAT["5.3"], prob.ops)
     clean = prob.ops.forward_global(exact)
-    assert np.abs(prob.z0 - clean).max() < 1e-12
+    assert np.abs(prob.z - clean).max() < 1e-12
 
 
 def test_synthesize_deterministic_and_bounded():
     a = problems.make_problem(CAT["5.1"], 14, seed=7)
     b = problems.make_problem(CAT["5.1"], 14, seed=7)
-    assert np.array_equal(a.z0, b.z0)
+    assert np.array_equal(a.z, b.z)
     c = problems.make_problem(CAT["5.1"], 14, seed=8)
-    assert not np.array_equal(a.z0, c.z0)
+    assert not np.array_equal(a.z, c.z)
 
     spec = CAT["5.1"]
     prob = problems.make_problem(spec, 14, seed=7, delta=0.0)
     exact = problems.exact_parameter_field(spec, prob.ops)
     u = prob.ops.forward_global(exact)
-    assert np.all(np.abs(a.z0 - u) <= 0.05 * np.abs(u) + 1e-14)
+    assert np.all(np.abs(a.z - u) <= 0.05 * np.abs(u) + 1e-14)
 
 
 def test_noise_statistics_at_fixed_node():
@@ -108,4 +108,4 @@ def test_flux_exact_field_lives_on_measured_side():
 
 def test_parabolic_data_has_all_levels():
     prob = problems.make_problem(CAT["5.6"], 7, seed=0, nt=12)
-    assert prob.z0.shape == (13, prob.ops.mesh.n_nodes)
+    assert prob.z.shape == (13, prob.ops.mesh.n_nodes)
