@@ -1,6 +1,7 @@
 """P1 finite element assembly and sparse linear algebra.
 
-Assembly returns scipy CSR matrices; variable coefficients are sampled at
+Assembly returns `CSR` matrices, a small numpy class with the product and
+the diagonal the solvers need; variable coefficients are sampled at
 element centroids (one-point quadrature, second order for P1).  Linear
 systems eliminate their Dirichlet conditions symmetrically, so every
 assembled operator stays symmetric positive definite.  One class,
@@ -17,10 +18,13 @@ each level by a Lanczos estimate of that level's largest eigenvalue, and
 whose coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted
 densely once.  A system of at most COARSEST_SIZE unknowns is its own
 coarsest level, so PCG solves it in one iteration; on larger ones the
-V-cycle keeps the count nearly independent of the mesh size.  Each level
-keeps its matrix in diagonal (DIA) storage when that takes no more memory
-than CSR, as the 7-diagonal grid operators do, so the K_ff that PCG
-multiplies by may be a DIA matrix.  Neither path imports scipy.linalg or
+V-cycle keeps the count nearly independent of the mesh size.  Only the
+hierarchy's levels use scipy.sparse, for their sparse-sparse products and
+diagonal (DIA) storage, and import it when the first level is built: a
+heat run or a small system never loads scipy.  Each level keeps its matrix
+in DIA storage when that takes no more memory than CSR, as the
+7-diagonal grid operators do, so the K_ff that PCG multiplies by may be a
+scipy DIA or CSR matrix.  No path imports scipy.linalg or
 scipy.sparse.linalg, whose import alone adds several MB of resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
@@ -33,10 +37,10 @@ products of P1 traces exactly.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 # A stack that asks for a direct solve is factored when its systems have
 # fewer free nodes than this (and fit the band budget below); every other
@@ -76,6 +80,42 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+class CSR:
+    """A sparse matrix in compressed sparse row form: row i holds the values
+    data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], sorted and without duplicates."""
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+        self.nnz = data.size
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x.  Each row is summed from zero in entry order,
+        as scipy's CSR product does, so the two agree to the bit."""
+        return np.bincount(self.rows, self.data * x[self.indices],
+                           self.shape[0])
+
+    def diagonal(self) -> np.ndarray:
+        """The stored diagonal entries, zero where none is stored."""
+        on = self.indices == self.rows
+        out = np.zeros(min(self.shape))
+        out[self.indices[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The matrix as a dense array."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+
 def _coefficient_values(coef, cx, cy):
     if callable(coef):
         vals = np.asarray(coef(cx, cy), dtype=float)
@@ -101,8 +141,7 @@ def assemble(mesh, diffusion, reaction):
     """
     p = mesh.nodes[mesh.elements]  # (m, 3, 2)
     x, y = p[..., 0], p[..., 1]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    area = mesh.element_areas()
     if np.any(area <= 0):
         raise ValueError("mesh contains non-positively oriented elements")
 
@@ -135,11 +174,39 @@ def assemble(mesh, diffusion, reaction):
     kloc += work
     del work
 
-    elems = mesh.elements.astype(np.int32)
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _assembled(mesh.elements, kloc, mesh.n_nodes)
+
+
+def _assembled(cells, local, n):
+    """The n x n CSR matrix summing each local matrix local[e] into the rows
+    and columns cells[e].  Each entry sums its terms from zero in element
+    order (`np.bincount`), whatever order the sort leaves equal keys in, so
+    a sum of symmetric local matrices is symmetric to the bit."""
+    # row n + column keys, in int32 when they fit.  The permutation and
+    # entry numbers are int32, and each array is let go once used: at
+    # nx=112, where an array of the terms takes 3.6 MB in float64, this
+    # peaks at 8 MB.  Sorting the values themselves with a stable sort
+    # peaked at 11 MB, with the sort's buffer, and lifted the median peak
+    # resident memory of a 5.3 run at nx=112 by 4.5%.
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    cells = cells.astype(dtype, copy=False)
+    keys = (cells[:, :, None] * n + cells[:, None, :]).reshape(-1)
+    order = np.argsort(keys).astype(np.int32)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    entry = np.cumsum(first, dtype=np.int32)
+    entry -= 1
+    position = np.empty_like(entry)  # the entry of each term
+    position[order] = entry
+    del order, entry
+    keys = keys[first]
+    del first
+    data = np.bincount(position, local.reshape(-1), keys.size)
+    del position
+    rows = keys // n
+    return _csr(rows, keys - rows * n, data, (n, n))
 
 
 def lumped_mass(mesh, elements=None) -> np.ndarray:
@@ -151,23 +218,16 @@ def lumped_mass(mesh, elements=None) -> np.ndarray:
 
 
 def crank_nicolson(K, lumped, dt):
-    """The Crank-Nicolson pair S = M + dt/2 K and Stilde = M - dt/2 K of an
-    operator K in canonical CSR form with one stored diagonal entry per row,
+    """The Crank-Nicolson matrix S = M + dt/2 K of an operator K in
+    canonical CSR form with one stored diagonal entry per row,
     M = diag(lumped).  Entries that come out as zero are not stored."""
-    half = K.data * (0.5 * dt)
-    on_diagonal = K.indices == np.repeat(
-        np.arange(K.shape[0], dtype=K.indices.dtype), np.diff(K.indptr))
-    pair = []
-    for data in (half.copy(), -half):
-        data[on_diagonal] += lumped
-        matrix = sp.csr_matrix((data, K.indices.copy(), K.indptr.copy()),
-                               shape=K.shape)
-        matrix.eliminate_zeros()
-        pair.append(matrix)
-    return pair
+    data = K.data * (0.5 * dt)
+    data[K.indices == K.rows] += lumped
+    keep = data != 0
+    return _csr(K.rows[keep], K.indices[keep], data[keep], K.shape)
 
 
-def assemble_boundary_mass(mesh, edges) -> sp.csr_matrix:
+def assemble_boundary_mass(mesh, edges) -> CSR:
     """Consistent 1D P1 mass matrix over a list of boundary edges.
 
     Each edge of length L contributes L/6 * [[2, 1], [1, 2]] to its two
@@ -180,11 +240,8 @@ def assemble_boundary_mass(mesh, edges) -> sp.csr_matrix:
     p1 = mesh.nodes[edges[:, 1]]
     length = np.linalg.norm(p1 - p0, axis=1)
     loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    vals = length[:, None, None] * loc[None, :, :]
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _assembled(edges, length[:, None, None] * loc[None, :, :],
+                      mesh.n_nodes)
 
 
 def inner_product(u, v, mass) -> float:
@@ -343,12 +400,15 @@ def _aggregates(coords):
     return agg
 
 
-def _diagonal_form(A: sp.csr_matrix):
-    """Square A, without duplicate entries, in DIA storage when that takes
-    no more memory than CSR, 8 (diagonals) n <= 12 nnz + 4 (n + 1) bytes;
-    else A itself.  DIA sums each row in ascending offset order, as CSR
-    does over sorted columns, and its padding adds exact zeros, so the
-    products of the two are equal to the bit."""
+def _diagonal_form(A):
+    """Square scipy CSR matrix A, without duplicate entries, in DIA storage
+    when that takes no more memory than CSR,
+    8 (diagonals) n <= 12 nnz + 4 (n + 1) bytes; else A itself.  DIA sums
+    each row in ascending offset order, as CSR does over sorted columns,
+    and its padding adds exact zeros, so the products of the two are equal
+    to the bit."""
+    import scipy.sparse as sp
+
     n = A.shape[0]
     # col - row + n - 1, in intp, which numpy indexes by without a copy
     offset = np.repeat(np.arange(n - 1, -1, -1), np.diff(A.indptr))
@@ -375,21 +435,27 @@ class Multilevel:
     P = T - 4 / (3 lam) D^-1 A T, the next level's matrix is P' A P and its
     unknowns sit at the aggregate centroids.  Coarsening stops at
     COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely; a
-    matrix that small has no levels, and one cycle solves it.  The
-    products A T and P' A P are taken in CSR.  Each level keeps A, in DIA
-    storage when that takes no more memory (`_diagonal_form`), P, its
-    transpose P' as a CSR matrix and the smoothing weights w / diag(A) with
-    w = 8 / (5 lam), the weight of the best damped-Jacobi smoothing factor
-    on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg, Oosterlee and
-    Schueller, Multigrid, 2001).  The cycle is positive definite while
-    w lam_max < 2, which leaves the estimate a fifth of slack.  `apply` is
-    one symmetric V(1,1) cycle with these damped-Jacobi steps.  Raises
+    matrix that small has no levels, and one cycle solves it.  A, a `CSR`
+    or scipy matrix, becomes a scipy CSR matrix when it has a level, and
+    the products A T and P' A P are taken in scipy's CSR.  Each level keeps
+    A, in DIA storage when that takes no more memory (`_diagonal_form`),
+    P, its transpose P' as a CSR matrix and the smoothing weights
+    w / diag(A) with w = 8 / (5 lam), the weight of the best damped-Jacobi
+    smoothing factor on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg,
+    Oosterlee and Schueller, Multigrid, 2001).  The cycle is positive
+    definite while w lam_max < 2, which leaves the estimate a fifth of
+    slack.  `apply` is one symmetric V(1,1) cycle with these damped-Jacobi
+    steps.  Raises
     ValueError when a level's matrix is not positive definite (checked on
     the diagonals and by a Cholesky factorization of the coarsest matrix).
     """
 
-    def __init__(self, A: sp.csr_matrix, coords: np.ndarray):
+    def __init__(self, A, coords: np.ndarray):
         self.levels = []
+        if A.shape[0] > COARSEST_SIZE:
+            import scipy.sparse as sp
+
+            A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         while True:
             diag = A.diagonal()
             if not np.all(diag > 0):
@@ -584,7 +650,7 @@ def _csr(rows, cols, vals, shape):
     """CSR matrix of entries listed row by row, columns sorted in each row."""
     indptr = np.zeros(shape[0] + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+    return CSR(vals, cols, indptr, shape)
 
 
 def restrict(K, nodes):
@@ -609,16 +675,17 @@ def block_diagonal(blocks, width):
     for block in blocks:
         indptr.append(block.indptr[1:] + nnz)
         nnz += block.indptr[-1]
-    return sp.csr_matrix(
-        (np.concatenate([block.data for block in blocks]),
-         np.concatenate([block.indices + k * width
-                         for k, block in enumerate(blocks)]),
-         np.concatenate(indptr)),
-        shape=(sum(block.shape[0] for block in blocks), len(blocks) * width))
+    return CSR(np.concatenate([block.data for block in blocks]),
+               np.concatenate([block.indices + k * width
+                               for k, block in enumerate(blocks)]),
+               np.concatenate(indptr),
+               (sum(block.shape[0] for block in blocks), len(blocks) * width))
 
 
-def eliminate(K: sp.csr_matrix, fixed):
-    """Split K by a fixed Dirichlet node set, in one pass over its entries.
+def eliminate(K, fixed):
+    """Split a CSR matrix K (a `CSR` or scipy matrix), columns sorted in
+    each row and without duplicates, by a fixed Dirichlet node set, in one
+    pass over its entries.
 
     Returns (free, fixed, entries, K_fd): the sorted free and fixed nodes,
     the entries (rows, cols, vals) of the free-free block K_ff listed row by
@@ -626,6 +693,7 @@ def eliminate(K: sp.csr_matrix, fixed):
     the free and the fixed nodes in the order of K's rows and columns.
     Raises ValueError when a free diagonal entry is not positive.
     """
+    K = CSR(K.data, K.indices, K.indptr, K.shape)
     n = K.shape[0]
     fixed = np.unique(np.asarray(fixed, dtype=np.int64))
     is_free = np.ones(n, dtype=bool)
@@ -633,15 +701,11 @@ def eliminate(K: sp.csr_matrix, fixed):
     free = np.flatnonzero(is_free)
     if np.any(K.diagonal()[free] <= 0):
         raise ValueError("operator is not positive definite on free nodes")
-    if not K.has_canonical_format:
-        K = K.copy()
-        K.sum_duplicates()
     position = np.empty(n, dtype=K.indices.dtype)
     position[free] = np.arange(free.size)
     position[fixed] = np.arange(fixed.size)
-    row_of = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
-    keep = is_free[row_of]
-    rows, cols, vals = position[row_of[keep]], K.indices[keep], K.data[keep]
+    keep = is_free[K.rows]
+    rows, cols, vals = position[K.rows[keep]], K.indices[keep], K.data[keep]
     to_free = is_free[cols]
     cols = position[cols]
     to_fixed = ~to_free
@@ -658,18 +722,20 @@ class DirichletSystem:
 
     Fields are flattened, member k's at [k n, (k + 1) n): `free` and `fixed`
     are the flattened free and fixed nodes, and `K_fd` the block-diagonal
-    free-fixed coupling, split off once (`eliminate`).  With direct=True, a
+    free-fixed coupling of the members' `couplings`, split off once
+    (`eliminate`).  With direct=True, a
     stack whose members have fewer than FACTOR_SIZE free nodes and at most
     MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free blocks
     once, as one `BandFactor`, and solves directly.  Every other stack
     solves each member by PCG, preconditioned by the `Multilevel` hierarchy
     of its free-free block, binned by the coordinates of its free nodes;
     K_ff[k] is that block as the hierarchy keeps it on its first level, the
-    same object, so it may be in DIA storage (CSR when the hierarchy has no
-    level).  PCG starts from the member's last solution of the same kind,
-    with homogeneous or with given fixed values (`last[k]`, one slot each),
-    so repeated solves of one kind, such as the local solves of successive
-    Schwarz sweeps or the steps of a march, start close to their answer.
+    same object, so it may be a scipy matrix in DIA storage (a `CSR` when
+    the hierarchy has no level).  PCG starts from the member's last
+    solution of the same kind, with homogeneous or with given fixed values
+    (`last[k]`, one slot each), so repeated solves of one kind, such as the
+    local solves of successive Schwarz sweeps or the steps of a march,
+    start close to their answer.
     """
 
     def __init__(self, systems, *, direct: bool = False):
@@ -685,7 +751,9 @@ class DirichletSystem:
                                     for k, f in enumerate(frees)])
         self.fixed = np.concatenate([k * self.n + f
                                      for k, f in enumerate(fixeds)])
-        self.K_fd = block_diagonal(couplings, n_fixed)
+        self.couplings = couplings
+        self.K_fd = (couplings[0] if self.B == 1
+                     else block_diagonal(couplings, n_fixed))
         bandwidth = max(int(np.abs(rows - cols).max(initial=0))
                         for rows, cols, _ in blocks)
         self.factor = self.K_ff = self.multilevel = None
@@ -709,10 +777,10 @@ class DirichletSystem:
         view.B = 1
         n_free = self.free.size // self.B
         n_fixed = self.n - n_free
-        rows = slice(k * n_free, (k + 1) * n_free)
-        view.free = self.free[rows] - k * self.n
+        view.free = self.free[k * n_free:(k + 1) * n_free] - k * self.n
         view.fixed = self.fixed[k * n_fixed:(k + 1) * n_fixed] - k * self.n
-        view.K_fd = self.K_fd[rows, k * n_fixed:(k + 1) * n_fixed]
+        view.couplings = self.couplings[k:k + 1]
+        view.K_fd = self.couplings[k]
         if self.factor is not None:
             view.factor = self.factor.box(k)
         else:

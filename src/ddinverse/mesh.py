@@ -10,6 +10,7 @@ reproducible across refinements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,12 +134,16 @@ class TriMesh:
         nodes = nodes[order]
         return np.column_stack([nodes[:-1], nodes[1:]])
 
-    def element_areas(self, elements=None) -> np.ndarray:
-        """Areas of all elements, or of those an int or bool array selects."""
-        p = self.nodes[self.elements if elements is None
-                       else self.elements[elements]]
+    @functools.cached_property
+    def _areas(self) -> np.ndarray:
+        p = self.nodes[self.elements]
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+    def element_areas(self, elements=None) -> np.ndarray:
+        """Areas of all elements, or of those an int or bool array selects;
+        computed once per mesh (signed: negative for a clockwise element)."""
+        return self._areas if elements is None else self._areas[elements]
 
 
 def build_mesh(nx: int, ny: int) -> TriMesh:

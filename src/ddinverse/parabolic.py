@@ -1,7 +1,9 @@
 """Crank-Nicolson heat-equation solvers, global and subdomain-local.
 
 The spatial semidiscretization uses the P1 stiffness matrix and the lumped
-mass, so one time step applies (M + dt/2 K)^-1 (M - dt/2 K).  With the same
+mass, so one time step applies (M + dt/2 K)^-1 (M - dt/2 K).  With
+S = M + dt/2 K that is S^-1 (2 M - S) = 2 S^-1 M - I, so a step solves
+with S alone and needs no second matrix.  With the same
 lumped mass used for inner products the step operator is self-adjoint on the
 zero-Dirichlet space, which gives the discrete duality between forward and
 backward evolutions exactly (up to solver tolerance) at every grid time.
@@ -70,38 +72,45 @@ class TimeGrid:
 class _Stack:
     """Crank-Nicolson steps of B systems of equal size solved together.
 
-    System k is given by (S_k, Stilde_k, fixed_k, coords_k): the step
-    matrices on its nodes, its fixed Dirichlet set and its node
-    coordinates.  The states of all systems are one flattened array,
-    system k's at [k * size, (k + 1) * size).  `system` is the
-    `fem.DirichletSystem` of the S_k, factored when small enough and solved
-    by PCG with relative residual `tol` otherwise, and `explicit` applies
-    the block-diagonal Stilde to the flattened states.
+    System k is given by (S_k, lumped_k, fixed_k, coords_k): its step
+    matrix S_k = M_k + dt/2 K_k, the diagonal of M_k, its fixed Dirichlet
+    set and its node coordinates.  The states of all systems are one
+    flattened array, system k's at [k * size, (k + 1) * size).  `system` is
+    the `fem.DirichletSystem` of the S_k, factored when small enough and
+    solved by PCG with relative residual `tol` otherwise, and `mass` is
+    2 M_k of every system, flattened.
     """
 
     def __init__(self, systems, tol):
         self.system = fem.DirichletSystem(
             [(S, fixed, coords) for S, _, fixed, coords in systems],
             direct=True)
-        self.explicit = fem.block_diagonal(
-            [Stilde for _, Stilde, _, _ in systems], self.system.n)
+        self.mass = 2.0 * np.concatenate([lumped
+                                          for _, lumped, _, _ in systems])
         self.tol = tol
 
     def box(self, k: int) -> "_Stack":
-        """System k alone: its rows of this stack, solved with its view of
+        """System k alone: its part of this stack, solved with its view of
         the same system."""
         view = copy.copy(self)
         view.system = self.system.box(k)
-        part = slice(k * self.system.n, (k + 1) * self.system.n)
-        view.explicit = self.explicit[part, part]
+        view.mass = self.mass[k * self.system.n:(k + 1) * self.system.n]
         return view
 
     def step(self, state: np.ndarray, fixed_values=None) -> np.ndarray:
-        """One step of every system from the flattened states `state`:
-        S^-1 (Stilde state), with `fixed_values` (all systems, concatenated;
-        None for zero) on the fixed nodes."""
-        return self.system.solve(self.explicit @ state, fixed_values,
-                                 tol=self.tol)
+        """One step of every system from the flattened states `state`, which
+        hold the previous fixed values on the fixed nodes:
+        S^-1 ((2 M - S) state), with `fixed_values` (all systems,
+        concatenated; None for zero) on the fixed nodes.  Taken as
+        y = S^-1 (2 M state), with the sum of both levels' fixed values on
+        the fixed nodes, and y - state."""
+        fixed = self.system.fixed
+        both = None if fixed_values is None else state[fixed] + fixed_values
+        x = self.system.solve(self.mass * state, both, tol=self.tol)
+        x -= state
+        if fixed_values is not None:
+            x[fixed] = fixed_values
+        return x
 
 
 class HeatOperators:
@@ -130,13 +139,14 @@ class HeatOperators:
 
         K = fem.assemble(mesh, diffusion, 0.0)
         self.lumped = fem.lumped_mass(mesh)
-        S, Stilde = fem.crank_nicolson(K, self.lumped, grid.dt)
+        S = fem.crank_nicolson(K, self.lumped, grid.dt)
         self.global_stack = _Stack(
-            [(S, Stilde, np.flatnonzero(mesh.boundary_mask), mesh.nodes)], tol)
+            [(S, self.lumped, np.flatnonzero(mesh.boundary_mask),
+              mesh.nodes)], tol)
         self.locals = [fem.BoxSystem(mesh, decomp, i)
                        for i in range(decomp.n_subdomains)]
         self.boxes = _Stack([(fem.restrict(S, loc.nodes),
-                              fem.restrict(Stilde, loc.nodes), loc.fixed,
+                              self.lumped[loc.nodes], loc.fixed,
                               mesh.nodes[loc.nodes]) for loc in self.locals],
                             tol)
         self._box_views = {}

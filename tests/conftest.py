@@ -1,8 +1,17 @@
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ddinverse import fem, mesh
+from ddinverse import cli, fem, mesh, problems
+
+# The seed-0 `msa` and `asa` CLI runs at each experiment's smallest catalog
+# mesh, as (experiment, algorithm, nx).
+CATALOG_RUNS = [(exp, algorithm, min(spec.mesh_sizes))
+                for exp, spec in problems.example_catalog().items()
+                for algorithm in ("msa", "asa")]
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +32,36 @@ def mesh14():
 @pytest.fixture(scope="session")
 def decomp14(mesh14):
     return mesh.build_subdomains(mesh14)
+
+
+@pytest.fixture(scope="session")
+def catalog_runs(tmp_path_factory):
+    """The CATALOG_RUNS and --dump-mesh at nx=7, made once under
+    `sys.setprofile`, for the golden-bytes and the reach checks: `outputs`
+    maps each run's name, <experiment>-<algorithm>-n<nx>, to its output
+    directory, and `entered` holds the (file, first line) of every code
+    object the runs enter."""
+    root = tmp_path_factory.mktemp("catalog")
+    outputs = {f"{exp}-{algorithm}-n{nx}": root / f"{exp}-{algorithm}-n{nx}"
+               for exp, algorithm, nx in CATALOG_RUNS}
+    runs = [["--experiment", exp, "--algorithm", algorithm, "--nx", str(nx),
+             "--seed", "0", "--out", str(outputs[f"{exp}-{algorithm}-n{nx}"])]
+            for exp, algorithm, nx in CATALOG_RUNS]
+    runs.append(["--nx", "7", "--dump-mesh", str(root / "mesh.txt")])
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs)
+    return SimpleNamespace(outputs=outputs, entered=entered)
 
 
 @pytest.fixture
@@ -63,3 +102,9 @@ def consistent_mass(m):
     cols = np.tile(m.elements, (1, 3)).ravel()
     shape = (m.n_nodes, m.n_nodes)
     return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def scipy_csr(A):
+    """A `fem.CSR` (or scipy) matrix as a scipy CSR matrix with the same
+    arrays, for the scipy operations the tests compare with."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)

@@ -197,6 +197,34 @@ def test_profile_matches_flux_side(tmp_path):
     assert all(line.split(",")[0] == "1" for line in lines[1:])
 
 
+def _last_line_of_fresh_run(script):
+    """Run `script` in a fresh interpreter that imports ddinverse from this
+    checkout, and return the last line it prints."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().split("\n")[-1]
+
+
+def test_heat_runs_and_dump_mesh_load_no_scipy(tmp_path):
+    # Importing scipy.sparse adds about 22 MB of resident memory and 0.3 s
+    # to a run.  Heat systems are factored in numpy and every fem matrix is
+    # a numpy CSR; only a multilevel hierarchy with a level loads scipy.
+    out = str(tmp_path)
+    script = f"""
+import sys
+from ddinverse import cli
+for algorithm in ("asa", "msa"):
+    assert cli.main(["--experiment", "5.6", "--algorithm", algorithm,
+                     "--nx", "7", "--out", {out!r} + "/" + algorithm]) == 0
+assert cli.main(["--nx", "7", "--dump-mesh", {out!r} + "/mesh.txt"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _last_line_of_fresh_run(script) == "[]"
+
+
 def test_runs_leave_scipy_solver_modules_unimported(tmp_path):
     # Importing scipy.linalg adds about 6.8 MB and scipy.sparse.linalg about
     # 10.3 MB of resident memory to a run, more than the 5% (2.9 MB) by which
@@ -219,12 +247,7 @@ system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))
 """
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().split("\n")[-1] == "[]"
+    assert _last_line_of_fresh_run(script) == "[]"
 
 
 @pytest.mark.parametrize("args", [

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import consistent_mass, jacobi
+from conftest import consistent_mass, jacobi, scipy_csr
 from ddinverse import elliptic, fem, mesh, parabolic, problems
 
 
@@ -26,8 +26,37 @@ def test_mass_integrates_one_on_single_cell():
 
 
 def test_bitwise_symmetry(mesh7):
-    K = fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0)
+    K = scipy_csr(fem.assemble(mesh7, lambda x, y: (x + y) / 100, 1.0))
     assert np.abs(K - K.T).max() == 0.0
+
+
+@st.composite
+def sparse_products(draw):
+    """A random matrix of up to 30 x 30 in canonical CSR form (columns
+    sorted in each row, no duplicates, rows may be empty), with values
+    spread over 16 orders of magnitude so that the summation order shows,
+    and a vector to multiply."""
+    n_rows, n_cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < density)
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-8, 8,
+                                                                 rows.size)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows,
+                                                        minlength=n_rows))])
+    return (vals, cols.astype(np.int32), indptr.astype(np.int32),
+            (n_rows, n_cols), rng.standard_normal(n_cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products())
+@example((np.array([1.0, 1e-16, -1.0]), np.array([0, 1, 2], dtype=np.int32),
+          np.array([0, 0, 3, 3], dtype=np.int32), (3, 3), np.ones(3)))
+def test_csr_product_equals_scipys_to_the_bit(case):
+    data, indices, indptr, shape, x = case
+    ours = fem.CSR(data, indices, indptr, shape) @ x
+    theirs = sp.csr_matrix((data, indices, indptr), shape=shape) @ x
+    assert ours.tobytes() == theirs.tobytes()
 
 
 def test_rejects_nonpositive_diffusion(mesh7):
@@ -450,6 +479,7 @@ def _assert_storage_by_the_memory_rule(system, A, seed=0):
     the same entries, and then multiplies to the bit as the CSR matrix with
     sorted columns.  The finest level's matrix is the system's K_ff."""
     rng = np.random.default_rng(seed)
+    A = scipy_csr(A)
     levels = system.multilevel[0].levels
     assert not levels or system.K_ff[0] is levels[0][0]
     for stored, P, PT, _ in levels:
@@ -507,7 +537,8 @@ def test_diagonal_storage_multiplies_to_the_bit(case):
     coords = m.nodes
     if shuffled:
         order = rng.permutation(m.n_nodes)
-        K, coords = K[order][:, order].sorted_indices(), coords[order]
+        K = scipy_csr(K)[order][:, order].sorted_indices()
+        coords = coords[order]
         fixed = np.argsort(order)[fixed]
     system = fem.DirichletSystem([(K, fixed, coords)])
     _assert_storage_by_the_memory_rule(system,
@@ -535,7 +566,9 @@ def test_pcg_checks_the_true_residual_at_exit():
     # 1e-10 while ||b - K x|| / ||b|| is about 2e-8, beyond
     # TRUE_RESIDUAL_FACTOR times the target
     m = mesh.build_mesh(4200, 1)
-    K = fem.assemble(m, 1.0, 1.0)
+    # scipy's product gives the same bits as fem.CSR's in a third of the
+    # time, and Jacobi takes thousands of iterations here
+    K = scipy_csr(fem.assemble(m, 1.0, 1.0))
     b = np.cos(3.0 * m.nodes[:, 0])
     with pytest.raises(fem.SolverError, match="true relative residual") as err:
         fem.pcg(K, b, jacobi(K))
@@ -696,12 +729,12 @@ def factored_cases():
     source = elliptic.SourceOperators(m14, d14, lambda x, y: (x + y) / 100,
                                       1.0)
     flux = elliptic.FluxOperators(m14, d14, 1.0, 1.0)
-    K_source = fem.assemble(m14, lambda x, y: (x + y) / 100, 1.0)
-    K_flux = fem.assemble(m14, 1.0, 1.0)
+    K_source = scipy_csr(fem.assemble(m14, lambda x, y: (x + y) / 100, 1.0))
+    K_flux = scipy_csr(fem.assemble(m14, 1.0, 1.0))
     m7 = mesh.build_mesh(7, 14)
     grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
-    S, _ = fem.crank_nicolson(fem.assemble(m7, 1.0, 0.0), fem.lumped_mass(m7),
-                              grid.dt)
+    S = scipy_csr(fem.crank_nicolson(fem.assemble(m7, 1.0, 0.0),
+                                     fem.lumped_mass(m7), grid.dt))
     # the elliptic systems, factored: the operators' own fixed sets
     box_s, box_f = source.locals[0], flux.locals[1]
     K_box_s = K_source[np.ix_(box_s.nodes, box_s.nodes)]

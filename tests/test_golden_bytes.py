@@ -1,6 +1,7 @@
 """Golden bytes of every experiment: the sha256 of table.csv, history.csv
 and profile.csv of the seed-0 `msa` and `asa` CLI runs at each experiment's
-smallest catalog mesh, and of three runs at nx=28.  A change that moves one
+smallest catalog mesh (made once, in conftest's `catalog_runs`, which the
+reach check shares), and of three runs at nx=28.  A change that moves one
 byte of any of these runs fails here; the digests are listed in
 golden/outputs.sha256 in the format of `sha256sum`, one line per file,
 named <experiment>-<algorithm>-n<nx>/.  The heat systems' PCG fallback is
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from ddinverse import cli, problems
+from conftest import CATALOG_RUNS
+from ddinverse import cli
 
 DIGESTS = {}
 for line in (Path(__file__).parent / "golden" / "outputs.sha256").read_text(
@@ -21,12 +23,10 @@ for line in (Path(__file__).parent / "golden" / "outputs.sha256").read_text(
     run, file = name.split("/")
     DIGESTS.setdefault(run, {})[file] = digest
 
-RUNS = [(exp, algorithm, min(spec.mesh_sizes))
-        for exp, spec in problems.example_catalog().items()
-        for algorithm in ("msa", "asa")]
 # At nx=7 the heat boxes' band factor has no cyclic-reduction level; at
 # nx=28 it has several, and the source boxes a multilevel hierarchy.
-RUNS += [("5.3", "msa", 28), ("5.6", "asa", 28), ("5.6", "msa", 28)]
+RUNS = CATALOG_RUNS + [("5.3", "msa", 28), ("5.6", "asa", 28),
+                      ("5.6", "msa", 28)]
 # Every heat system at nx=84 has more free nodes than fem.FACTOR_SIZE.
 FALLBACK = "5.6-asa-n84-nt2"
 
@@ -42,11 +42,15 @@ def test_every_run_has_digests():
 
 
 @pytest.mark.parametrize("exp,algorithm,nx", RUNS)
-def test_output_bytes(tmp_path, exp, algorithm, nx):
-    out = tmp_path / f"{exp}-{algorithm}-n{nx}"
-    assert cli.main(["--experiment", exp, "--algorithm", algorithm,
-                     "--nx", str(nx), "--seed", "0", "--out", str(out)]) == 0
-    assert _digests(out) == DIGESTS[out.name]
+def test_output_bytes(tmp_path, catalog_runs, exp, algorithm, nx):
+    name = f"{exp}-{algorithm}-n{nx}"
+    out = catalog_runs.outputs.get(name)
+    if out is None:
+        out = tmp_path / name
+        assert cli.main(["--experiment", exp, "--algorithm", algorithm,
+                         "--nx", str(nx), "--seed", "0", "--out",
+                         str(out)]) == 0
+    assert _digests(out) == DIGESTS[name]
 
 
 def test_heat_pcg_fallback_output_bytes(tmp_path, pcg_iterations):

@@ -7,10 +7,9 @@ entry that becomes reached has to leave the list."""
 
 import ast
 import math
-import sys
 from pathlib import Path
 
-from ddinverse import cli, problems
+from ddinverse import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddinverse"
 
@@ -214,38 +213,20 @@ def _functions(src=SRC) -> dict:
     return out
 
 
-def unentered_functions(tmp_path) -> list:
-    """The functions of the ddinverse package that none of the seed-0
-    `msa` and `asa` CLI runs at each experiment's smallest catalog mesh,
-    nor --dump-mesh, enters, as traced by `sys.setprofile`.  Unlike the static
-    check this tells apart methods of one name in different classes."""
+def unentered_functions(entered) -> list:
+    """The functions of the ddinverse package whose code objects are not in
+    `entered`, the (file, first line) of those the catalog runs enter, as
+    traced by `sys.setprofile` (conftest's `catalog_runs`).  Unlike the
+    static check this tells apart methods of one name in different
+    classes."""
     functions = _functions(Path(cli.__file__).resolve().parent)
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno))
-
-    runs = [["--experiment", exp, "--algorithm", algorithm,
-             "--nx", str(min(spec.mesh_sizes)), "--seed", "0",
-             "--out", str(tmp_path / f"{exp}-{algorithm}")]
-            for exp, spec in problems.example_catalog().items()
-            for algorithm in ("msa", "asa")]
-    runs.append(["--nx", "7", "--dump-mesh", str(tmp_path / "mesh.txt")])
-    sys.setprofile(profile)
-    try:
-        codes = [cli.main(argv) for argv in runs]
-    finally:
-        sys.setprofile(None)
-    assert codes == [0] * len(runs)
     files = {file: str(Path(file).resolve()) for file, _ in entered}
     entered = {(files[file], line) for file, line in entered}
     return sorted(name for key, name in functions.items()
                   if key not in entered)
 
 
-def test_every_function_is_entered_by_a_catalog_run(tmp_path):
-    unentered = unentered_functions(tmp_path)
+def test_every_function_is_entered_by_a_catalog_run(catalog_runs):
+    unentered = unentered_functions(catalog_runs.entered)
     assert [name for name in unentered if name not in ALLOWED_UNENTERED] == []
     assert [name for name in ALLOWED_UNENTERED if name not in unentered] == []
