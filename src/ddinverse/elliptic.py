@@ -29,20 +29,27 @@ import numpy as np
 from . import fem
 
 
-def _box_boundary_mass(mesh, edges, inside, nodes):
+def _box_boundary_mass(mesh, edges, nodes):
     """Boundary mass of the edges lying in a box, restricted to the box
     nodes; None when no edge lies in the box."""
-    edges = edges[np.all(inside[edges], axis=1)]
+    edges = edges[np.all(np.isin(edges, nodes), axis=1)]
     if not edges.size:
         return None
     return fem.restrict(fem.assemble_boundary_mass(mesh, edges), nodes)
 
 
 class _Operators:
-    """Shared plumbing: every solve is counted in `solve_count`."""
+    """Shared plumbing: the boxes `locals` in one Dirichlet mode, the
+    `fem.DirichletSystem` of K on each in `box_systems`, built after the
+    global system (built before it, they raise the setup's peak memory),
+    and `solve_count`, which counts every solve."""
 
-    def __init__(self, mesh, decomp, tol):
+    def __init__(self, mesh, decomp, K, dirichlet, tol):
         self.mesh, self.decomp, self.tol = mesh, decomp, tol
+        self.locals = [fem.BoxSystem(mesh, decomp, i, dirichlet)
+                       for i in range(decomp.n_subdomains)]
+        self.box_systems = [fem.DirichletSystem([loc.member(K, mesh.nodes)])
+                            for loc in self.locals]
         self.solve_count = 0
 
     def _solve(self, system, rhs, fixed_values=None):
@@ -60,16 +67,12 @@ class SourceOperators(_Operators):
     """
 
     def __init__(self, mesh, decomp, diffusion, reaction, tol=1e-10):
-        super().__init__(mesh, decomp, tol)
         K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
         self.global_system = fem.DirichletSystem(
             [(K, self.boundary_nodes, mesh.nodes)])
-        self.locals = [
-            fem.BoxSystem(mesh, decomp, i, K, "box-boundary")
-            for i in range(decomp.n_subdomains)
-        ]
+        super().__init__(mesh, decomp, K, "box-boundary", tol)
 
     def forward_global(self, f: np.ndarray) -> np.ndarray:
         """Solve with source f and zero boundary values; linear in f."""
@@ -80,7 +83,7 @@ class SourceOperators(_Operators):
         boundary part, Dirichlet `trace` on the inner boundary (zero when
         None).  Box fields are numbered by the box nodes `locals[i].nodes`."""
         loc = self.locals[i]
-        return self._solve(loc.system, loc.lumped * f,
+        return self._solve(self.box_systems[i], loc.lumped * f,
                            loc.fixed_values(trace))
 
 
@@ -96,7 +99,6 @@ class FluxOperators(_Operators):
     """
 
     def __init__(self, mesh, decomp, diffusion, reaction, tol=1e-10):
-        super().__init__(mesh, decomp, tol)
         K = fem.assemble(mesh, diffusion, reaction)
         # Without Dirichlet data, K annihilates the constants exactly when
         # the reaction term vanishes: the stiffness rows sum to zero.
@@ -109,22 +111,16 @@ class FluxOperators(_Operators):
         gamma0_edges = np.vstack([mesh.side_edges(s)
                                   for s in ("left", "bottom", "top")])
         self.gamma1_nodes = mesh.side_nodes("right")
-        self.gamma0_nodes = np.unique(gamma0_edges.ravel())
         self.bmass1 = fem.assemble_boundary_mass(mesh, gamma1_edges)
         self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
 
         self.global_system = fem.DirichletSystem(
             [(K, np.array([], dtype=np.int64), mesh.nodes)])
-        self.locals = []
-        self.bmass1_loc = []
-        self.bmass0_loc = []
-        for i in range(decomp.n_subdomains):
-            loc = fem.BoxSystem(mesh, decomp, i, K, "interface-closure")
-            self.locals.append(loc)
-            self.bmass1_loc.append(_box_boundary_mass(
-                mesh, gamma1_edges, decomp.masks[i], loc.nodes))
-            self.bmass0_loc.append(_box_boundary_mass(
-                mesh, gamma0_edges, decomp.masks[i], loc.nodes))
+        super().__init__(mesh, decomp, K, "interface-closure", tol)
+        self.bmass1_loc = [_box_boundary_mass(mesh, gamma1_edges, loc.nodes)
+                           for loc in self.locals]
+        self.bmass0_loc = [_box_boundary_mass(mesh, gamma0_edges, loc.nodes)
+                           for loc in self.locals]
 
     def forward_global(self, h: np.ndarray) -> np.ndarray:
         """All-Neumann solve driven by the flux h (full-length vector with
@@ -146,7 +142,8 @@ class FluxOperators(_Operators):
         loc = self.locals[i]
         rhs_local = (np.zeros(loc.nodes.size) if bmass_loc is None
                      else bmass_loc @ field)
-        return self._solve(loc.system, rhs_local, loc.fixed_values(trace))
+        return self._solve(self.box_systems[i], rhs_local,
+                           loc.fixed_values(trace))
 
     def forward_local(self, i: int, h: np.ndarray, trace=None) -> np.ndarray:
         """Local solve on box i with the box flux h on its right-side part,

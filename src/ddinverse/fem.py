@@ -56,10 +56,11 @@ LANCZOS_STEPS = 20
 # Coarsening stops once a level has at most this many unknowns; that
 # level's matrix is inverted densely.
 COARSEST_SIZE = 200
-# A band factor holds about (free nodes) x (bandwidth) numbers and takes
-# about (free nodes) x (bandwidth)^2 operations; a system above this many
-# is solved iteratively instead.  A square grid just below the size rule,
-# 64 x 64 nodes, has a bandwidth of about 64.
+# A band factor holds about twice (free nodes) x (bandwidth) numbers (2.0
+# times on the global heat system at nx=28, 2.2 times per box) and takes
+# about (free nodes) x (bandwidth)^2 operations; a system with more free
+# nodes times bandwidth than this is solved iteratively instead.  A square
+# grid just below the size rule, 64 x 64 nodes, has a bandwidth of about 64.
 MAX_BAND_ENTRIES = FACTOR_SIZE * 64
 # Block cyclic reduction stops once at most this many unknowns remain and
 # inverts the rest densely.
@@ -517,9 +518,9 @@ class BandFactor:
     """Direct solver for a stack of B symmetric banded matrices by block
     cyclic reduction.
 
-    Matrix k is given by all its entries (rows, cols, vals) over its n_k
-    unknowns.  Each is padded with identity rows to n = max n_k and cut
-    into blocks of the largest bandwidth, which makes it block tridiagonal:
+    Matrix k is given by all its entries (rows, cols, vals) over n unknowns,
+    as every matrix of the stack.  Cut into blocks of the largest bandwidth,
+    the last one padded with identity rows, it is block tridiagonal:
     blocks D_i on the diagonal, U_i coupling block i to i + 1 and their
     transposes below.  Each level of odd-even reduction eliminates the odd
     blocks, leaving the Schur complement on the even ones, which is again
@@ -530,16 +531,15 @@ class BandFactor:
     is; the last DENSE_TAIL or fewer unknowns (or the last block) are
     inverted densely.  The first level's couplings are the matrices' own
     entries, applied by one `bincount` over the stack.  Matrices of equal
-    size and bandwidth are solved to the bit as each one alone.  Each
+    bandwidth are solved to the bit as each one alone.  Each
     reduction step is a congruence, so a matrix is positive definite
     exactly when every pivot block and the dense tail are; each is checked
     by a Cholesky factorization, and ValueError is raised when one fails.
     """
 
-    def __init__(self, systems):
-        n = max(size for _, _, _, size in systems)
+    def __init__(self, systems, n: int):
         b = max([int(np.abs(rows - cols).max(initial=0))
-                 for rows, cols, _, _ in systems] + [1])
+                 for rows, cols, _ in systems] + [1])
         m = max(-(-n // b), 1)
         B = len(systems)
         self.B, self.n, self.b, self.m = B, n, b, m
@@ -547,15 +547,15 @@ class BandFactor:
         # an offset column of b or more falls in the coupling block U.
         D = np.zeros((B, m, b, b))
         U = np.zeros((B, m - 1, b, b))
+        pad = np.arange(n, m * b)
+        D[:, pad // b, pad % b, pad % b] = 1.0
         first = []
-        for k, (rows, cols, vals, size) in enumerate(systems):
+        for k, (rows, cols, vals) in enumerate(systems):
             offset = cols - rows // b * b
             on = (offset >= 0) & (offset < b)
             D[k].reshape(-1)[rows[on] * b + offset[on]] = vals[on]
             up = offset >= b
             U[k].reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
-            pad = np.arange(size, m * b)
-            D[k, pad // b, pad % b, pad % b] = 1.0
             block_row = rows // b
             even = (block_row % 2 == 0) & (block_row != cols // b)
             first.append((rows[even] + k * m * b, cols[even] + k * m * b,
@@ -610,8 +610,7 @@ class BandFactor:
         return view
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solutions x[k] of A_k x[k] = rhs[k], rhs of shape (B, n);
-        the entries past n_k of rhs[k] must be zero, and so are x[k]'s."""
+        """The solutions x[k] of A_k x[k] = rhs[k], rhs of shape (B, n)."""
         B = self.B
         x = np.zeros((B, self.m * self.b))
         x[:, :self.n] = rhs
@@ -718,7 +717,8 @@ class DirichletSystem:
     """A stack of B SPD operators of equal size n and equal free-node count
     (ValueError otherwise), each with its fixed Dirichlet nodes eliminated
     symmetrically; member k is given by (K_k, fixed_k, coords_k), coords_k
-    holding one row of coordinates per node of K_k.
+    holding one row of coordinates per node of K_k; `BoxSystem.member` is
+    the member of a global operator on one box.
 
     Fields are flattened, member k's at [k n, (k + 1) n): `free` and `fixed`
     are the flattened free and fixed nodes, and `K_fd` the block-diagonal
@@ -759,8 +759,7 @@ class DirichletSystem:
         self.factor = self.K_ff = self.multilevel = None
         if (direct and n_free < FACTOR_SIZE
                 and n_free * bandwidth <= MAX_BAND_ENTRIES):
-            self.factor = BandFactor([(rows, cols, vals, n_free)
-                                      for rows, cols, vals in blocks])
+            self.factor = BandFactor(blocks, n_free)
             return
         self.K_ff, self.multilevel = [], []
         for free, entries, (_, _, coords) in zip(frees, blocks, systems):
@@ -779,7 +778,6 @@ class DirichletSystem:
         n_fixed = self.n - n_free
         view.free = self.free[k * n_free:(k + 1) * n_free] - k * self.n
         view.fixed = self.fixed[k * n_fixed:(k + 1) * n_fixed] - k * self.n
-        view.couplings = self.couplings[k:k + 1]
         view.K_fd = self.couplings[k]
         if self.factor is not None:
             view.factor = self.factor.box(k)
@@ -822,23 +820,21 @@ class DirichletSystem:
 
 
 class BoxSystem:
-    """One subdomain box: its nodes, its fixed Dirichlet set and, given the
-    global operator `matrix` (K of -div(a grad u) + c u), the
-    `DirichletSystem` of its restriction to the box nodes as `system`.
+    """One subdomain box: its nodes, its fixed Dirichlet set and the map
+    from inner-boundary values to its fixed values.
 
     Box fields are numbered by the sorted box nodes `nodes`.  The fixed set
     `fixed` (box numbering) is the box nodes off the open box
     ("box-boundary") or the inner boundary closure ("interface-closure").
-    Every element around a free node lies in the box, so the rows of the
-    free nodes equal those of the operator assembled over the box's
-    elements; the other rows only meet the fixed values.  `lumped` is the
-    lumped mass of the box's elements.  Inner-boundary values arrive on the
-    interfaces (or their closures); the rest of the fixed set is held at
-    zero.
+    Every element around a free node lies in the box, so in `member`, the
+    restriction of a global operator to the box nodes, the free rows equal
+    those of the operator assembled over the box's elements; the other rows
+    only meet the fixed values.  `lumped` is the lumped mass of the box's
+    elements.  Inner-boundary values arrive on the interfaces (or their
+    closures); the rest of the fixed set is held at zero.
     """
 
-    def __init__(self, mesh, decomp, index, matrix=None,
-                 dirichlet="box-boundary"):
+    def __init__(self, mesh, decomp, index, dirichlet="box-boundary"):
         self.nodes = np.flatnonzero(decomp.masks[index])
         self.lumped = lumped_mass(mesh, decomp.element_masks[index])[self.nodes]
         if dirichlet == "box-boundary":
@@ -850,11 +846,12 @@ class BoxSystem:
             raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
         self.fixed = np.unique(np.searchsorted(self.nodes, fixed))
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
-        self.system = None
-        if matrix is not None:
-            self.system = DirichletSystem([(restrict(matrix, self.nodes),
-                                            self.fixed,
-                                            mesh.nodes[self.nodes])])
+
+    def member(self, K, coords):
+        """The global operator K on this box as a `DirichletSystem` member:
+        (K restricted to the box nodes, the fixed set, the rows of the node
+        coordinates `coords` at the box nodes)."""
+        return restrict(K, self.nodes), self.fixed, coords[self.nodes]
 
     def fixed_values(self, trace):
         """Values on the fixed set: `trace` on the inner-boundary nodes,

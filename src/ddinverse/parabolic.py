@@ -72,21 +72,18 @@ class TimeGrid:
 class _Stack:
     """Crank-Nicolson steps of B systems of equal size solved together.
 
-    System k is given by (S_k, lumped_k, fixed_k, coords_k): its step
-    matrix S_k = M_k + dt/2 K_k, the diagonal of M_k, its fixed Dirichlet
-    set and its node coordinates.  The states of all systems are one
-    flattened array, system k's at [k * size, (k + 1) * size).  `system` is
-    the `fem.DirichletSystem` of the S_k, factored when small enough and
-    solved by PCG with relative residual `tol` otherwise, and `mass` is
-    2 M_k of every system, flattened.
+    `systems` are the `fem.DirichletSystem` members (S_k, fixed_k,
+    coords_k) of the step matrices S_k = M_k + dt/2 K_k, and `lumped` the
+    diagonals of the M_k.  The states of all systems are one flattened
+    array, system k's at [k * size, (k + 1) * size).  `system` is the
+    `fem.DirichletSystem` of the S_k, factored when small enough and solved
+    by PCG with relative residual `tol` otherwise, and `mass` is 2 M_k of
+    every system, flattened.
     """
 
-    def __init__(self, systems, tol):
-        self.system = fem.DirichletSystem(
-            [(S, fixed, coords) for S, _, fixed, coords in systems],
-            direct=True)
-        self.mass = 2.0 * np.concatenate([lumped
-                                          for _, lumped, _, _ in systems])
+    def __init__(self, systems, lumped, tol):
+        self.system = fem.DirichletSystem(systems, direct=True)
+        self.mass = 2.0 * np.concatenate(lumped)
         self.tol = tol
 
     def box(self, k: int) -> "_Stack":
@@ -127,9 +124,9 @@ class HeatOperators:
     `fem.BandFactor` with a box axis) when small enough, and solved by
     warm-started PCG otherwise.  The boxes march together
     (`forward_boxes`, `accumulate_boxes`), one stacked solve per time
-    level, or one at a time (`forward_local`, `accumulate`) on a one-box
-    view of the same system.  `step_count` counts one step per system and
-    time level.
+    level, or one at a time (`forward_local`, `accumulate`) on
+    `box_views[i]`, box i alone in the same system, built with it.
+    `step_count` counts one step per system and time level.
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):
@@ -141,15 +138,14 @@ class HeatOperators:
         self.lumped = fem.lumped_mass(mesh)
         S = fem.crank_nicolson(K, self.lumped, grid.dt)
         self.global_stack = _Stack(
-            [(S, self.lumped, np.flatnonzero(mesh.boundary_mask),
-              mesh.nodes)], tol)
+            [(S, np.flatnonzero(mesh.boundary_mask), mesh.nodes)],
+            [self.lumped], tol)
         self.locals = [fem.BoxSystem(mesh, decomp, i)
                        for i in range(decomp.n_subdomains)]
-        self.boxes = _Stack([(fem.restrict(S, loc.nodes),
-                              self.lumped[loc.nodes], loc.fixed,
-                              mesh.nodes[loc.nodes]) for loc in self.locals],
+        self.boxes = _Stack([loc.member(S, mesh.nodes) for loc in self.locals],
+                            [self.lumped[loc.nodes] for loc in self.locals],
                             tol)
-        self._box_views = {}
+        self.box_views = [self.boxes.box(i) for i in range(len(self.locals))]
         self.step_count = 0
 
     # -- stepping kernels -------------------------------------------------
@@ -214,15 +210,9 @@ class HeatOperators:
         return self._forward_boxes(self.boxes, range(len(self.locals)), phis,
                                    traces)
 
-    def _box_view(self, i):
-        """Box i alone, built on first use (`_Stack.box`)."""
-        if i not in self._box_views:
-            self._box_views[i] = self.boxes.box(i)
-        return self._box_views[i]
-
     def forward_local(self, i: int, phi: np.ndarray, trace=None) -> np.ndarray:
         """`forward_boxes` of box i alone."""
-        return self._forward_boxes(self._box_view(i), [i], [phi],
+        return self._forward_boxes(self.box_views[i], [i], [phi],
                                    None if trace is None else [trace])[0]
 
     def adjoint_local(self, i: int, omega: np.ndarray, trace=None) -> np.ndarray:
@@ -248,4 +238,4 @@ class HeatOperators:
 
     def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
         """`accumulate_boxes` of box i alone."""
-        return self._accumulate(self._box_view(i), residual)
+        return self._accumulate(self.box_views[i], residual)

@@ -93,6 +93,13 @@ def node_at(m, x, y):
     return int(hits[0])
 
 
+def gamma0_nodes(m):
+    """The nodes of the flux problem's measurement boundary: the left,
+    bottom and top sides."""
+    return np.unique(np.vstack([m.side_edges(side)
+                                for side in ("left", "bottom", "top")]))
+
+
 def consistent_mass(m):
     """Consistent P1 mass matrix of a mesh: area/12 * (1 + delta_jk) for
     the vertices j, k of each element."""

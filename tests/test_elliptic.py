@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import gamma0_nodes
 from ddinverse import elliptic, fem
 
 
@@ -140,7 +141,8 @@ def _rand_flux(ops, seed):
 def _rand_gamma0(ops, seed):
     rng = np.random.default_rng(seed)
     w = np.zeros(ops.mesh.n_nodes)
-    w[ops.gamma0_nodes] = rng.standard_normal(ops.gamma0_nodes.size)
+    gamma0 = gamma0_nodes(ops.mesh)
+    w[gamma0] = rng.standard_normal(gamma0.size)
     return w
 
 

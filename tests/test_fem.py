@@ -313,7 +313,8 @@ def test_v_cycle_is_symmetric_and_positive(case):
         spec = problems.example_catalog()["5.3"]
         m = mesh.build_mesh(112, 224)
         K = fem.assemble(m, spec.diffusion, spec.reaction)
-        system = fem.BoxSystem(m, mesh.build_subdomains(m), 0, K).system
+        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
+        system = fem.DirichletSystem([loc.member(K, m.nodes)])
     else:
         _, system = _global_system("5.3", 56)
     rng = np.random.default_rng(5)
@@ -407,7 +408,8 @@ def test_smoothing_weights_keep_the_v_cycle_positive(case):
         spec = problems.example_catalog()["5.3"]
         m = mesh.build_mesh(112, 224)
         K = fem.assemble(m, spec.diffusion, spec.reaction)
-        system = fem.BoxSystem(m, mesh.build_subdomains(m), 0, K).system
+        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
+        system = fem.DirichletSystem([loc.member(K, m.nodes)])
     else:
         _, system = _global_system("5.3" if case == "global-n56" else "5.1",
                                    56)
@@ -528,10 +530,10 @@ def test_diagonal_storage_multiplies_to_the_bit(case):
     box = mesh.Box(Fraction(ix0, nx), Fraction(ix1, nx),
                    Fraction(2 * jy0, ny), Fraction(2 * jy1, ny))
     whole = mesh.Box(Fraction(0), mesh.WIDTH, Fraction(0), mesh.HEIGHT)
-    loc = fem.BoxSystem(m, mesh.build_subdomains(m, (box, whole)), 0, K,
-                        mode)
+    loc = fem.BoxSystem(m, mesh.build_subdomains(m, (box, whole)), 0, mode)
+    system = fem.DirichletSystem([loc.member(K, m.nodes)])
     _assert_storage_by_the_memory_rule(
-        loc.system, fem.restrict(fem.restrict(K, loc.nodes), loc.system.free))
+        system, fem.restrict(fem.restrict(K, loc.nodes), system.free))
     fixed = (np.flatnonzero(m.boundary_mask) if mode == "box-boundary"
              else np.array([], dtype=np.int64))
     coords = m.nodes
@@ -631,7 +633,7 @@ def test_factored_solve_matches_dense(case):
 
 def _band_entries(A):
     rows, cols = np.nonzero(A)
-    return rows, cols, A[rows, cols], A.shape[0]
+    return rows, cols, A[rows, cols]
 
 
 def _random_band(rng, n, bw):
@@ -644,42 +646,39 @@ def _random_band(rng, n, bw):
     return A + np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 2.0, n))
 
 
+def _band_stack(seed, B, n, bw):
+    """B random SPD band matrices of size n and bandwidth bw, and a
+    right-hand side per matrix."""
+    rng = np.random.default_rng(seed)
+    matrices = [_random_band(rng, n, min(bw, n - 1)) for _ in range(B)]
+    return matrices, rng.standard_normal((B, n))
+
+
 @st.composite
 def band_stacks(draw):
-    """A stack of 1 to 4 random SPD band matrices, either all of one size
-    and bandwidth or each with its own, and a right-hand side per matrix."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    same = draw(st.booleans())
-    shapes = draw(st.lists(st.tuples(st.integers(1, 200), st.integers(0, 12)),
-                           min_size=1, max_size=4))
-    if same:
-        shapes = [shapes[0]] * len(shapes)
-    matrices = [_random_band(rng, n, min(bw, n - 1)) for n, bw in shapes]
-    return same, matrices, [rng.standard_normal(A.shape[0]) for A in matrices]
+    """A stack of 1 to 4 random SPD band matrices of one size and
+    bandwidth, and a right-hand side per matrix."""
+    return _band_stack(draw(st.integers(0, 2**32 - 1)),
+                       draw(st.integers(1, 4)), draw(st.integers(1, 200)),
+                       draw(st.integers(0, 12)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(band_stacks())
+@example(_band_stack(5, 4, 465, 15))  # as the nx=28 heat boxes: 3 levels
 def test_stacked_factor_matches_one_matrix_factors(case):
-    # a stack of equal shapes solves to the bit as each matrix alone, and
-    # through its one-matrix views; padded stacks match a dense solve
-    same, matrices, rhs = case
-    factor = fem.BandFactor([_band_entries(A) for A in matrices])
-    stacked = np.zeros((len(matrices), factor.n))
-    for k, b in enumerate(rhs):
-        stacked[k, :b.size] = b
-    x = factor.solve(stacked)
+    # a stack solves to the bit as each matrix alone, and through its
+    # one-matrix views
+    matrices, rhs = case
+    n = rhs.shape[1]
+    factor = fem.BandFactor([_band_entries(A) for A in matrices], n)
+    x = factor.solve(rhs)
     for k, (A, b) in enumerate(zip(matrices, rhs)):
-        n = b.size
-        assert np.all(x[k, n:] == 0.0)
-        view = factor.box(k).solve(stacked[k:k + 1])[0]
-        assert np.array_equal(view, x[k])
-        if same:
-            alone = fem.BandFactor([_band_entries(A)]).solve(b[None])[0]
-            assert np.array_equal(x[k], alone)
-        else:
-            ref = np.linalg.solve(A, b)
-            assert np.abs(x[k, :n] - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.array_equal(factor.box(k).solve(rhs[k:k + 1])[0], x[k])
+        alone = fem.BandFactor([_band_entries(A)], n).solve(b[None])[0]
+        assert np.array_equal(x[k], alone)
+        ref = np.linalg.solve(A, b)
+        assert np.abs(x[k] - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("where", [0, 2])
@@ -688,7 +687,7 @@ def test_stacked_factor_rejects_an_indefinite_member(where):
     matrices = [_random_band(rng, 90, 4) for _ in range(3)]
     matrices[where][40, 40] = -5.0
     with pytest.raises(ValueError, match="not positive definite"):
-        fem.BandFactor([_band_entries(A) for A in matrices])
+        fem.BandFactor([_band_entries(A) for A in matrices], 90)
 
 
 def _equal_row_pairs(n):
@@ -740,11 +739,11 @@ def factored_cases():
     K_box_s = K_source[np.ix_(box_s.nodes, box_s.nodes)]
     K_box_f = K_flux[np.ix_(box_f.nodes, box_f.nodes)]
     return {
-        "source-box": (fem.DirichletSystem([(K_box_s, box_s.system.fixed,
+        "source-box": (fem.DirichletSystem([(K_box_s, box_s.fixed,
                                              m14.nodes[box_s.nodes])],
                                            direct=True), K_box_s),
         "flux-interface-closure-box": (
-            fem.DirichletSystem([(K_box_f, box_f.system.fixed,
+            fem.DirichletSystem([(K_box_f, box_f.fixed,
                                   m14.nodes[box_f.nodes])], direct=True),
             K_box_f),
         "flux-all-neumann-global": (
@@ -803,7 +802,7 @@ def test_warm_start_slots(pcg_iterations):
     ops = elliptic.SourceOperators(m, mesh.build_subdomains(m),
                                    spec.diffusion, spec.reaction)
     loc = ops.locals[0]
-    assert loc.system.factor is None
+    assert ops.box_systems[0].factor is None
     rng = np.random.default_rng(4)
     f = rng.standard_normal(loc.nodes.size)
     trace = rng.standard_normal(loc.trace_local.size)

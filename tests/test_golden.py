@@ -97,8 +97,8 @@ def test_golden_history_on_the_hierarchy_path(pcg_iterations):
     # every product of the hierarchy
     spec = CAT["5.3"]
     prob = problems.make_problem(spec, 28, seed=0)
-    assert all(len(loc.system.multilevel[0].levels) >= 1
-               for loc in prob.ops.locals)
+    assert all(len(system.multilevel[0].levels) >= 1
+               for system in prob.ops.box_systems)
     _, report = dd.run_msa(prob, dd.DDConfig(beta=spec.beta))
     assert report.to_csv() == SOURCE_MSA_N28
     assert report.solve_calls == 234

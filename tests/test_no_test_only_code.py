@@ -1,7 +1,8 @@
 """Every function and class in `src/ddinverse` is reached from the library
 itself, every defaulted parameter of a function is passed by some call in
-the library, and every function is entered by some catalog CLI run: a
-definition or a parameter that only tests use is test code kept in the
+the library, every attribute the library stores is read by the library,
+and every function is entered by some catalog CLI run: a definition, a
+parameter or an attribute that only tests use is test code kept in the
 wrong place.  Each allow-list holds only entries its check reports, so an
 entry that becomes reached has to leave the list."""
 
@@ -41,6 +42,12 @@ ALLOWED_PARAMETERS = {
         "the local-adjoint-with-trace consistency checks",
     "HeatOperators.adjoint_local(trace=)":
         "the local-adjoint-with-trace consistency checks",
+}
+
+# Attributes the library stores although it never reads them.
+ALLOWED_UNREAD = {
+    "iterations": "fault data for the caller that catches a SolverError",
+    "residual": "fault data for the caller that catches a SolverError",
 }
 
 
@@ -86,6 +93,26 @@ def test_every_definition_is_reached_from_the_library():
     unreached = unreached_definitions()
     assert [name for name in unreached if name not in ALLOWED] == []
     assert [name for name in ALLOWED if name not in unreached] == []
+
+
+def unread_attributes(src=SRC) -> list:
+    """The attribute names that the modules under `src` store
+    (`obj.name = ...`) and never load, on any object."""
+    stored, loaded = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+                elif isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    return sorted(stored - loaded)
+
+
+def test_every_stored_attribute_is_read_in_the_library():
+    unread = unread_attributes()
+    assert [name for name in unread if name not in ALLOWED_UNREAD] == []
+    assert [name for name in ALLOWED_UNREAD if name not in unread] == []
 
 
 def _callee(call):
