@@ -24,7 +24,13 @@ diagonal (DIA) storage, and import it when the first level is built: a
 heat run or a small system never loads scipy.  Each level keeps its matrix
 in DIA storage when that takes no more memory than CSR, as the
 7-diagonal grid operators do, so the K_ff that PCG multiplies by may be a
-scipy DIA or CSR matrix.  No path imports scipy.linalg or
+scipy DIA or CSR matrix.  The hierarchy is built in float64, but its
+levels keep their matrices, prolongations and smoothing weights in float32,
+and the V-cycle runs in float32 through scipy's compiled sparse kernels, on
+the residual scaled by a power of two so that float32 cannot overflow; the
+cycle is then symmetric only to float32 rounding.  PCG itself, its vectors,
+its products by the float64 K_ff and its residual checks stay in float64,
+so every solve still meets its tolerance.  No path imports scipy.linalg or
 scipy.sparse.linalg, whose import alone adds several MB of resident memory.
 
 Volume L2 inner products used by the inversion machinery are taken with the
@@ -424,6 +430,29 @@ def _diagonal_form(A):
     return sp.dia_matrix((data, offsets - (n - 1)), shape=(n, n))
 
 
+def _accumulator(A):
+    """y += A x for a scipy DIA or CSR matrix A, as a function add(x, y):
+    scipy's own compiled kernel, the one A @ x ends in, called without
+    scipy's Python dispatch and without allocating, so that add(x, zeros)
+    is A @ x to the bit.  x and y have the dtype of A."""
+    from scipy.sparse import _sparsetools
+
+    n, m = A.shape
+    if A.format == "dia":
+        return functools.partial(_sparsetools.dia_matvec, n, m,
+                                 A.offsets.size, A.data.shape[1], A.offsets,
+                                 A.data)
+    return functools.partial(_sparsetools.csr_matvec, n, m, A.indptr,
+                             A.indices, A.data)
+
+
+def _residual(add_A, b, x, r):
+    """r = b - A x, in place, for A given by its `_accumulator`."""
+    r.fill(0.0)
+    add_A(x, r)
+    np.subtract(b, r, out=r)
+
+
 class Multilevel:
     """Smoothed-aggregation multilevel preconditioner of an SPD matrix A
     (Vanek, Mandel and Brezina, Computing 56, 1996).
@@ -438,21 +467,28 @@ class Multilevel:
     COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely; a
     matrix that small has no levels, and one cycle solves it.  A, a `CSR`
     or scipy matrix, becomes a scipy CSR matrix when it has a level, and
-    the products A T and P' A P are taken in scipy's CSR.  Each level keeps
-    A, in DIA storage when that takes no more memory (`_diagonal_form`),
-    P, its transpose P' as a CSR matrix and the smoothing weights
-    w / diag(A) with w = 8 / (5 lam), the weight of the best damped-Jacobi
-    smoothing factor on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg,
-    Oosterlee and Schueller, Multigrid, 2001).  The cycle is positive
-    definite while w lam_max < 2, which leaves the estimate a fifth of
-    slack.  `apply` is one symmetric V(1,1) cycle with these damped-Jacobi
-    steps.  Raises
-    ValueError when a level's matrix is not positive definite (checked on
-    the diagonals and by a Cholesky factorization of the coarsest matrix).
+    the hierarchy is built in float64: the estimates and the products A T
+    and P' A P, taken in scipy's CSR.  Each level then keeps, in float32, A
+    in DIA storage when that takes no more memory (`_diagonal_form`), P,
+    its transpose P' as a CSR matrix and the smoothing weights w / diag(A)
+    with w = 8 / (5 lam), the weight of the best damped-Jacobi smoothing
+    factor on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg, Oosterlee and
+    Schueller, Multigrid, 2001); the cycle is positive definite while
+    w lam_max < 2, which leaves the estimate a fifth of slack.  `matrix` is
+    A in float64 as PCG multiplies by it: the first level's storage form,
+    or the given A when there is no level.  `apply` is one symmetric
+    V(1,1) cycle with these damped-Jacobi steps, run in float32 through
+    scipy's compiled products (`_accumulator`) into buffers allocated once;
+    it is symmetric only up to float32 rounding.  The coarsest inverse is
+    float32 below a level and float64 when there is none, so a small
+    system is still solved in one cycle.  Raises ValueError when a level's
+    matrix is not positive definite (checked on the diagonals and by a
+    Cholesky factorization of the coarsest matrix).
     """
 
     def __init__(self, A, coords: np.ndarray):
-        self.levels = []
+        self.levels, self._work = [], []
+        self.matrix = A
         if A.shape[0] > COARSEST_SIZE:
             import scipy.sparse as sp
 
@@ -465,6 +501,8 @@ class Multilevel:
             if n <= COARSEST_SIZE:
                 break
             stored = _diagonal_form(A)
+            if not self.levels:
+                self.matrix = stored
             scale = 1.0 / np.sqrt(diag)
             lam = largest_eigenvalue(lambda v: scale * (stored @ (scale * v)),
                                      n)
@@ -476,7 +514,13 @@ class Multilevel:
             # entries of both operands
             P = (T - sp.diags(4.0 / (3.0 * lam) / diag) @ (A @ T)).copy()
             PT = P.T.tocsr()
-            self.levels.append((stored, P, PT, 8.0 / (5.0 * lam) / diag))
+            level = tuple(M.astype(np.float32) for M in
+                          (stored, P, PT, 8.0 / (5.0 * lam) / diag))
+            self.levels.append(level)
+            # b, x and r of the cycle, and the products by A, P and P'
+            self._work.append(tuple(np.empty(n, np.float32)
+                                    for _ in range(3))
+                              + tuple(_accumulator(M) for M in level[:3]))
             A = (PT @ (A @ P)).tocsr()
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])
@@ -485,19 +529,45 @@ class Multilevel:
         except np.linalg.LinAlgError:
             raise ValueError("coarse operator is not positive definite") from None
         self.coarsest_inv = L_inv.T @ L_inv
+        if self.levels:
+            self.coarsest_inv = self.coarsest_inv.astype(np.float32)
+            self._work.append((np.empty(n, np.float32),
+                               np.empty(n, np.float32)))
 
-    def apply(self, b: np.ndarray, out: np.ndarray | None = None,
-              level: int = 0) -> np.ndarray:
+    def apply(self, b: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
         """One V(1,1) cycle for A x = b from x = 0, written to `out` when
-        given; `level` > 0 solves with that level's matrix instead of A."""
-        if level == len(self.levels):
+        given.  Below a level the cycle runs in float32 on b scaled by the
+        power of two 2^-e that brings max |b| into [1/2, 1), so float32
+        cannot overflow, and x is scaled back by 2^e in float64.  Both
+        scalings are exact, so the cycle of 2^k b is 2^k times the cycle of
+        b, to the bit."""
+        if not self.levels:
             return np.dot(self.coarsest_inv, b, out=out)
-        A, P, PT, scaled = self.levels[level]
-        x = np.multiply(scaled, b, out=out)
-        x += P @ self.apply(PT @ (b - A @ x), level=level + 1)
-        residual = b - A @ x
-        residual *= scaled
-        x += residual
+        # e is clamped where 2^e or 2^-e would overflow float64
+        e = min(max(math.frexp(max(b.max(), -b.min()))[1], -1021), 1023)
+        np.multiply(b, math.ldexp(1.0, -e), out=self._work[0][0])
+        return np.multiply(self._cycle(0), math.ldexp(1.0, e), out=out,
+                           dtype=np.float64)
+
+    def _cycle(self, level: int) -> np.ndarray:
+        """The float32 V(1,1) cycle of one level from x = 0, for the
+        right-hand side in the level's first buffer; returns x, held in the
+        level's second buffer."""
+        if level == len(self.levels):
+            b, x = self._work[level]
+            return np.dot(self.coarsest_inv, b, out=x)
+        b, x, r, add_A, add_P, add_PT = self._work[level]
+        scaled = self.levels[level][3]
+        coarse = self._work[level + 1][0]
+        np.multiply(scaled, b, out=x)
+        _residual(add_A, b, x, r)
+        coarse.fill(0.0)
+        add_PT(r, coarse)
+        add_P(self._cycle(level + 1), x)
+        _residual(add_A, b, x, r)
+        r *= scaled
+        x += r
         return x
 
 
@@ -729,9 +799,10 @@ class DirichletSystem:
     once, as one `BandFactor`, and solves directly.  Every other stack
     solves each member by PCG, preconditioned by the `Multilevel` hierarchy
     of its free-free block, binned by the coordinates of its free nodes;
-    K_ff[k] is that block as the hierarchy keeps it on its first level, the
-    same object, so it may be a scipy matrix in DIA storage (a `CSR` when
-    the hierarchy has no level).  PCG starts from the member's last
+    K_ff[k] is that block in float64 in the storage form of the hierarchy's
+    first level (`Multilevel.matrix`), so it may be a scipy matrix in DIA
+    storage (a `CSR` when the hierarchy has no level), while the hierarchy
+    keeps its own levels in float32.  PCG starts from the member's last
     solution of the same kind, with homogeneous or with given fixed values
     (`last[k]`, one slot each), so repeated solves of one kind, such as the
     local solves of successive Schwarz sweeps or the steps of a march,
@@ -763,10 +834,9 @@ class DirichletSystem:
             return
         self.K_ff, self.multilevel = [], []
         for free, entries, (_, _, coords) in zip(frees, blocks, systems):
-            K_ff = _csr(*entries, (n_free, n_free))
-            self.multilevel.append(Multilevel(K_ff, coords[free]))
-            levels = self.multilevel[-1].levels
-            self.K_ff.append(levels[0][0] if levels else K_ff)
+            self.multilevel.append(Multilevel(_csr(*entries, (n_free, n_free)),
+                                              coords[free]))
+            self.K_ff.append(self.multilevel[-1].matrix)
         self.last = [[None, None] for _ in systems]
 
     def box(self, k: int) -> "DirichletSystem":
