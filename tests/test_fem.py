@@ -352,7 +352,8 @@ def test_v_cycle_is_symmetric_and_positive(case):
 def test_v_cycle_scaling_is_exact():
     # the float32 cycle runs on b scaled by a power of two, so scaling b by
     # 2^k scales the result by 2^k to the bit; a load near 1e300, whose
-    # square overflows float64, still gives a finite result
+    # square overflows float64, still gives a finite result, and so does a
+    # subnormal one, whose power of two would overflow float64 unclamped
     m, system = _global_system("5.3", 56)
     cycle = system.multilevel[0].apply
     b = _random_load(m, system).astype(np.float32).astype(np.float64)
@@ -363,8 +364,9 @@ def test_v_cycle_scaling_is_exact():
     assert np.all(ratio == ratio[0]) and math.frexp(ratio[0])[0] == 0.5
     for k in (-300, 0, 300):
         assert cycle(2.0**k * b).tobytes() == (2.0**k * z).tobytes()
-    big = cycle(1e300 / np.abs(b).max() * b)
-    assert np.all(np.isfinite(big)) and np.abs(big).max() > 0
+    for top in (1e300, 1e-310):
+        x = cycle(top / np.abs(b).max() * b)
+        assert np.all(np.isfinite(x)) and np.abs(x).max() > 0
 
 
 def _level_estimate(A):
