@@ -69,8 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--tol", type=float,
                    help="relative residual of the PCG solves, in (0, 1): "
-                        "every elliptic system and the heat systems with at "
-                        "least 4096 free nodes; smaller heat systems are "
+                        "every elliptic system, and the heat systems with at "
+                        "least 4096 free nodes or whose free nodes times "
+                        "bandwidth exceed 4096 x 64 (a wide, short mesh set "
+                        "through --config); the other heat systems are "
                         "factored and solved directly")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--nt", type=int, help="time steps (heat problem)")

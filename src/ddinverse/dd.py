@@ -16,6 +16,10 @@ the local solutions over the open subdomains containing each node.  A single
 global solve seeds the inner boundary values at start-up; every other solve
 in the loop is subdomain-local.
 
+Both loops update through the adapters' `local_minimize` and
+`local_solution`, which act on a group of boxes: the multiplicative sweep
+passes one box at a time, the additive step and the exchange every box.
+
 The closed-form updates come from augmenting each local misfit functional
 with A*||component - anchor||^2 minus the corresponding propagated norm;
 whenever A dominates the squared norm of the local forward map the augmented
@@ -74,11 +78,10 @@ class DDConfig:
 
 @dataclass
 class DDState:
-    """Final iteration state: per-subdomain components, inner-boundary
-    values and the assembled iterate."""
+    """Final iteration state: per-subdomain components and the assembled
+    iterate."""
 
     components: list
-    traces: list
     iterate: np.ndarray
 
 
@@ -88,7 +91,6 @@ class IterationReport:
     "target_rel_error" or "increment" (converged), "max_iter", or
     "non_finite" (the increment or objective overflowed)."""
 
-    algorithm: str
     reason: str
     rows: list
     solve_calls: int = 0
@@ -151,8 +153,9 @@ def _msa_sweep(problem, config, components, traces):
     traces = [t.copy() for t in traces]
     for i in range(nsub):
         components[i] = problem.local_minimize(
-            i, components, components[i], traces[i], config)
-        local = problem.local_solution(i, total_component(components), traces[i])
+            [i], components, [components[i]], [traces[i]], config)[0]
+        local = problem.local_solution([i], total_component(components),
+                                       [traces[i]])[0]
         for j, at, take in problem.push[i]:
             traces[j][..., at] = local[..., take]
     return components, traces
@@ -165,6 +168,7 @@ def _run(problem, config, initial, algorithm):
     seed_solution = problem.global_solution(iterate)
     traces = [seed_solution[..., nodes].copy() for nodes in problem.trace_nodes]
 
+    boxes = range(problem.decomp.n_subdomains)
     rows = []
     eps1 = config.eps1
     reason = "max_iter"
@@ -177,7 +181,8 @@ def _run(problem, config, initial, algorithm):
                                              traces)
             iterate = total_component(components)
         else:
-            fresh = problem.local_minimize_all(components, traces, config)
+            fresh = problem.local_minimize(boxes, components, components,
+                                           traces, config)
             iterate = relax_combination(fresh, previous, config.lam)
             components = fresh
         increment = problem.param_norm(iterate - previous)
@@ -200,14 +205,14 @@ def _run(problem, config, initial, algorithm):
         if it == config.max_iter:
             break
         traces = update_traces(problem,
-                               problem.local_solutions(iterate, traces))
+                               problem.local_solution(boxes, iterate, traces))
         if algorithm == "asa":
             components = problem.split(iterate)
 
     if algorithm == "asa":
         components = problem.split(iterate)
-    state = DDState(components=components, traces=traces, iterate=iterate)
-    report = IterationReport(algorithm=algorithm, reason=reason, rows=rows,
+    state = DDState(components=components, iterate=iterate)
+    report = IterationReport(reason=reason, rows=rows,
                              solve_calls=problem.solve_calls() - solves0)
     return state, report
 
@@ -230,12 +235,15 @@ class _InversionBase:
     on the interfaces, and parameters are paired with the lumped mass.
     Parameters and components are full-length nodal vectors; local
     solutions are box fields, numbered by the box nodes `box_nodes[i]`.
-    The maps that move values between the two (`box_supports`, `exchange`,
-    `push`) are computed once here.
+    The inner-boundary values of box i live on `trace_nodes[i]`, the set
+    its box system `ops.locals[i]` reads them on.  The maps that move
+    values between the two (`box_supports`, `exchange`, `push`) are
+    computed once here.  `bench/run.py` times `local_minimize`,
+    `local_solution` and `objective` by name in each adapter's own body.
     """
 
     def __init__(self, ops, z, exact=None, initial_value=0.0, *,
-                 supports=None, trace_nodes=None, weight=None):
+                 supports=None, weight=None):
         self.ops = ops
         self.decomp = ops.decomp
         self.z = np.asarray(z, dtype=float)
@@ -248,8 +256,7 @@ class _InversionBase:
         dec = self.decomp
         self.supports = list(dec.interior_masks if supports is None
                              else supports)
-        self.trace_nodes = list(dec.interfaces if trace_nodes is None
-                                else trace_nodes)
+        self.trace_nodes = [loc.nodes[loc.trace_local] for loc in ops.locals]
         self.box_nodes = [loc.nodes for loc in ops.locals]
         self.box_supports = []
         for i, (support, nodes) in enumerate(zip(self.supports,
@@ -266,6 +273,7 @@ class _InversionBase:
                       if j > i and dec.interior_masks[i][nodes].any()]
                      for i in range(dec.n_subdomains)]
         self.surrogate_scale = 1.0
+        self._warned_idle = False
 
     def _positions(self, box, trace, members):
         """The positions of the `members` of trace `trace`'s nodes, and
@@ -324,65 +332,54 @@ class _InversionBase:
         return comps
 
     def default_initial(self) -> np.ndarray:
+        """The initial value on the union of the supports, zero elsewhere."""
         out = np.zeros(self.ops.mesh.n_nodes)
-        out[self.decomp.multiplicity > 0] = self.initial_value
+        out[np.logical_or.reduce(self.supports)] = self.initial_value
         return out
 
     def global_solution(self, param):
         return self.ops.forward_global(param)
 
-    def local_minimize_all(self, components, traces, config) -> list:
-        """`local_minimize` of every box from the same state (the additive
-        step), each box anchored at its own component."""
-        return [self.local_minimize(i, components, components[i], traces[i],
-                                    config)
-                for i in range(len(components))]
-
-    def local_solutions(self, param, traces) -> list:
-        """`local_solution` of every box."""
-        return [self.local_solution(i, param, traces[i])
-                for i in range(len(traces))]
-
-    def _local_updates(self, boxes, components, anchors, config, propagate,
+    def _local_updates(self, boxes, components, anchors, traces, config,
                        back_project) -> list:
         """Closed-form minimizers of the augmented local functionals of the
-        boxes `boxes`, box i anchored at anchors[k] for boxes[k] = i.
+        boxes `boxes`, box i anchored at anchors[k] with inner-boundary
+        values traces[k] for boxes[k] = i.
 
         With a the anchor, n the sum of the other components, F the local
         forward map with the current inner-boundary values and B the adjoint
         of its zero-trace part, the minimizer is
         (s a + B(z - F(n + a)) - beta n) / (s + beta) on the support of box
-        i and zero elsewhere, with s = A * surrogate_scale.  `propagate`
-        maps the box fields n + a of all the boxes to their F, and
-        `back_project` the box residuals z - F(n + a) to their B.
+        i and zero elsewhere, with s = A * surrogate_scale.  F is
+        `ops.forward_boxes`, and `back_project(group, residuals)` maps the
+        box residuals z - F(n + a) of a group of boxes to their B.  A box
+        without support runs no solve and keeps its component.
         """
         s = config.A * self.surrogate_scale
-        nsub = len(components)
-        neighbours = [total_component([components[j] for j in range(nsub)
-                                       if j != i]) for i in boxes]
-        fields = propagate([(n + a)[self.box_nodes[i]]
-                            for i, n, a in zip(boxes, neighbours, anchors)])
+        boxes = list(boxes)
+        anchors, traces = dict(zip(boxes, anchors)), dict(zip(boxes, traces))
+        group = [i for i in boxes if self.supports[i].any()]
+        if len(group) < len(boxes) and not self._warned_idle:
+            logger.info("subdomain %d holds none of the parameter's support: "
+                        "it runs no local solve and keeps its component",
+                        min(set(boxes) - set(group)))
+            self._warned_idle = True
+        neighbours = {i: total_component([c for j, c in enumerate(components)
+                                          if j != i]) for i in group}
+        fields = self.ops.forward_boxes(
+            group, [(neighbours[i] + anchors[i])[self.box_nodes[i]]
+                    for i in group], [traces[i] for i in group])
         residuals = [self.z[..., self.box_nodes[i]] - u
-                     for i, u in zip(boxes, fields)]
+                     for i, u in zip(group, fields)]
         del fields  # free the local solutions before the back-projection
-        back = back_project(residuals)
-        out = []
-        for i, n, a, b in zip(boxes, neighbours, anchors, back):
-            update = np.zeros_like(a)
-            sup = self.supports[i]
-            update[sup] = (s * a[sup] + b[self.box_supports[i]]
-                           - config.beta * n[sup]) / (s + config.beta)
-            out.append(update)
-        return out
-
-    def _local_update(self, i, components, anchor, config, propagate,
-                      back_project):
-        """`_local_updates` of box i alone, with `propagate` and
-        `back_project` acting on one box field."""
-        return self._local_updates(
-            [i], components, [anchor], config,
-            lambda fields: [propagate(fields[0])],
-            lambda residuals: [back_project(residuals[0])])[0]
+        updates = {}
+        for i, b in zip(group, back_project(group, residuals)):
+            a, n, sup = anchors[i], neighbours[i], self.supports[i]
+            updates[i] = np.zeros_like(a)
+            updates[i][sup] = (s * a[sup] + b[self.box_supports[i]]
+                               - config.beta * n[sup]) / (s + config.beta)
+        return [updates[i] if i in updates else components[i].copy()
+                for i in boxes]
 
 
 class SourceInversion(_InversionBase):
@@ -396,14 +393,13 @@ class SourceInversion(_InversionBase):
 
     kind = "source"
 
-    def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
+    def local_solution(self, boxes, param, traces):
+        return self.ops.forward_boxes(
+            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
 
-    def local_minimize(self, i, components, anchor, trace, config):
-        return self._local_update(
-            i, components, anchor, config,
-            lambda f: self.ops.forward_local(i, f, trace),
-            lambda r: self.ops.forward_local(i, r))
+    def local_minimize(self, boxes, components, anchors, traces, config):
+        return self._local_updates(boxes, components, anchors, traces, config,
+                                   self.ops.forward_boxes)
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -431,30 +427,15 @@ class FluxInversion(_InversionBase):
             mask[nodes] = True
             supports.append(mask)
         super().__init__(ops, z, exact, initial_value, supports=supports,
-                         trace_nodes=ops.decomp.interface_closures,
                          weight=ops.bmass1)
-        self._warned_empty = False
 
-    def default_initial(self) -> np.ndarray:
-        out = np.zeros(self.ops.mesh.n_nodes)
-        out[self.ops.gamma1_nodes] = self.initial_value
-        return out
+    def local_solution(self, boxes, param, traces):
+        return self.ops.forward_boxes(
+            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
 
-    def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
-
-    def local_minimize(self, i, components, anchor, trace, config):
-        # A box without flux support runs no solve: its component stays zero.
-        if not self.supports[i].any():
-            if not self._warned_empty:
-                logger.info("subdomain %d carries no flux support; its "
-                            "component stays zero", i)
-                self._warned_empty = True
-            return components[i].copy()
-        return self._local_update(
-            i, components, anchor, config,
-            lambda h: self.ops.forward_local(i, h, trace),
-            lambda r: self.ops.adjoint_local(i, r))
+    def local_minimize(self, boxes, components, anchors, traces, config):
+        return self._local_updates(boxes, components, anchors, traces, config,
+                                   self.ops.adjoint_boxes)
 
     def objective(self, param, config) -> float:
         u = self.global_solution(param)
@@ -482,24 +463,13 @@ class InitialValueInversion(_InversionBase):
     def solve_calls(self):
         return self.ops.step_count
 
-    def local_solution(self, i, param, trace):
-        return self.ops.forward_local(i, param[self.box_nodes[i]], trace)
-
-    def local_solutions(self, param, traces) -> list:
+    def local_solution(self, boxes, param, traces):
         return self.ops.forward_boxes(
-            [param[nodes] for nodes in self.box_nodes], traces)
+            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
 
-    def local_minimize(self, i, components, anchor, trace, config):
-        return self._local_update(
-            i, components, anchor, config,
-            lambda phi: self.ops.forward_local(i, phi, trace),
-            lambda r: self.ops.accumulate(i, r))
-
-    def local_minimize_all(self, components, traces, config) -> list:
-        return self._local_updates(
-            range(len(components)), components, components, config,
-            lambda phis: self.ops.forward_boxes(phis, traces),
-            self.ops.accumulate_boxes)
+    def local_minimize(self, boxes, components, anchors, traces, config):
+        return self._local_updates(boxes, components, anchors, traces, config,
+                                   self.ops.accumulate_boxes)
 
     def objective(self, param, config) -> float:
         traj = self.ops.forward_global(param)

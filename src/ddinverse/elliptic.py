@@ -56,6 +56,14 @@ class _Operators:
         self.solve_count += 1
         return system.solve(rhs, fixed_values, tol=self.tol)
 
+    def forward_boxes(self, boxes, fields, traces=None) -> list:
+        """`forward_local` of each box boxes[k], one after another, with
+        the box field fields[k] and the inner-boundary values traces[k]
+        (zero when traces is None)."""
+        traces = [None] * len(fields) if traces is None else traces
+        return [self.forward_local(i, f, t)
+                for i, f, t in zip(boxes, fields, traces)]
+
 
 class SourceOperators(_Operators):
     """Forward/adjoint operators for volume-source identification.
@@ -155,3 +163,8 @@ class FluxOperators(_Operators):
         """Local adjoint solve on box i: box Neumann data w on its measurement
         part, zero flux, Dirichlet `trace` on the inner boundary closure."""
         return self._local_solve(i, self.bmass0_loc[i], w, trace)
+
+    def adjoint_boxes(self, boxes, residuals) -> list:
+        """Zero-trace `adjoint_local` of each box boxes[k] with the box data
+        residuals[k]."""
+        return [self.adjoint_local(i, w) for i, w in zip(boxes, residuals)]

@@ -122,11 +122,12 @@ class HeatOperators:
     system asks for a direct solve: the global one alone and the four box
     systems as one stack are factored once (the boxes share one
     `fem.BandFactor` with a box axis) when small enough, and solved by
-    warm-started PCG otherwise.  The boxes march together
-    (`forward_boxes`, `accumulate_boxes`), one stacked solve per time
-    level, or one at a time (`forward_local`, `accumulate`) on
-    `box_views[i]`, box i alone in the same system, built with it.
-    `step_count` counts one step per system and time level.
+    warm-started PCG otherwise.  A group of boxes (`forward_boxes`,
+    `accumulate_boxes`) that is every box marches together, one stacked
+    solve per time level; any other group marches one box at a time
+    (`forward_local`, `accumulate`) on `box_views[i]`, box i alone in the
+    same system, built with it.  `step_count` counts one step per system
+    and time level.
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):
@@ -202,13 +203,21 @@ class HeatOperators:
 
     # -- local operators ---------------------------------------------------
 
-    def forward_boxes(self, phis, traces=None) -> list:
-        """Local evolutions of every box i from the box field phis[i], with
-        Dirichlet values traces[i] on its inner boundary per level (shape
-        (nt+1, len(interface)); zero when traces is None), marched as one
-        stack.  Returns the box trajectories, of shape (nt+1, n_i)."""
-        return self._forward_boxes(self.boxes, range(len(self.locals)), phis,
-                                   traces)
+    def _every(self, boxes) -> bool:
+        """Whether the group `boxes` is every box in order, the stack."""
+        return list(boxes) == list(range(len(self.locals)))
+
+    def forward_boxes(self, boxes, phis, traces=None) -> list:
+        """Local evolutions of each box boxes[k] from the box field phis[k],
+        with Dirichlet values traces[k] on its inner boundary per level
+        (shape (nt+1, len(interface)); zero when traces is None), marched
+        as one stack when `boxes` is every box.  Returns the box
+        trajectories, of shape (nt+1, n_i)."""
+        if self._every(boxes):
+            return self._forward_boxes(self.boxes, boxes, phis, traces)
+        traces = [None] * len(phis) if traces is None else traces
+        return [self.forward_local(i, phi, trace)
+                for i, phi, trace in zip(boxes, phis, traces)]
 
     def forward_local(self, i: int, phi: np.ndarray, trace=None) -> np.ndarray:
         """`forward_boxes` of box i alone."""
@@ -224,17 +233,19 @@ class HeatOperators:
 
     # -- adjoint accumulation ----------------------------------------------
 
-    def accumulate_boxes(self, residuals) -> list:
+    def accumulate_boxes(self, boxes, residuals) -> list:
         """Weighted time integral of zero-trace backward solves of the box
-        residual trajectories residuals[i], evaluated at time 0, on every
-        box, as one stacked sweep.
+        residual trajectories residuals[k] of box boxes[k], evaluated at
+        time 0, as one stacked sweep when `boxes` is every box.
 
         Equals sum_k w_k E^k r_k where E is one zero-Dirichlet step and w are
         the observation-window weights.
         """
-        return np.split(self._accumulate(self.boxes,
-                                         np.concatenate(residuals, axis=-1)),
-                        len(self.locals), axis=-1)
+        if self._every(boxes):
+            return np.split(self._accumulate(
+                self.boxes, np.concatenate(residuals, axis=-1)),
+                len(self.locals), axis=-1)
+        return [self.accumulate(i, r) for i, r in zip(boxes, residuals)]
 
     def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
         """`accumulate_boxes` of box i alone."""

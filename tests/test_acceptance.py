@@ -198,7 +198,8 @@ def test_criterion_6_closed_form_minimizer_optimality():
             if not prob.supports[i].any():
                 continue
             anchor = comps[i].copy()
-            star = prob.local_minimize(i, comps, anchor, traces[i], cfg)
+            star = prob.local_minimize([i], comps, [anchor], [traces[i]],
+                                       cfg)[0]
             best = list(comps)
             best[i] = star
             j_star = local_surrogate(prob, i, best, traces[i], anchor, cfg)
@@ -241,6 +242,41 @@ def test_criterion_7_objective_gap_to_global_minimizer():
     assert _report(7, "objective gap to global minimizer", ok,
                    f"J_dd/J* = {j_dd / j_star:.6f} (bound 1.02), "
                    f"parameter gap {gap:.2e}")
+
+
+@pytest.mark.parametrize("algorithm, j_min, at, j_200", [
+    ("msa", 1.0683, 40, 1.2334), ("asa", 1.0681, 81, 1.1932)])
+def test_characterization_flux_objective_gap_to_global_minimizer(
+        algorithm, j_min, at, j_200):
+    # A characterization, not a bound: with the stop rules off, the flux
+    # loops pass near the minimizer of the discrete functional and then
+    # drift away from it (README, "Flux runs rely on the error-target
+    # stop").  A change that explains or removes the drift moves these
+    # numbers on purpose.
+    spec = CAT["5.1"]
+    prob = problems.make_problem(spec, 14, seed=0)
+    ops = prob.ops
+    gamma1, n = ops.gamma1_nodes, ops.mesh.n_nodes
+    forward = np.zeros((n, gamma1.size))
+    for k, j in enumerate(gamma1):
+        e = np.zeros(n)
+        e[j] = 1.0
+        forward[:, k] = ops.forward_global(e)
+    b0 = ops.bmass0.toarray()
+    normal = (forward.T @ b0 @ forward
+              + spec.beta * ops.bmass1.toarray()[np.ix_(gamma1, gamma1)])
+    star = np.zeros(n)
+    star[gamma1] = np.linalg.solve(normal, forward.T @ (b0 @ prob.z))
+    cfg = dd.DDConfig(beta=spec.beta, eps1=1e-300, max_iter=200,
+                      target_rel_error=None)
+    runner = dd.run_msa if algorithm == "msa" else dd.run_asa
+    _, report = runner(prob, cfg)
+    j_star = prob.objective(star, cfg)
+    ratios = [row["objective"] / j_star for row in report.rows]
+    assert report.n_iterations == 200
+    assert min(ratios) == pytest.approx(j_min, abs=5e-5)
+    assert 1 + int(np.argmin(ratios)) == at
+    assert ratios[-1] == pytest.approx(j_200, abs=5e-5)
 
 
 def test_criterion_8_discretization_orders():

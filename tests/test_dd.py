@@ -52,7 +52,7 @@ def test_source_minimizer_zero_inputs(source7):
     zero_data = dd.SourceInversion(source7.ops, np.zeros(n))
     comps = [np.zeros(n) for _ in range(4)]
     trace = np.zeros(source7.trace_nodes[0].size)
-    out = zero_data.local_minimize(0, comps, comps[0], trace, cfg)
+    out = zero_data.local_minimize([0], comps, [comps[0]], [trace], cfg)[0]
     assert np.all(out == 0.0)
 
 
@@ -72,7 +72,7 @@ def test_source_minimizer_proximal_identity(source7):
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
     trace = np.zeros(prob.trace_nodes[i].size)
-    out = prob.local_minimize(i, comps, a, trace, cfg)
+    out = prob.local_minimize([i], comps, [a], [trace], cfg)[0]
     assert np.abs(out - a / (1 + 1e-3)).max() < 1e-9
 
 
@@ -81,8 +81,10 @@ def test_flux_minimizer_empty_support(flux7):
     n = flux7.ops.mesh.n_nodes
     comps = [np.zeros(n) for _ in range(4)]
     trace = np.zeros(flux7.trace_nodes[0].size)
-    out = flux7.local_minimize(0, comps, comps[0], trace, cfg)
+    solves = flux7.solve_calls()
+    out = flux7.local_minimize([0], comps, [comps[0]], [trace], cfg)[0]
     assert np.all(out == 0.0)
+    assert flux7.solve_calls() == solves  # a box without support runs none
 
 
 def test_initial_minimizer_tiny_beta_returns_anchor(heat7):
@@ -101,8 +103,40 @@ def test_initial_minimizer_tiny_beta_returns_anchor(heat7):
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a
     trace = np.zeros((nt + 1, prob.trace_nodes[i].size))
-    out = prob.local_minimize(i, comps, a, trace, cfg)
+    out = prob.local_minimize([i], comps, [a], [trace], cfg)[0]
     assert np.abs(out - a).max() < 1e-9
+
+
+@pytest.mark.parametrize("exp, nx", [("5.3", 7), ("5.3", 28), ("5.1", 14),
+                                     ("5.6", 7)])
+def test_box_group_matches_one_box_calls_to_the_bit(exp, nx):
+    # local_minimize and local_solution on every box (the asa step and the
+    # exchange) give the bits of four one-box calls (the msa sweep), on two
+    # fresh problems; at nx=28 the boxes run multilevel PCG, and each box's
+    # warm-start slots see the same history in either order
+    extra = {"nt": 12} if CAT[exp].kind == "initial_value" else {}
+    group, single = (problems.make_problem(CAT[exp], nx, seed=0, **extra)
+                     for _ in range(2))
+    cfg = dd.DDConfig(beta=CAT[exp].beta)
+    comps = group.split(np.random.default_rng(3).standard_normal(
+        group.ops.mesh.n_nodes))
+    seeded = group.global_solution(dd.total_component(comps))
+    single.global_solution(dd.total_component(comps))
+    traces = [seeded[..., nodes] for nodes in group.trace_nodes]
+    boxes = range(4)
+    for _ in range(2):  # the second round starts from warm slots
+        fresh = group.local_minimize(boxes, comps, comps, traces, cfg)
+        one_box = [single.local_minimize([i], comps, [comps[i]], [traces[i]],
+                                         cfg)[0] for i in boxes]
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, one_box))
+        comps = fresh
+        param = dd.total_component(comps)
+        solutions = group.local_solution(boxes, param, traces)
+        one_box = [single.local_solution([i], param, [traces[i]])[0]
+                   for i in boxes]
+        assert all(np.array_equal(a, b) for a, b in zip(solutions, one_box))
+        traces = dd.update_traces(group, solutions)
+    assert group.solve_calls() == single.solve_calls()
 
 
 def test_update_traces_constant_and_single_owner(source7, mesh7, decomp7):

@@ -1,9 +1,9 @@
 """Every function and class in `src/ddinverse` is reached from the library
 itself, every defaulted parameter of a function is passed by some call in
-the library, every attribute the library stores is read by the library,
-and every function is entered by some catalog CLI run: a definition, a
-parameter or an attribute that only tests use is test code kept in the
-wrong place.  Each allow-list holds only entries its check reports, so an
+the library, every attribute and dataclass field the library stores is
+read by the library, and every function is entered by some catalog CLI
+run: a definition, a parameter or an attribute that only tests use is test
+code kept in the wrong place.  Each allow-list holds only entries its check reports, so an
 entry that becomes reached has to leave the list."""
 
 import ast
@@ -44,10 +44,14 @@ ALLOWED_PARAMETERS = {
         "the local-adjoint-with-trace consistency checks",
 }
 
-# Attributes the library stores although it never reads them.
+# Attributes and dataclass fields the library stores although it never
+# reads them.
 ALLOWED_UNREAD = {
     "iterations": "fault data for the caller that catches a SolverError",
     "residual": "fault data for the caller that catches a SolverError",
+    "DDState.components":
+        "test_support_preservation checks the final per-box components",
+    "ExperimentSpec.mesh_sizes": "the catalog meshes that the tests sweep",
 }
 
 
@@ -95,10 +99,21 @@ def test_every_definition_is_reached_from_the_library():
     assert [name for name in ALLOWED if name not in unreached] == []
 
 
+def _is_dataclass(cls) -> bool:
+    """Whether the class definition `cls` is decorated by `dataclass` or
+    `dataclasses.dataclass`, called or not."""
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def unread_attributes(src=SRC) -> list:
     """The attribute names that the modules under `src` store
-    (`obj.name = ...`) and never load, on any object."""
-    stored, loaded = set(), set()
+    (`obj.name = ...`) and never load, on any object, and, as
+    "Class.field", the fields of their dataclasses that they never load."""
+    stored, fields, loaded = set(), set(), set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
@@ -106,13 +121,29 @@ def unread_attributes(src=SRC) -> list:
                     stored.add(node.attr)
                 elif isinstance(node.ctx, ast.Load):
                     loaded.add(node.attr)
-    return sorted(stored - loaded)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)}
+    return sorted(stored - loaded) + sorted(
+        f"{cls}.{name}" for cls, name in fields if name not in loaded)
 
 
 def test_every_stored_attribute_is_read_in_the_library():
     unread = unread_attributes()
     assert [name for name in unread if name not in ALLOWED_UNREAD] == []
     assert [name for name in ALLOWED_UNREAD if name not in unread] == []
+
+
+def test_unread_attributes_of_a_sample_module(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass P:\n    a: int\n    b: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Q:\n    c: int\n"
+        "class R:\n    d: int\n"
+        "def f(p, q, r):\n    p.kept = p.b\n    r.e = 1\n"
+        "    return p.kept + r.d\n")
+    assert unread_attributes(tmp_path) == ["e", "P.a", "Q.c"]
 
 
 def _callee(call):

@@ -215,8 +215,9 @@ def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
         return np.abs(a - b).max() <= 1e-9 * np.abs(a).max()
 
     assert close(factored.forward_global(phi), iterative.forward_global(phi))
-    for method, args in (("forward_boxes", (phis, traces)),
-                         ("accumulate_boxes", (residuals,))):
+    boxes = range(4)
+    for method, args in (("forward_boxes", (boxes, phis, traces)),
+                         ("accumulate_boxes", (boxes, residuals))):
         for a, b in zip(getattr(factored, method)(*args),
                         getattr(iterative, method)(*args)):
             assert close(a, b)
