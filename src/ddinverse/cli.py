@@ -206,6 +206,7 @@ def _run_one(spec, cfg, config, nx, ny, outdir: Path):
     meta["converged"] = report.converged
     meta["stop_reason"] = report.reason
     meta["iterations"] = report.n_iterations
+    meta["solve_calls"] = report.solve_calls
     (outdir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2)
                                       + "\n")
     return report, row

@@ -16,12 +16,15 @@ the local solutions over the open subdomains containing each node.  A single
 global solve seeds the inner boundary values at start-up; every other solve
 in the loop is subdomain-local.
 
-Both loops update through the adapters' `local_minimize` and
+Both loops update through one adapter's `local_minimize` and
 `local_solution`, which act on a group of boxes: the multiplicative sweep
 passes one box at a time, the additive step and the exchange every box.
+The three problems differ only in their operators (`elliptic`,
+`parabolic`), which the adapter reads for everything per-problem.
 
 The closed-form updates come from augmenting each local misfit functional
-with A*||component - anchor||^2 minus the corresponding propagated norm;
+with A*||component - anchor||^2 minus the corresponding propagated norm,
+the anchor being the component before the update;
 whenever A dominates the squared norm of the local forward map the augmented
 functional majorizes the local one, and its minimizer is explicit.  With the
 lumped volume products used throughout, these formulas are the exact
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .mesh import flux_support
 
 logger = logging.getLogger(__name__)
 
@@ -152,8 +154,8 @@ def _msa_sweep(problem, config, components, traces):
     components = [c.copy() for c in components]
     traces = [t.copy() for t in traces]
     for i in range(nsub):
-        components[i] = problem.local_minimize(
-            [i], components, [components[i]], [traces[i]], config)[0]
+        components[i] = problem.local_minimize([i], components,
+                                               [traces[i]], config)[0]
         local = problem.local_solution([i], total_component(components),
                                        [traces[i]])[0]
         for j, at, take in problem.push[i]:
@@ -165,14 +167,14 @@ def _run(problem, config, initial, algorithm):
     start = problem.default_initial() if initial is None else np.asarray(initial, float)
     components = problem.split(start)
     iterate = total_component(components)
-    seed_solution = problem.global_solution(iterate)
+    seed_solution = problem.ops.forward_global(iterate)
     traces = [seed_solution[..., nodes].copy() for nodes in problem.trace_nodes]
 
     boxes = range(problem.decomp.n_subdomains)
     rows = []
     eps1 = config.eps1
     reason = "max_iter"
-    solves0 = problem.solve_calls()
+    solves0 = problem.ops.solve_count
 
     for it in range(1, config.max_iter + 1):
         previous = iterate
@@ -181,8 +183,8 @@ def _run(problem, config, initial, algorithm):
                                              traces)
             iterate = total_component(components)
         else:
-            fresh = problem.local_minimize(boxes, components, components,
-                                           traces, config)
+            fresh = problem.local_minimize(boxes, components, traces,
+                                           config)
             iterate = relax_combination(fresh, previous, config.lam)
             components = fresh
         increment = problem.param_norm(iterate - previous)
@@ -213,7 +215,7 @@ def _run(problem, config, initial, algorithm):
         components = problem.split(iterate)
     state = DDState(components=components, iterate=iterate)
     report = IterationReport(reason=reason, rows=rows,
-                             solve_calls=problem.solve_calls() - solves0)
+                             solve_calls=problem.ops.solve_count - solves0)
     return state, report
 
 
@@ -228,34 +230,31 @@ def run_asa(problem, config: DDConfig, initial=None):
 
 
 class _InversionBase:
-    """Shared plumbing of the three inversion adapters.
+    """The one inversion adapter of the Schwarz loops.
 
-    The defaults fit the volume parameters (source, initial temperature):
-    components live on the open-subdomain node sets, inner-boundary values
-    on the interfaces, and parameters are paired with the lumped mass.
-    Parameters and components are full-length nodal vectors; local
-    solutions are box fields, numbered by the box nodes `box_nodes[i]`.
-    The inner-boundary values of box i live on `trace_nodes[i]`, the set
-    its box system `ops.locals[i]` reads them on.  The maps that move
-    values between the two (`box_supports`, `exchange`, `push`) are
-    computed once here.  `bench/run.py` times `local_minimize`,
-    `local_solution` and `objective` by name in each adapter's own body.
+    Everything that differs between the flux, source and initial-value
+    problems lives on the operators `ops`: the per-box parameter supports
+    `ops.supports`, the parameter mass `ops.param_mass`, the surrogate
+    scale, the back-projection `ops.back_boxes`, the `ops.misfit` of the
+    objective and the `ops.solve_count`.  Parameters and components are
+    full-length nodal vectors; local solutions are box fields, numbered by
+    the box nodes `box_nodes[i]`.  The inner-boundary values of box i live
+    on `trace_nodes[i]`, the set its box system `ops.locals[i]` reads them
+    on.  The maps that move values between the two (`box_supports`,
+    `exchange`, `push`) are computed once here.
     """
 
-    def __init__(self, ops, z, exact=None, initial_value=0.0, *,
-                 supports=None, weight=None):
+    def __init__(self, ops, z, exact=None, initial_value=0.0):
         self.ops = ops
         self.decomp = ops.decomp
         self.z = np.asarray(z, dtype=float)
         self.exact = None if exact is None else np.asarray(exact, dtype=float)
         self.initial_value = float(initial_value)
-        self.weight = ops.lumped if weight is None else weight
         if self.exact is not None and not self.param_norm(self.exact) > 0:
             raise ValueError("the exact parameter has zero norm, so the "
                              "relative error is undefined")
         dec = self.decomp
-        self.supports = list(dec.interior_masks if supports is None
-                             else supports)
+        self.supports = ops.supports
         self.trace_nodes = [loc.nodes[loc.trace_local] for loc in ops.locals]
         self.box_nodes = [loc.nodes for loc in ops.locals]
         self.box_supports = []
@@ -272,7 +271,6 @@ class _InversionBase:
                       for j, nodes in enumerate(self.trace_nodes)
                       if j > i and dec.interior_masks[i][nodes].any()]
                      for i in range(dec.n_subdomains)]
-        self.surrogate_scale = 1.0
         self._warned_idle = False
 
     def _positions(self, box, trace, members):
@@ -306,11 +304,8 @@ class _InversionBase:
                 "decomposition invariant violated")
         return counts, gathers
 
-    def solve_calls(self):
-        return self.ops.solve_count
-
     def param_inner(self, u, v) -> float:
-        return fem.inner_product(u, v, self.weight)
+        return fem.inner_product(u, v, self.ops.param_mass)
 
     def param_norm(self, v) -> float:
         return math.sqrt(max(self.param_inner(v, v), 0.0))
@@ -337,27 +332,28 @@ class _InversionBase:
         out[np.logical_or.reduce(self.supports)] = self.initial_value
         return out
 
-    def global_solution(self, param):
-        return self.ops.forward_global(param)
+    def local_solution(self, boxes, param, traces) -> list:
+        """Local solves of param on boxes[k] with inner values traces[k]."""
+        return self.ops.forward_boxes(
+            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
 
-    def _local_updates(self, boxes, components, anchors, traces, config,
-                       back_project) -> list:
+    def local_minimize(self, boxes, components, traces, config) -> list:
         """Closed-form minimizers of the augmented local functionals of the
-        boxes `boxes`, box i anchored at anchors[k] with inner-boundary
-        values traces[k] for boxes[k] = i.
+        boxes `boxes`, box i anchored at its component components[i], with
+        inner-boundary values traces[k] for boxes[k] = i.
 
         With a the anchor, n the sum of the other components, F the local
         forward map with the current inner-boundary values and B the adjoint
         of its zero-trace part, the minimizer is
         (s a + B(z - F(n + a)) - beta n) / (s + beta) on the support of box
         i and zero elsewhere, with s = A * surrogate_scale.  F is
-        `ops.forward_boxes`, and `back_project(group, residuals)` maps the
+        `ops.forward_boxes`, and `ops.back_boxes(group, residuals)` maps the
         box residuals z - F(n + a) of a group of boxes to their B.  A box
         without support runs no solve and keeps its component.
         """
-        s = config.A * self.surrogate_scale
+        s = config.A * self.ops.surrogate_scale
         boxes = list(boxes)
-        anchors, traces = dict(zip(boxes, anchors)), dict(zip(boxes, traces))
+        traces = dict(zip(boxes, traces))
         group = [i for i in boxes if self.supports[i].any()]
         if len(group) < len(boxes) and not self._warned_idle:
             logger.info("subdomain %d holds none of the parameter's support: "
@@ -367,113 +363,50 @@ class _InversionBase:
         neighbours = {i: total_component([c for j, c in enumerate(components)
                                           if j != i]) for i in group}
         fields = self.ops.forward_boxes(
-            group, [(neighbours[i] + anchors[i])[self.box_nodes[i]]
+            group, [(neighbours[i] + components[i])[self.box_nodes[i]]
                     for i in group], [traces[i] for i in group])
         residuals = [self.z[..., self.box_nodes[i]] - u
                      for i, u in zip(group, fields)]
         del fields  # free the local solutions before the back-projection
         updates = {}
-        for i, b in zip(group, back_project(group, residuals)):
-            a, n, sup = anchors[i], neighbours[i], self.supports[i]
+        for i, b in zip(group, self.ops.back_boxes(group, residuals)):
+            a, n, sup = components[i], neighbours[i], self.supports[i]
             updates[i] = np.zeros_like(a)
             updates[i][sup] = (s * a[sup] + b[self.box_supports[i]]
                                - config.beta * n[sup]) / (s + config.beta)
         return [updates[i] if i in updates else components[i].copy()
                 for i in boxes]
 
+    def objective(self, param, config) -> float:
+        d = self.ops.forward_global(param) - self.z
+        return self.ops.misfit(d) + config.beta * self.param_inner(param, param)
 
+
+# `bench/run.py` times `local_solution`, `local_minimize` and `objective`
+# through `vars(cls)` of each adapter, so each binds them in its own body.
 class SourceInversion(_InversionBase):
-    """Volume-source identification wired for the Schwarz loops.
-
-    Components live on the open-subdomain node sets; inner-boundary values
-    are Dirichlet data for the local solves.  The back-projection of the
-    local update is the same local solve with zero trace (the operator is
-    self-adjoint in the lumped product).
-    """
+    """Volume-source identification on `elliptic.SourceOperators`."""
 
     kind = "source"
-
-    def local_solution(self, boxes, param, traces):
-        return self.ops.forward_boxes(
-            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
-
-    def local_minimize(self, boxes, components, anchors, traces, config):
-        return self._local_updates(boxes, components, anchors, traces, config,
-                                   self.ops.forward_boxes)
-
-    def objective(self, param, config) -> float:
-        u = self.global_solution(param)
-        d = u - self.z
-        return (fem.inner_product(d, d, self.weight)
-                + config.beta * self.param_inner(param, param))
+    local_solution = _InversionBase.local_solution
+    local_minimize = _InversionBase.local_minimize
+    objective = _InversionBase.objective
 
 
 class FluxInversion(_InversionBase):
-    """Boundary-flux identification wired for the Schwarz loops.
-
-    Components live on the right-side node sets of the subdomains that reach
-    x = 1; the misfit is measured on the rest of the boundary.  Inner
-    boundary values are carried on the interface closures so the local
-    mixed solves reproduce restrictions of global solves exactly.  The
-    back-projection of the local update is the local adjoint solve.
-    """
+    """Boundary-flux identification on `elliptic.FluxOperators`."""
 
     kind = "flux"
-
-    def __init__(self, ops, z, exact=None, initial_value=0.0):
-        supports = []
-        for nodes in flux_support(ops.mesh, ops.decomp):
-            mask = np.zeros(ops.mesh.n_nodes, dtype=bool)
-            mask[nodes] = True
-            supports.append(mask)
-        super().__init__(ops, z, exact, initial_value, supports=supports,
-                         weight=ops.bmass1)
-
-    def local_solution(self, boxes, param, traces):
-        return self.ops.forward_boxes(
-            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
-
-    def local_minimize(self, boxes, components, anchors, traces, config):
-        return self._local_updates(boxes, components, anchors, traces, config,
-                                   self.ops.adjoint_boxes)
-
-    def objective(self, param, config) -> float:
-        u = self.global_solution(param)
-        d = u - self.z
-        return (fem.inner_product(d, d, self.ops.bmass0)
-                + config.beta * self.param_inner(param, param))
+    local_solution = _InversionBase.local_solution
+    local_minimize = _InversionBase.local_minimize
+    objective = _InversionBase.objective
 
 
 class InitialValueInversion(_InversionBase):
-    """Initial-temperature identification wired for the Schwarz loops.
-
-    Solutions are space-time trajectories; inner-boundary values are carried
-    per time level.  The local update matches the stationary one with the
-    surrogate constant scaled by the observation-window length and the
-    residual fed through the weighted backward accumulation.  The additive
-    step and the exchange march all four boxes as one stack.
-    """
+    """Initial-temperature identification on `parabolic.HeatOperators`:
+    local solutions are box trajectories, traces are carried per level."""
 
     kind = "initial_value"
-
-    def __init__(self, ops, z, exact=None, initial_value=0.0):
-        super().__init__(ops, z, exact, initial_value)
-        self.surrogate_scale = ops.grid.sigma
-
-    def solve_calls(self):
-        return self.ops.step_count
-
-    def local_solution(self, boxes, param, traces):
-        return self.ops.forward_boxes(
-            boxes, [param[self.box_nodes[i]] for i in boxes], traces)
-
-    def local_minimize(self, boxes, components, anchors, traces, config):
-        return self._local_updates(boxes, components, anchors, traces, config,
-                                   self.ops.accumulate_boxes)
-
-    def objective(self, param, config) -> float:
-        traj = self.ops.forward_global(param)
-        d = traj - self.z
-        w = self.ops.grid.weights()
-        misfit = float(np.einsum("k,kn,n,kn->", w, d, self.weight, d))
-        return misfit + config.beta * self.param_inner(param, param)
+    local_solution = _InversionBase.local_solution
+    local_minimize = _InversionBase.local_minimize
+    objective = _InversionBase.objective

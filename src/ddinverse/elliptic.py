@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem
+from .mesh import flux_support
 
 
 def _box_boundary_mass(mesh, edges, nodes):
@@ -42,7 +43,12 @@ class _Operators:
     """Shared plumbing: the boxes `locals` in one Dirichlet mode, the
     `fem.DirichletSystem` of K on each in `box_systems`, built after the
     global system (built before it, they raise the setup's peak memory),
-    and `solve_count`, which counts every solve."""
+    and `solve_count`, which counts every solve.  Each subclass holds what
+    the inversion adapter needs of its problem: per-box parameter masks
+    `supports`, the parameter mass `param_mass`, the back-projection
+    `back_boxes` of box residuals and the objective's `misfit`."""
+
+    surrogate_scale = 1.0
 
     def __init__(self, mesh, decomp, K, dirichlet, tol):
         self.mesh, self.decomp, self.tol = mesh, decomp, tol
@@ -77,6 +83,8 @@ class SourceOperators(_Operators):
     def __init__(self, mesh, decomp, diffusion, reaction, tol=1e-10):
         K = fem.assemble(mesh, diffusion, reaction)
         self.lumped = fem.lumped_mass(mesh)
+        self.param_mass = self.lumped
+        self.supports = list(decomp.interior_masks)
         self.boundary_nodes = np.flatnonzero(mesh.boundary_mask)
         self.global_system = fem.DirichletSystem(
             [(K, self.boundary_nodes, mesh.nodes)])
@@ -93,6 +101,15 @@ class SourceOperators(_Operators):
         loc = self.locals[i]
         return self._solve(self.box_systems[i], loc.lumped * f,
                            loc.fixed_values(trace))
+
+    def back_boxes(self, boxes, residuals) -> list:
+        """The zero-trace `forward_boxes` of the box residuals: the local
+        map is self-adjoint in the lumped product."""
+        return self.forward_boxes(boxes, residuals)
+
+    def misfit(self, d: np.ndarray) -> float:
+        """The squared lumped norm of the volume misfit d."""
+        return fem.inner_product(d, d, self.lumped)
 
 
 class FluxOperators(_Operators):
@@ -121,6 +138,9 @@ class FluxOperators(_Operators):
         self.gamma1_nodes = mesh.side_nodes("right")
         self.bmass1 = fem.assemble_boundary_mass(mesh, gamma1_edges)
         self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
+        self.param_mass = self.bmass1
+        self.supports = [np.isin(np.arange(mesh.n_nodes), nodes)
+                         for nodes in flux_support(mesh, decomp)]
 
         self.global_system = fem.DirichletSystem(
             [(K, np.array([], dtype=np.int64), mesh.nodes)])
@@ -164,7 +184,11 @@ class FluxOperators(_Operators):
         part, zero flux, Dirichlet `trace` on the inner boundary closure."""
         return self._local_solve(i, self.bmass0_loc[i], w, trace)
 
-    def adjoint_boxes(self, boxes, residuals) -> list:
+    def back_boxes(self, boxes, residuals) -> list:
         """Zero-trace `adjoint_local` of each box boxes[k] with the box data
         residuals[k]."""
         return [self.adjoint_local(i, w) for i, w in zip(boxes, residuals)]
+
+    def misfit(self, d: np.ndarray) -> float:
+        """The squared norm of d on the measurement boundary."""
+        return fem.inner_product(d, d, self.bmass0)

@@ -123,11 +123,14 @@ class HeatOperators:
     systems as one stack are factored once (the boxes share one
     `fem.BandFactor` with a box axis) when small enough, and solved by
     warm-started PCG otherwise.  A group of boxes (`forward_boxes`,
-    `accumulate_boxes`) that is every box marches together, one stacked
+    `back_boxes`) that is every box marches together, one stacked
     solve per time level; any other group marches one box at a time
     (`forward_local`, `accumulate`) on `box_views[i]`, box i alone in the
     same system, built with it.  `step_count` counts one step per system
-    and time level.
+    and time level, and is the `solve_count` of the loops.  For the
+    inversion adapter the initial value lives on the open boxes, the
+    misfit is integrated over the observation window, and the surrogate
+    constant is scaled by its length (`surrogate_scale`).
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):
@@ -137,6 +140,9 @@ class HeatOperators:
 
         K = fem.assemble(mesh, diffusion, 0.0)
         self.lumped = fem.lumped_mass(mesh)
+        self.param_mass = self.lumped
+        self.supports = list(decomp.interior_masks)
+        self.surrogate_scale = grid.sigma
         S = fem.crank_nicolson(K, self.lumped, grid.dt)
         self.global_stack = _Stack(
             [(S, np.flatnonzero(mesh.boundary_mask), mesh.nodes)],
@@ -148,6 +154,11 @@ class HeatOperators:
                             tol)
         self.box_views = [self.boxes.box(i) for i in range(len(self.locals))]
         self.step_count = 0
+
+    @property
+    def solve_count(self) -> int:
+        """`step_count`."""
+        return self.step_count
 
     # -- stepping kernels -------------------------------------------------
 
@@ -196,6 +207,11 @@ class HeatOperators:
         """Evolve the initial value phi over [0, T]."""
         return self._march(self.global_stack, phi, None)
 
+    def misfit(self, d: np.ndarray) -> float:
+        """The squared lumped norm of d over the observation window."""
+        return float(np.einsum("k,kn,n,kn->", self.grid.weights(), d,
+                               self.lumped, d))
+
     def adjoint_global(self, omega: np.ndarray) -> np.ndarray:
         """Backward evolution with terminal value omega at t = T; entry k of
         the result holds the value at time k*dt."""
@@ -233,7 +249,7 @@ class HeatOperators:
 
     # -- adjoint accumulation ----------------------------------------------
 
-    def accumulate_boxes(self, boxes, residuals) -> list:
+    def back_boxes(self, boxes, residuals) -> list:
         """Weighted time integral of zero-trace backward solves of the box
         residual trajectories residuals[k] of box boxes[k], evaluated at
         time 0, as one stacked sweep when `boxes` is every box.
@@ -248,5 +264,5 @@ class HeatOperators:
         return [self.accumulate(i, r) for i, r in zip(boxes, residuals)]
 
     def accumulate(self, i: int, residual: np.ndarray) -> np.ndarray:
-        """`accumulate_boxes` of box i alone."""
+        """`back_boxes` of box i alone."""
         return self._accumulate(self.box_views[i], residual)

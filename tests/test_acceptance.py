@@ -191,15 +191,14 @@ def test_criterion_6_closed_form_minimizer_optimality():
     ]
     for prob, cfg in cases:
         comps = prob.split(rng.standard_normal(prob.ops.mesh.n_nodes))
-        seed_solution = prob.global_solution(dd.total_component(comps))
+        seed_solution = prob.ops.forward_global(dd.total_component(comps))
         traces = [seed_solution[..., nodes].copy()
                   for nodes in prob.trace_nodes]
         for i in range(4):
             if not prob.supports[i].any():
                 continue
             anchor = comps[i].copy()
-            star = prob.local_minimize([i], comps, [anchor], [traces[i]],
-                                       cfg)[0]
+            star = prob.local_minimize([i], comps, [traces[i]], cfg)[0]
             best = list(comps)
             best[i] = star
             j_star = local_surrogate(prob, i, best, traces[i], anchor, cfg)

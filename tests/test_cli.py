@@ -31,6 +31,7 @@ def test_single_run_artifacts(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["converged"] is True
     assert meta["iterations"] == k
+    assert meta["solve_calls"] == 87  # as test_golden pins for 5.1 msa n14
 
 
 def test_asa_run(tmp_path):

@@ -217,7 +217,7 @@ def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
     assert close(factored.forward_global(phi), iterative.forward_global(phi))
     boxes = range(4)
     for method, args in (("forward_boxes", (boxes, phis, traces)),
-                         ("accumulate_boxes", (boxes, residuals))):
+                         ("back_boxes", (boxes, residuals))):
         for a, b in zip(getattr(factored, method)(*args),
                         getattr(iterative, method)(*args)):
             assert close(a, b)
