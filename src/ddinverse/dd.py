@@ -156,6 +156,8 @@ def _msa_sweep(problem, config, components, traces):
     for i in range(nsub):
         components[i] = problem.local_minimize([i], components,
                                                [traces[i]], config)[0]
+        if not problem.push[i]:  # no later box reads this solution
+            continue
         local = problem.local_solution([i], total_component(components),
                                        [traces[i]])[0]
         for j, at, take in problem.push[i]:

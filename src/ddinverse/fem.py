@@ -28,10 +28,18 @@ scipy DIA or CSR matrix.  The hierarchy is built in float64, but its
 levels keep their matrices, prolongations and smoothing weights in float32,
 and the V-cycle runs in float32 through scipy's compiled sparse kernels, on
 the residual scaled by a power of two so that float32 cannot overflow; the
-cycle is then symmetric only to float32 rounding.  PCG itself, its vectors,
-its products by the float64 K_ff and its residual checks stay in float64,
-so every solve still meets its tolerance.  No path imports scipy.linalg or
-scipy.sparse.linalg, whose import alone adds several MB of resident memory.
+cycle is then symmetric only to float32 rounding; it is one loop down the
+levels and one loop up, over buffers and kernels set up once per level.
+PCG itself, its vectors, its products by the float64 K_ff and its residual
+checks stay in float64, so every solve still meets its tolerance; each
+product by K_ff, a scipy matrix or a `CSR`, is added into one buffer per
+solve.  No path imports scipy.linalg or scipy.sparse.linalg, whose import
+alone adds several MB of resident memory.
+
+`pcg64_random` draws the stream of numpy's default generator, PCG64
+seeded through SeedSequence, to the bit in plain numpy, for the data noise
+and the Lanczos start vectors, so that no run imports numpy's random
+module, which loads OpenSSL (6.2 MB of resident memory in all).
 
 Volume L2 inner products used by the inversion machinery are taken with the
 lumped (diagonal) mass, i.e. nodal quadrature.  This choice is what makes
@@ -75,6 +83,9 @@ DENSE_TAIL = 64
 # true one; a solve whose true relative residual exceeds the tolerance by
 # more than this factor fails.
 TRUE_RESIDUAL_FACTOR = 100.0
+# The multiplier of numpy's PCG64 and masks of 32, 64 and 128 bits.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 class SolverError(RuntimeError):
@@ -272,6 +283,8 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
     """Preconditioned conjugate gradients for SPD A from x0 (zero when
     None).
 
+    A is a `CSR` or a scipy DIA or CSR matrix, whose products are added
+    into one buffer by its `_accumulator`, to the bit as A @ x.
     `precondition(r, out)` writes M r to `out` and returns it, for a
     symmetric positive definite M, e.g. `Multilevel.apply`.  Stops when the
     recursively updated residual r satisfies ||r|| <= tol * ||b||; returns
@@ -290,8 +303,14 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
         return np.zeros(n), 0.0, 0
     if not math.isfinite(bnorm):
         return np.full(n, math.nan), math.nan, 0
+    # every product by A goes into the one buffer Ap
+    add_A, Ap = _accumulator(A), np.empty(n)
     x = np.zeros(n) if x0 is None else x0.copy()
-    r = b - A @ x if x0 is not None else b.copy()
+    r = b.copy()
+    if x0 is not None:
+        Ap.fill(0.0)
+        add_A(x, Ap)
+        r -= Ap
     z = precondition(r, np.empty(n))
     p = z.copy()
     step = np.empty(n)
@@ -314,7 +333,8 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
                 residual=rnorm / bnorm,
                 iterations=it,
             )
-        Ap = A @ p
+        Ap.fill(0.0)
+        add_A(p, Ap)
         pAp = np.dot(p, Ap)
         if pAp <= 0.0:
             raise SolverError(
@@ -333,7 +353,9 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
         rz = rz_new
         rnorm = math.sqrt(np.dot(r, r))
         it += 1
-    r = b - A @ x
+    Ap.fill(0.0)
+    add_A(x, Ap)
+    r = np.subtract(b, Ap, out=Ap)
     true = math.sqrt(np.dot(r, r)) / bnorm
     if true > TRUE_RESIDUAL_FACTOR * tol:
         raise SolverError(
@@ -343,15 +365,135 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
     return x, rnorm / bnorm, it
 
 
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """The 128-bit state and increment of numpy's PCG64 bit generator seeded
+    with SeedSequence(seed), on Python ints: the seed's 32-bit words are
+    hashed into a pool of four words and mixed, the pool is hashed out into
+    four 64-bit words, and PCG's srandom takes the first two as the initial
+    state and the last two as the stream (O'Neill, PCG, 2014; numpy's
+    bit_generator.pyx)."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, halves = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    # four 64-bit words, little-endian pairs of halves; state s and stream
+    # q become increment 2 q + 1 and state step(step(0) + s)
+    w = [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
+    increment = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
+    state = ((increment + (w[0] << 64 | w[1])) * _PCG64_MULTIPLIER
+             + increment) & _MASK128
+    return state, increment
+
+
+def _limbs(values):
+    """The high and low 64 bits of 128-bit Python ints, as uint64 arrays."""
+    words = np.frombuffer(b"".join([v.to_bytes(16, "little")
+                                    for v in values]), "<u8")
+    return words[1::2], words[0::2]
+
+
+def pcg64_random(seed: int, n: int) -> np.ndarray:
+    """numpy's `default_rng(seed).random(n)` to the bit, in plain numpy:
+    n draws in [0, 1) of numpy's PCG64, the 128-bit LCG x -> M x + inc
+    stepped before each draw, with the XSL-RR output (O'Neill, PCG, 2014).
+
+    The first m ~ sqrt(2 n) states s_i are stepped on Python ints, with the
+    jumps x -> A_k x + C_k of k m steps; state k m + i is then
+    A_k s_i + C_k, taken for all k and i in one vectorized pass on (high,
+    low) uint64 limbs: the low limb is the wrapped product of the low limbs
+    plus C's, the high limb the cross products, the high half of the low
+    limbs' product, built from 32-bit halves, C's high limb and the carry.
+    Draw j is the top 53 bits of rotr64(high ^ low, high >> 58), times
+    2^-53."""
+    state, increment = _pcg64_seeded(seed)
+    m = max(math.isqrt(2 * n), 1)
+    states = [state]
+    for _ in range(m):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        states.append(state)
+    # the jump of m steps takes the state before the first draw to s_m
+    a = pow(_PCG64_MULTIPLIER, m, 1 << 128)
+    c = (states[m] - a * states[0]) & _MASK128
+    del states[0]
+    jumps = [(1, 0)]
+    for _ in range(-(-n // m) - 1):
+        A, C = jumps[-1]
+        jumps.append((a * A & _MASK128, (a * C + c) & _MASK128))
+    xh, xl = _limbs(states)
+    ah, al = (v[:, None] for v in _limbs([A for A, _ in jumps]))
+    ch, cl = (v[:, None] for v in _limbs([C for _, C in jumps]))
+    shift, low = np.uint64(32), np.uint64(_MASK32)
+    x0, x1, a0, a1 = xl & low, xl >> shift, al & low, al >> shift
+    hi = al * xh
+    work = ah * xl
+    hi += work
+    mid = a0 * x0
+    mid >>= shift
+    lo = np.empty_like(hi)  # scratch until it takes the low limb
+    for p, q in ((a1, x0), (a0, x1)):
+        np.multiply(p, q, out=work)
+        np.right_shift(work, shift, out=lo)
+        hi += lo
+        work &= low
+        mid += work
+    mid >>= shift
+    hi += mid
+    del mid
+    np.multiply(a1, x1, out=work)
+    hi += work
+    np.multiply(al, xl, out=lo)
+    lo += cl
+    hi += ch
+    hi += lo < cl
+    # XSL-RR: rotate high ^ low right by the top six bits of the state
+    lo ^= hi
+    hi >>= np.uint64(58)
+    np.right_shift(lo, hi, out=work)
+    np.subtract(np.uint64(64), hi, out=hi)
+    hi &= np.uint64(63)
+    lo <<= hi
+    lo |= work
+    lo >>= np.uint64(11)
+    return lo.reshape(-1)[:n] * 2.0**-53
+
+
 def largest_eigenvalue(operator, n: int) -> float:
     """Estimate of the largest eigenvalue of a symmetric operator on R^n,
     given as a function v -> A v returning a new array (it is overwritten):
     the largest eigenvalue of the tridiagonal matrix of LANCZOS_STEPS
     Lanczos steps (fewer when the Krylov space closes earlier) from a fixed
-    pseudo-random start, so reruns give the same bits.  A Ritz value, so it
-    never exceeds the largest eigenvalue, up to rounding.  Keeps two
-    Lanczos vectors and does not reorthogonalize them."""
-    v = np.random.default_rng(0).random(n) - 0.5
+    pseudo-random start, `pcg64_random(0, n) - 0.5`, so reruns give the
+    same bits.  A Ritz value, so it never exceeds the largest eigenvalue,
+    up to rounding.  Keeps two Lanczos vectors and does not
+    reorthogonalize them."""
+    v = pcg64_random(0, n) - 0.5
     v /= math.sqrt(np.dot(v, v))
     v_prev = np.zeros(n)
     alpha, beta = [], [0.0]
@@ -431,10 +573,15 @@ def _diagonal_form(A):
 
 
 def _accumulator(A):
-    """y += A x for a scipy DIA or CSR matrix A, as a function add(x, y):
-    scipy's own compiled kernel, the one A @ x ends in, called without
-    scipy's Python dispatch and without allocating, so that add(x, zeros)
-    is A @ x to the bit.  x and y have the dtype of A."""
+    """y += A x for a `CSR` or a scipy DIA or CSR matrix A, as a function
+    add(x, y), so that add(x, zeros) is A @ x to the bit.  For a scipy
+    matrix it is scipy's own compiled kernel, the one A @ x ends in, called
+    without scipy's Python dispatch and without allocating; x and y have
+    the dtype of A.  A `CSR`, float64, adds its product."""
+    if isinstance(A, CSR):
+        def add(x, y):
+            y += A @ x
+        return add
     from scipy.sparse import _sparsetools
 
     n, m = A.shape
@@ -444,13 +591,6 @@ def _accumulator(A):
                                  A.data)
     return functools.partial(_sparsetools.csr_matvec, n, m, A.indptr,
                              A.indices, A.data)
-
-
-def _residual(add_A, b, x, r):
-    """r = b - A x, in place, for A given by its `_accumulator`."""
-    r.fill(0.0)
-    add_A(x, r)
-    np.subtract(b, r, out=r)
 
 
 class Multilevel:
@@ -478,16 +618,17 @@ class Multilevel:
     A in float64 as PCG multiplies by it: the first level's storage form,
     or the given A when there is no level.  `apply` is one symmetric
     V(1,1) cycle with these damped-Jacobi steps, run in float32 through
-    scipy's compiled products (`_accumulator`) into buffers allocated once;
-    it is symmetric only up to float32 rounding.  The coarsest inverse is
-    float32 below a level and float64 when there is none, so a small
-    system is still solved in one cycle.  Raises ValueError when a level's
+    scipy's compiled products (`_accumulator`) into buffers allocated once,
+    as one loop down and one loop up the levels; it is symmetric only up to
+    float32 rounding.  The coarsest inverse is float32 below a level and
+    float64 when there is none, so a small system is still solved in one
+    cycle.  Raises ValueError when a level's
     matrix is not positive definite (checked on the diagonals and by a
     Cholesky factorization of the coarsest matrix).
     """
 
     def __init__(self, A, coords: np.ndarray):
-        self.levels, self._work = [], []
+        self.levels, buffers, products = [], [], []
         self.matrix = A
         if A.shape[0] > COARSEST_SIZE:
             import scipy.sparse as sp
@@ -518,9 +659,8 @@ class Multilevel:
                           (stored, P, PT, 8.0 / (5.0 * lam) / diag))
             self.levels.append(level)
             # b, x and r of the cycle, and the products by A, P and P'
-            self._work.append(tuple(np.empty(n, np.float32)
-                                    for _ in range(3))
-                              + tuple(_accumulator(M) for M in level[:3]))
+            buffers.append(tuple(np.empty(n, np.float32) for _ in range(3)))
+            products.append(tuple(_accumulator(M) for M in level[:3]))
             A = (PT @ (A @ P)).tocsr()
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])
@@ -529,10 +669,14 @@ class Multilevel:
         except np.linalg.LinAlgError:
             raise ValueError("coarse operator is not positive definite") from None
         self.coarsest_inv = L_inv.T @ L_inv
+        self._work = []
         if self.levels:
             self.coarsest_inv = self.coarsest_inv.astype(np.float32)
-            self._work.append((np.empty(n, np.float32),
-                               np.empty(n, np.float32)))
+            buffers.append((np.empty(n, np.float32), np.empty(n, np.float32)))
+            # per level: b, x, r, the next level's b and x, and the products
+            self._work = [(*own, *below[:2], *product) for own, below, product
+                          in zip(buffers, buffers[1:], products)]
+            self._work.append(buffers[-1])
 
     def apply(self, b: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
@@ -541,34 +685,38 @@ class Multilevel:
         power of two 2^-e that brings max |b| into [1/2, 1), so float32
         cannot overflow, and x is scaled back by 2^e in float64.  Both
         scalings are exact, so the cycle of 2^k b is 2^k times the cycle of
-        b, to the bit."""
+        b, to the bit.  The cycle is one loop down the levels, presmoothing
+        and restricting the residual, the coarsest solve and one loop up,
+        prolongating the correction and postsmoothing."""
         if not self.levels:
             return np.dot(self.coarsest_inv, b, out=out)
+        if out is None:
+            out = np.empty(b.shape)
         # e is clamped where 2^e or 2^-e would overflow float64
-        e = min(max(math.frexp(max(b.max(), -b.min()))[1], -1021), 1023)
-        np.multiply(b, math.ldexp(1.0, -e), out=self._work[0][0])
-        return np.multiply(self._cycle(0), math.ldexp(1.0, e), out=out,
+        top = np.abs(b, out=out).max()
+        e = min(max(math.frexp(top)[1], -1021), 1023)
+        work = self._work
+        np.multiply(b, math.ldexp(1.0, -e), out=work[0][0])
+        for (_, _, _, scaled), (f, x, r, coarse, _, add_A, _, add_PT) in zip(
+                self.levels, work):
+            np.multiply(scaled, f, out=x)
+            r.fill(0.0)
+            add_A(x, r)
+            np.subtract(f, r, out=r)
+            coarse.fill(0.0)
+            add_PT(r, coarse)
+        f, x = work[-1]
+        np.dot(self.coarsest_inv, f, out=x)
+        for (_, _, _, scaled), (f, x, r, _, coarse, add_A, add_P, _) in zip(
+                reversed(self.levels), reversed(work[:-1])):
+            add_P(coarse, x)
+            r.fill(0.0)
+            add_A(x, r)
+            np.subtract(f, r, out=r)
+            r *= scaled
+            x += r
+        return np.multiply(work[0][1], math.ldexp(1.0, e), out=out,
                            dtype=np.float64)
-
-    def _cycle(self, level: int) -> np.ndarray:
-        """The float32 V(1,1) cycle of one level from x = 0, for the
-        right-hand side in the level's first buffer; returns x, held in the
-        level's second buffer."""
-        if level == len(self.levels):
-            b, x = self._work[level]
-            return np.dot(self.coarsest_inv, b, out=x)
-        b, x, r, add_A, add_P, add_PT = self._work[level]
-        scaled = self.levels[level][3]
-        coarse = self._work[level + 1][0]
-        np.multiply(scaled, b, out=x)
-        _residual(add_A, b, x, r)
-        coarse.fill(0.0)
-        add_PT(r, coarse)
-        add_P(self._cycle(level + 1), x)
-        _residual(add_A, b, x, r)
-        r *= scaled
-        x += r
-        return x
 
 
 def _block_tridiagonal(D, U):

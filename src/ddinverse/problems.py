@@ -5,8 +5,9 @@ reconstructions on the right boundary, three volume-source identifications
 and three initial-temperature recoveries.  Noisy data are produced by solving
 the forward problem with the known exact parameter and perturbing it nodally
 with uniform multiplicative noise, z = u * (1 + delta * R), R ~ U[-1, 1]
-drawn per node (and per time level for the heat problem) from a seeded
-generator.
+drawn per node (and per time level for the heat problem) from the seeded
+stream of numpy's default generator, reproduced by `fem.pcg64_random`
+without importing numpy's random module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dd, elliptic, parabolic
+from . import dd, elliptic, fem, parabolic
 from .mesh import build_mesh, build_subdomains
 
 # Default number of time steps for the heat problem (terminal time 4.0).
@@ -112,8 +113,8 @@ def synthesize_data(spec: ExperimentSpec, ops, seed: int, delta=None):
     delta = spec.delta if delta is None else float(delta)
     exact = exact_parameter_field(spec, ops)
     u = ops.forward_global(exact)
-    rng = np.random.default_rng(seed)
-    noise = rng.uniform(-1.0, 1.0, size=u.shape)
+    # R = -1 + 2 U, as numpy's default_rng(seed).uniform(-1, 1) computes it
+    noise = -1.0 + 2.0 * fem.pcg64_random(seed, u.size).reshape(u.shape)
     return exact, u * (1.0 + delta * noise)
 
 

@@ -31,7 +31,7 @@ def test_single_run_artifacts(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["converged"] is True
     assert meta["iterations"] == k
-    assert meta["solve_calls"] == 87  # as test_golden pins for 5.1 msa n14
+    assert meta["solve_calls"] == 80  # as test_golden pins for 5.1 msa n14
 
 
 def test_asa_run(tmp_path):
@@ -213,6 +213,8 @@ def test_heat_runs_and_dump_mesh_load_no_scipy(tmp_path):
     # Importing scipy.sparse adds about 22 MB of resident memory and 0.3 s
     # to a run.  Heat systems are factored in numpy and every fem matrix is
     # a numpy CSR; only a multilevel hierarchy with a level loads scipy.
+    # numpy.random adds 6.2 MB, half of it OpenSSL through secrets and
+    # hashlib; the data noise comes from fem.pcg64_random instead.
     out = str(tmp_path)
     script = f"""
 import sys
@@ -221,7 +223,8 @@ for algorithm in ("asa", "msa"):
     assert cli.main(["--experiment", "5.6", "--algorithm", algorithm,
                      "--nx", "7", "--out", {out!r} + "/" + algorithm]) == 0
 assert cli.main(["--nx", "7", "--dump-mesh", {out!r} + "/mesh.txt"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m in ("numpy.random", "secrets", "hashlib", "_hashlib")))
 """
     assert _last_line_of_fresh_run(script) == "[]"
 

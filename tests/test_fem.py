@@ -74,6 +74,18 @@ def test_accumulator_is_scipys_product_to_the_bit(case, form, dtype):
     assert y.tobytes() == (A @ x).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_products())
+def test_accumulator_of_a_csr_adds_its_product(case):
+    # PCG multiplies by a `CSR` K_ff, a system without a level, through
+    # the same accumulator as by a scipy one
+    data, indices, indptr, shape, x = case
+    A = fem.CSR(data, indices, indptr, shape)
+    y = np.zeros(shape[0])
+    fem._accumulator(A)(x, y)
+    assert y.tobytes() == (A @ x).tobytes()
+
+
 def test_rejects_nonpositive_diffusion(mesh7):
     with pytest.raises(ValueError):
         fem.assemble(mesh7, -1.0, 1.0)
@@ -231,6 +243,19 @@ def _random_load(m, system, seed=3):
         seed).uniform(-1.0, 1.0, system.free.size)
 
 
+def _hierarchy_case(case):
+    """A system solved by multilevel PCG: box 0 of 5.3 at nx=112
+    ("box-n112", 8001 free nodes) or the global system at nx=56 of 5.3
+    ("global-n56") or 5.1 ("flux-n56")."""
+    if case == "box-n112":
+        spec = problems.example_catalog()["5.3"]
+        m = mesh.build_mesh(112, 224)
+        K = fem.assemble(m, spec.diffusion, spec.reaction)
+        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
+        return fem.DirichletSystem([loc.member(K, m.nodes)])
+    return _global_system("5.3" if case == "global-n56" else "5.1", 56)[1]
+
+
 @pytest.mark.parametrize("experiment", ["5.3", "5.1"])
 def test_two_level_pcg_matches_jacobi(experiment):
     # the global system at nx=56: 6105 free nodes with Dirichlet walls
@@ -330,14 +355,7 @@ def test_v_cycle_is_symmetric_and_positive(case):
     # runs in float32, so it is symmetric up to a few float32 ulps of the
     # energy scale sqrt((r1'z1)(r2'z2)), the Cauchy-Schwarz bound of r1'z2
     # (at most 0.2 ulp measured over 20 pairs on either system)
-    if case == "box-n112":
-        spec = problems.example_catalog()["5.3"]
-        m = mesh.build_mesh(112, 224)
-        K = fem.assemble(m, spec.diffusion, spec.reaction)
-        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
-        system = fem.DirichletSystem([loc.member(K, m.nodes)])
-    else:
-        _, system = _global_system("5.3", 56)
+    system = _hierarchy_case(case)
     rng = np.random.default_rng(5)
     for _ in range(3):
         r1, r2 = rng.standard_normal((2, system.free.size))
@@ -367,6 +385,69 @@ def test_v_cycle_scaling_is_exact():
     for top in (1e300, 1e-310):
         x = cycle(top / np.abs(b).max() * b)
         assert np.all(np.isfinite(x)) and np.abs(x).max() > 0
+
+
+def _recursive_cycle(multilevel, b):
+    """The float32 V(1,1) cycle of `multilevel` for the float64 load b, as a
+    recursion over the levels: the same float32 operations in the same
+    order as `Multilevel.apply`, whose products each add into a buffer
+    through `fem._accumulator`."""
+    e = min(max(math.frexp(np.abs(b).max())[1], -1021), 1023)
+
+    def cycle(level, b):
+        if level == len(multilevel.levels):
+            return np.dot(multilevel.coarsest_inv, b)
+        A, P, PT, scaled = multilevel.levels[level]
+        x = scaled * b
+        r = b - A @ x
+        coarse = np.zeros(P.shape[1], np.float32)
+        fem._accumulator(PT)(r, coarse)
+        fem._accumulator(P)(cycle(level + 1, coarse), x)
+        r = b - A @ x
+        return x + scaled * r
+
+    return cycle(0, (b * math.ldexp(1.0, -e)).astype(np.float32)).astype(
+        np.float64) * math.ldexp(1.0, e)
+
+
+@pytest.mark.parametrize("case", ["box-n112", "global-n56"])
+def test_flat_v_cycle_equals_the_recursive_one(case):
+    # `apply` runs the cycle as one loop down and one loop up the levels
+    system = _hierarchy_case(case)
+    multilevel = system.multilevel[0]
+    assert len(multilevel.levels) >= 2
+    rng = np.random.default_rng(8)
+    out = np.empty(system.free.size)
+    for scale in (1e-3, 1.0, 1e5):
+        b = scale * rng.standard_normal(system.free.size)
+        reference = _recursive_cycle(multilevel, b)
+        assert multilevel.apply(b).tobytes() == reference.tobytes()
+        assert multilevel.apply(b, out) is out
+        assert out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 11,
+                                  2**130 + 3])
+def test_pcg64_stream_is_numpys_default_generator(seed):
+    # one, two and four 32-bit seed words, and more words than the pool
+    for n in (1, 2, 255, 256, 257, 903, 21489, 25425):
+        ours = fem.pcg64_random(seed, n)
+        theirs = np.random.default_rng(seed).random(n)
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_pcg64_stream_gives_numpys_uniform_noise():
+    # the noise of the heat data at nx=28: 13 time levels of 1653 nodes
+    shape = (13, 1653)
+    noise = -1.0 + 2.0 * fem.pcg64_random(5, 13 * 1653).reshape(shape)
+    theirs = np.random.default_rng(5).uniform(-1.0, 1.0, shape)
+    assert noise.tobytes() == theirs.tobytes()
+
+
+def test_pcg64_stream_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        fem.pcg64_random(-1, 4)
 
 
 def _level_estimate(A):
@@ -446,15 +527,7 @@ def _largest_eigenvalue_bound(A):
 def test_smoothing_weights_keep_the_v_cycle_positive(case):
     # the V(1,1) cycle is positive definite while the smoothing weight w of
     # every level keeps w lam_max(D^-1 A) < 2
-    if case == "box-n112":
-        spec = problems.example_catalog()["5.3"]
-        m = mesh.build_mesh(112, 224)
-        K = fem.assemble(m, spec.diffusion, spec.reaction)
-        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
-        system = fem.DirichletSystem([loc.member(K, m.nodes)])
-    else:
-        _, system = _global_system("5.3" if case == "global-n56" else "5.1",
-                                   56)
+    system = _hierarchy_case(case)
     for A, _, _, scaled in system.multilevel[0].levels:
         weight = (scaled * A.diagonal()).max()
         assert weight * _largest_eigenvalue_bound(A) < 2.0

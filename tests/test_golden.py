@@ -78,8 +78,8 @@ iter,increment_norm,rel_error,objective
 
 
 @pytest.mark.parametrize("exp,algorithm,nx,kwargs,history,solve_calls", [
-    ("5.3", "msa", 7, {}, SOURCE_MSA_N7, 166),
-    ("5.1", "msa", 14, {}, FLUX_MSA_N14, 87),
+    ("5.3", "msa", 7, {}, SOURCE_MSA_N7, 156),
+    ("5.1", "msa", 14, {}, FLUX_MSA_N14, 80),
     ("5.6", "asa", 7, {"nt": 12}, HEAT_ASA_N7, 2916),
 ])
 def test_golden_history(exp, algorithm, nx, kwargs, history, solve_calls):
@@ -101,6 +101,6 @@ def test_golden_history_on_the_hierarchy_path(pcg_iterations):
                for system in prob.ops.box_systems)
     _, report = dd.run_msa(prob, dd.DDConfig(beta=spec.beta))
     assert report.to_csv() == SOURCE_MSA_N28
-    assert report.solve_calls == 234
-    # two global solves synthesize the data, 234 run the iteration
-    assert len(pcg_iterations) == 236 and sum(pcg_iterations) == 3014
+    assert report.solve_calls == 220
+    # two global solves synthesize the data, 220 run the iteration
+    assert len(pcg_iterations) == 222 and sum(pcg_iterations) == 3002

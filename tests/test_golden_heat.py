@@ -13,7 +13,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("algorithm,solve_calls", [("asa", 2916),
-                                                   ("msa", 1788)])
+                                                   ("msa", 1680)])
 def test_heat_golden_profile(tmp_path, algorithm, solve_calls):
     assert cli.main(["--experiment", "5.6", "--algorithm", algorithm,
                      "--nx", "7", "--nt", "12", "--seed", "0",
