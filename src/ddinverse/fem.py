@@ -18,23 +18,25 @@ each level by a Lanczos estimate of that level's largest eigenvalue, and
 whose coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted
 densely once.  A system of at most COARSEST_SIZE unknowns is its own
 coarsest level, so PCG solves it in one iteration; on larger ones the
-V-cycle keeps the count nearly independent of the mesh size.  Only the
-hierarchy's levels use scipy.sparse, for their sparse-sparse products and
-diagonal (DIA) storage, and import it when the first level is built: a
-heat run or a small system never loads scipy.  Each level keeps its matrix
-in DIA storage when that takes no more memory than CSR, as the
-7-diagonal grid operators do, so the K_ff that PCG multiplies by may be a
-scipy DIA or CSR matrix.  The hierarchy is built in float64, but its
+V-cycle keeps the count nearly independent of the mesh size.  The
+hierarchy is built on `CSR` matrices and runs through scipy's compiled
+sparse kernels, the extension module scipy.sparse._sparsetools loaded
+alone (`_sparsetools`), without importing scipy or scipy.sparse, whose
+import adds about 22 MB of resident memory and 0.2-0.3 s to a run; the
+kernels are called in the order scipy.sparse calls them, so every level is
+the same to the bit.  A heat run never loads them.  Each level keeps its
+matrix in diagonal storage (`DIA`) when that takes no more memory than
+CSR, as the 7-diagonal grid operators do, so the K_ff that PCG multiplies
+by may be a `DIA` or a `CSR`.  The hierarchy is built in float64, but its
 levels keep their matrices, prolongations and smoothing weights in float32,
-and the V-cycle runs in float32 through scipy's compiled sparse kernels, on
-the residual scaled by a power of two so that float32 cannot overflow; the
+and the V-cycle runs in float32 through the compiled products, on the
+residual scaled by a power of two so that float32 cannot overflow; the
 cycle is then symmetric only to float32 rounding; it is one loop down the
 levels and one loop up, over buffers and kernels set up once per level.
 PCG itself, its vectors, its products by the float64 K_ff and its residual
 checks stay in float64, so every solve still meets its tolerance; each
-product by K_ff, a scipy matrix or a `CSR`, is added into one buffer per
-solve.  No path imports scipy.linalg or scipy.sparse.linalg, whose import
-alone adds several MB of resident memory.
+product by K_ff is added into one buffer per solve.  No path imports a
+scipy package module.
 
 `pcg64_random` draws the stream of numpy's default generator, PCG64
 seeded through SeedSequence, to the bit in plain numpy, for the data noise
@@ -52,7 +54,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -86,6 +92,8 @@ TRUE_RESIDUAL_FACTOR = 100.0
 # The multiplier of numpy's PCG64 and masks of 32, 64 and 128 bits.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# scipy's compiled sparse kernels, once `_sparsetools` has loaded them.
+_KERNELS = None
 
 
 class SolverError(RuntimeError):
@@ -101,7 +109,9 @@ class SolverError(RuntimeError):
 class CSR:
     """A sparse matrix in compressed sparse row form: row i holds the values
     data[indptr[i]:indptr[i + 1]] in the columns
-    indices[indptr[i]:indptr[i + 1]], sorted and without duplicates."""
+    indices[indptr[i]:indptr[i + 1]], without duplicates and sorted, except
+    in the products of the multilevel hierarchy (`_product`), whose rows
+    keep the column order of scipy's kernel."""
 
     def __init__(self, data, indices, indptr, shape):
         self.data, self.indices, self.indptr = data, indices, indptr
@@ -132,6 +142,25 @@ class CSR:
         out = np.zeros(self.shape)
         out[self.rows, self.indices] = self.data
         return out
+
+
+class DIA:
+    """A square sparse matrix in diagonal storage: data[k, j] is the entry
+    in column j of the diagonal offsets[k] = column - row, the offsets
+    ascending, and the positions of a diagonal outside the matrix hold
+    zeros.  `nnz` counts the positions inside it, n - |offset| per
+    diagonal, as scipy's DIA matrix does."""
+
+    def __init__(self, data, offsets, shape):
+        self.data, self.offsets, self.shape = data, offsets, shape
+        self.nnz = int(shape[0] * offsets.size - np.abs(offsets).sum())
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x, summed from zero by scipy's compiled DIA
+        product, as scipy's DIA matrix does."""
+        y = np.zeros(self.shape[0], self.data.dtype)
+        _accumulator(self)(x, y)
+        return y
 
 
 def _coefficient_values(coef, cx, cy):
@@ -283,8 +312,9 @@ def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
     """Preconditioned conjugate gradients for SPD A from x0 (zero when
     None).
 
-    A is a `CSR` or a scipy DIA or CSR matrix, whose products are added
-    into one buffer by its `_accumulator`, to the bit as A @ x.
+    A is a `CSR` or a `DIA` (or another matrix with the CSR arrays),
+    whose products are added into one buffer by its `_accumulator`, by
+    scipy's compiled kernels and to the bit as A @ x.
     `precondition(r, out)` writes M r to `out` and returns it, for a
     symmetric positive definite M, e.g. `Multilevel.apply`.  Stops when the
     recursively updated residual r satisfies ||r|| <= tol * ||b||; returns
@@ -550,14 +580,12 @@ def _aggregates(coords):
 
 
 def _diagonal_form(A):
-    """Square scipy CSR matrix A, without duplicate entries, in DIA storage
-    when that takes no more memory than CSR,
-    8 (diagonals) n <= 12 nnz + 4 (n + 1) bytes; else A itself.  DIA sums
-    each row in ascending offset order, as CSR does over sorted columns,
-    and its padding adds exact zeros, so the products of the two are equal
-    to the bit."""
-    import scipy.sparse as sp
-
+    """Square `CSR` matrix A, without duplicate entries, as a `DIA` when
+    that takes no more memory than CSR, 8 (diagonals) n <= 12 nnz +
+    4 (n + 1) bytes; else A itself.  DIA sums each row in ascending offset
+    order, as CSR does over sorted columns, and its padding adds exact
+    zeros, so the products of the two are equal to the bit once A's rows
+    are sorted."""
     n = A.shape[0]
     # col - row + n - 1, in intp, which numpy indexes by without a copy
     offset = np.repeat(np.arange(n - 1, -1, -1), np.diff(A.indptr))
@@ -569,28 +597,110 @@ def _diagonal_form(A):
     start[offsets] = np.arange(0, offsets.size * n, n)
     data = np.zeros((offsets.size, n))
     data.reshape(-1)[start[offset] + A.indices] = A.data
-    return sp.dia_matrix((data, offsets - (n - 1)), shape=(n, n))
+    return DIA(data, offsets - (n - 1), (n, n))
+
+
+def _sparsetools():
+    """scipy's compiled sparse kernels, the extension module
+    scipy.sparse._sparsetools, without importing any scipy package module:
+    scipy.sparse's own when scipy.sparse is imported, else the extension
+    file in scipy's directory, found without importing scipy, loaded alone
+    as `_sparsetools`, once per process.  Raises ImportError, naming the
+    file, when it is missing."""
+    global _KERNELS
+    if _KERNELS is None:
+        _KERNELS = sys.modules.get("scipy.sparse._sparsetools")
+    if _KERNELS is None:
+        scipy = importlib.util.find_spec("scipy")
+        path = os.path.join(
+            os.path.dirname(scipy.origin) if scipy else "scipy", "sparse",
+            "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's sparse kernels are missing: {path}")
+        spec = importlib.util.spec_from_file_location("_sparsetools", path)
+        kernels = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kernels)
+        _KERNELS = kernels
+    return _KERNELS
 
 
 def _accumulator(A):
-    """y += A x for a `CSR` or a scipy DIA or CSR matrix A, as a function
-    add(x, y), so that add(x, zeros) is A @ x to the bit.  For a scipy
-    matrix it is scipy's own compiled kernel, the one A @ x ends in, called
-    without scipy's Python dispatch and without allocating; x and y have
-    the dtype of A.  A `CSR`, float64, adds its product."""
-    if isinstance(A, CSR):
-        def add(x, y):
-            y += A @ x
-        return add
-    from scipy.sparse import _sparsetools
-
+    """y += A x for a `DIA` or a `CSR` A (or another matrix with the CSR
+    arrays), as a function add(x, y), so that add(x, zeros) is A @ x to the
+    bit: scipy's compiled kernel, the one scipy's A @ x ends in, called
+    without allocating; x and y have the dtype of A."""
     n, m = A.shape
-    if A.format == "dia":
-        return functools.partial(_sparsetools.dia_matvec, n, m,
+    if isinstance(A, DIA):
+        return functools.partial(_sparsetools().dia_matvec, n, m,
                                  A.offsets.size, A.data.shape[1], A.offsets,
                                  A.data)
-    return functools.partial(_sparsetools.csr_matvec, n, m, A.indptr,
+    return functools.partial(_sparsetools().csr_matvec, n, m, A.indptr,
                              A.indices, A.data)
+
+
+def _indices(size, *arrays):
+    """The index arrays in int32 when every index up to `size` fits, else
+    in int64: a kernel takes all its index arrays in one type, as scipy
+    picks it."""
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _product(A, B):
+    """The CSR matrix A B by scipy's kernels in the order scipy's A @ B
+    calls them: `csr_matmat_maxnnz` sizes the result and `csr_matmat`
+    fills it (`_combined`).  Each row keeps the kernel's column order,
+    which need not be sorted."""
+    kernels = _sparsetools()
+    Ap, Aj, Bp, Bj = _indices(max(*A.shape, *B.shape, A.nnz, B.nnz),
+                              A.indptr, A.indices, B.indptr, B.indices)
+    nnz = kernels.csr_matmat_maxnnz(A.shape[0], B.shape[1], Ap, Aj, Bp, Bj)
+    return _combined(kernels.csr_matmat, A, B, nnz, (A.shape[0], B.shape[1]))
+
+
+def _difference(A, B):
+    """The CSR matrix A - B of two matrices of one shape by scipy's
+    `csr_minus_csr`, as scipy's A - B (`_combined`)."""
+    return _combined(_sparsetools().csr_minus_csr, A, B, A.nnz + B.nnz,
+                     A.shape)
+
+
+def _combined(kernel, A, B, nnz, shape):
+    """The CSR matrix of the given shape that a binary kernel of scipy's
+    computes from A and B into arrays of nnz entries, dropping entries that
+    come out exactly zero, trimmed to the entries it wrote."""
+    Ap, Aj, Bp, Bj = _indices(max(*shape, A.shape[1], A.nnz, B.nnz, nnz),
+                              A.indptr, A.indices, B.indptr, B.indices)
+    indptr = np.empty(shape[0] + 1, Ap.dtype)
+    indices = np.empty(nnz, Ap.dtype)
+    data = np.empty(nnz, np.result_type(A.data, B.data))
+    kernel(*shape, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
+    end = indptr[-1]
+    return CSR(data[:end].copy(), indices[:end].copy(), indptr, shape)
+
+
+def _transpose(A):
+    """The CSR matrix A' by scipy's `csr_tocsc`, as scipy's A.T.tocsr():
+    its rows come out sorted."""
+    n, m = A.shape
+    Ap, Aj = _indices(max(n, m, A.nnz), A.indptr, A.indices)
+    indptr = np.empty(m + 1, Ap.dtype)
+    indices = np.empty(A.nnz, Ap.dtype)
+    data = np.empty(A.nnz, A.data.dtype)
+    _sparsetools().csr_tocsc(n, m, Ap, Aj, A.data, indptr, indices, data)
+    return CSR(data, indices, indptr, (m, n))
+
+
+def _float32(A):
+    """A `DIA` or a `CSR` in float32, as scipy's astype(np.float32) gives
+    it: a CSR copy also has its rows sorted (`csr_sort_indices`)."""
+    if isinstance(A, DIA):
+        return DIA(A.data.astype(np.float32), A.offsets, A.shape)
+    out = CSR(A.data.astype(np.float32), A.indices.copy(), A.indptr.copy(),
+              A.shape)
+    _sparsetools().csr_sort_indices(A.shape[0], out.indptr, out.indices,
+                                    out.data)
+    return out
 
 
 class Multilevel:
@@ -605,35 +715,33 @@ class Multilevel:
     P = T - 4 / (3 lam) D^-1 A T, the next level's matrix is P' A P and its
     unknowns sit at the aggregate centroids.  Coarsening stops at
     COARSEST_SIZE unknowns or fewer, whose matrix is inverted densely; a
-    matrix that small has no levels, and one cycle solves it.  A, a `CSR`
-    or scipy matrix, becomes a scipy CSR matrix when it has a level, and
-    the hierarchy is built in float64: the estimates and the products A T
-    and P' A P, taken in scipy's CSR.  Each level then keeps, in float32, A
-    in DIA storage when that takes no more memory (`_diagonal_form`), P,
-    its transpose P' as a CSR matrix and the smoothing weights w / diag(A)
-    with w = 8 / (5 lam), the weight of the best damped-Jacobi smoothing
-    factor on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg, Oosterlee and
-    Schueller, Multigrid, 2001); the cycle is positive definite while
-    w lam_max < 2, which leaves the estimate a fifth of slack.  `matrix` is
-    A in float64 as PCG multiplies by it: the first level's storage form,
-    or the given A when there is no level.  `apply` is one symmetric
-    V(1,1) cycle with these damped-Jacobi steps, run in float32 through
-    scipy's compiled products (`_accumulator`) into buffers allocated once,
-    as one loop down and one loop up the levels; it is symmetric only up to
-    float32 rounding.  The coarsest inverse is float32 below a level and
-    float64 when there is none, so a small system is still solved in one
-    cycle.  Raises ValueError when a level's
-    matrix is not positive definite (checked on the diagonals and by a
+    matrix that small has no levels, and one cycle solves it.  A is a
+    `CSR`, and the hierarchy is built in float64 on `CSR` matrices: the
+    estimates, and the products A T and P' A P, the difference and the
+    transpose taken by scipy's compiled kernels (`_product`, `_difference`,
+    `_transpose`) in the order scipy.sparse takes them, so every level is
+    the one scipy.sparse builds, to the bit.  Each level then keeps, in
+    float32 (`_float32`), A as a `DIA` when that takes no more memory
+    (`_diagonal_form`), P, its transpose P' and the smoothing weights
+    w / diag(A) with w = 8 / (5 lam), the weight of the best damped-Jacobi
+    smoothing factor on the 2-D Laplacian, 4/5 at lam = 2 (Trottenberg,
+    Oosterlee and Schueller, Multigrid, 2001); the cycle is positive
+    definite while w lam_max < 2, which leaves the estimate a fifth of
+    slack.  `matrix` is A in float64 as PCG multiplies by it: the first
+    level's storage form, or the given A when there is no level.  `apply`
+    is one symmetric V(1,1) cycle with these damped-Jacobi steps, run in
+    float32 through the compiled products (`_accumulator`) into buffers
+    allocated once, as one loop down and one loop up the levels; it is
+    symmetric only up to float32 rounding.  The coarsest inverse is float32
+    below a level and float64 when there is none, so a small system is
+    still solved in one cycle.  Raises ValueError when a level's matrix is
+    not positive definite (checked on the diagonals and by a
     Cholesky factorization of the coarsest matrix).
     """
 
     def __init__(self, A, coords: np.ndarray):
         self.levels, buffers, products = [], [], []
         self.matrix = A
-        if A.shape[0] > COARSEST_SIZE:
-            import scipy.sparse as sp
-
-            A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
         while True:
             diag = A.diagonal()
             if not np.all(diag > 0):
@@ -649,19 +757,20 @@ class Multilevel:
                                      n)
             agg = _aggregates(coords)
             n_agg = int(agg.max()) + 1
-            T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
-                              shape=(n, n_agg))
-            # A copy, because the difference keeps arrays sized for the
-            # entries of both operands
-            P = (T - sp.diags(4.0 / (3.0 * lam) / diag) @ (A @ T)).copy()
-            PT = P.T.tocsr()
-            level = tuple(M.astype(np.float32) for M in
-                          (stored, P, PT, 8.0 / (5.0 * lam) / diag))
+            T = CSR(np.ones(n), agg, np.arange(n + 1), (n, n_agg))
+            # 4 / (3 lam) D^-1 A T as the product by a diagonal CSR W, as
+            # scipy's diags(w) @ (A @ T) takes it, which reverses each row
+            W = CSR(4.0 / (3.0 * lam) / diag, np.arange(n), np.arange(n + 1),
+                    (n, n))
+            P = _difference(T, _product(W, _product(A, T)))
+            PT = _transpose(P)
+            level = (_float32(stored), _float32(P), _float32(PT),
+                     (8.0 / (5.0 * lam) / diag).astype(np.float32))
             self.levels.append(level)
             # b, x and r of the cycle, and the products by A, P and P'
             buffers.append(tuple(np.empty(n, np.float32) for _ in range(3)))
             products.append(tuple(_accumulator(M) for M in level[:3]))
-            A = (PT @ (A @ P)).tocsr()
+            A = _product(PT, _product(A, P))
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])
         try:
@@ -900,9 +1009,9 @@ def block_diagonal(blocks, width):
 
 
 def eliminate(K, fixed):
-    """Split a CSR matrix K (a `CSR` or scipy matrix), columns sorted in
-    each row and without duplicates, by a fixed Dirichlet node set, in one
-    pass over its entries.
+    """Split a CSR matrix K (a `CSR`, or another matrix with its four
+    attributes), columns sorted in each row and without duplicates, by a
+    fixed Dirichlet node set, in one pass over its entries.
 
     Returns (free, fixed, entries, K_fd): the sorted free and fixed nodes,
     the entries (rows, cols, vals) of the free-free block K_ff listed row by
@@ -948,9 +1057,9 @@ class DirichletSystem:
     solves each member by PCG, preconditioned by the `Multilevel` hierarchy
     of its free-free block, binned by the coordinates of its free nodes;
     K_ff[k] is that block in float64 in the storage form of the hierarchy's
-    first level (`Multilevel.matrix`), so it may be a scipy matrix in DIA
-    storage (a `CSR` when the hierarchy has no level), while the hierarchy
-    keeps its own levels in float32.  PCG starts from the member's last
+    first level (`Multilevel.matrix`), a `DIA` or a `CSR` (always a `CSR`
+    when the hierarchy has no level), while the hierarchy keeps its own
+    levels in float32.  PCG starts from the member's last
     solution of the same kind, with homogeneous or with given fixed values
     (`last[k]`, one slot each), so repeated solves of one kind, such as the
     local solves of successive Schwarz sweeps or the steps of a march,

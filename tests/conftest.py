@@ -112,6 +112,9 @@ def consistent_mass(m):
 
 
 def scipy_csr(A):
-    """A `fem.CSR` (or scipy) matrix as a scipy CSR matrix with the same
-    arrays, for the scipy operations the tests compare with."""
+    """A `fem.CSR` (or scipy CSR) matrix as a scipy CSR matrix with the same
+    arrays, and a `fem.DIA` as a scipy DIA matrix with the same arrays, for
+    the scipy operations the tests compare with."""
+    if isinstance(A, fem.DIA):
+        return sp.dia_matrix((A.data, A.offsets), shape=A.shape)
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)

@@ -212,9 +212,10 @@ def _last_line_of_fresh_run(script):
 def test_heat_runs_and_dump_mesh_load_no_scipy(tmp_path):
     # Importing scipy.sparse adds about 22 MB of resident memory and 0.3 s
     # to a run.  Heat systems are factored in numpy and every fem matrix is
-    # a numpy CSR; only a multilevel hierarchy with a level loads scipy.
-    # numpy.random adds 6.2 MB, half of it OpenSSL through secrets and
-    # hashlib; the data noise comes from fem.pcg64_random instead.
+    # a numpy CSR; only PCG and the multilevel hierarchy load scipy's
+    # compiled kernels, alone, as `_sparsetools`, and a heat run not even
+    # those.  numpy.random adds 6.2 MB, half of it OpenSSL through secrets
+    # and hashlib; the data noise comes from fem.pcg64_random instead.
     out = str(tmp_path)
     script = f"""
 import sys
@@ -224,9 +225,66 @@ for algorithm in ("asa", "msa"):
                      "--nx", "7", "--out", {out!r} + "/" + algorithm]) == 0
 assert cli.main(["--nx", "7", "--dump-mesh", {out!r} + "/mesh.txt"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-             or m in ("numpy.random", "secrets", "hashlib", "_hashlib")))
+             or m in ("numpy.random", "secrets", "hashlib", "_hashlib",
+                      "_sparsetools")))
 """
     assert _last_line_of_fresh_run(script) == "[]"
+
+
+def test_elliptic_runs_load_no_scipy_package_module(tmp_path):
+    # The multilevel hierarchy runs on fem.CSR and fem.DIA through scipy's
+    # compiled kernels, loaded alone (0.16 MB): an elliptic run imports
+    # neither scipy.sparse nor any other scipy module, nor numpy.random.
+    out = str(tmp_path)
+    script = f"""
+import sys
+from ddinverse import cli
+for experiment, algorithm in (("5.3", "msa"), ("5.1", "asa")):
+    assert cli.main(["--experiment", experiment, "--algorithm", algorithm,
+                     "--nx", "28", "--out", {out!r} + "/" + algorithm]) == 0
+assert "_sparsetools" in sys.modules  # the runs built a hierarchy
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m == "numpy.random"))
+"""
+    assert _last_line_of_fresh_run(script) == "[]"
+
+
+_CYCLE = """
+import hashlib
+import sys
+import numpy as np
+from ddinverse import fem, mesh, problems
+
+def cycle():
+    # the 5.3 global system at nx=56, a hierarchy of two levels
+    spec = problems.example_catalog()["5.3"]
+    m = mesh.build_mesh(56, 112)
+    K = fem.assemble(m, spec.diffusion, spec.reaction)
+    system = fem.DirichletSystem([(K, np.flatnonzero(m.boundary_mask),
+                                   m.nodes)])
+    assert len(system.multilevel[0].levels) == 2
+    z = system.multilevel[0].apply(np.cos(np.arange(system.free.size)))
+    return hashlib.sha256(z.tobytes()).hexdigest()
+"""
+
+
+def test_kernels_and_scipy_sparse_in_either_order_give_one_cycle():
+    # the kernels loaded alone before scipy.sparse is imported, and
+    # scipy.sparse's own module when it is imported first, give the same
+    # V-cycle to the bit
+    alone_first = _last_line_of_fresh_run(_CYCLE + """
+first = cycle()
+import scipy.sparse
+assert fem._sparsetools() is not sys.modules["scipy.sparse._sparsetools"]
+assert cycle() == first
+print(first)
+""")
+    scipy_first = _last_line_of_fresh_run(_CYCLE + """
+import scipy.sparse
+assert fem._sparsetools() is sys.modules["scipy.sparse._sparsetools"]
+print(cycle())
+""")
+    assert len(alone_first) == 64 and alone_first == scipy_first
 
 
 def test_runs_leave_scipy_solver_modules_unimported(tmp_path):
@@ -246,7 +304,7 @@ for args in (["--experiment", "5.3", "--nx", "7"],
 side = np.arange(64.0)
 coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
 system = fem.DirichletSystem([(sp.identity(4096, format="csr"), [], coords)])
-assert system.multilevel is not None and system.K_ff[0].format == "dia"
+assert system.multilevel is not None and isinstance(system.K_ff[0], fem.DIA)
 system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))

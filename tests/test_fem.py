@@ -69,8 +69,10 @@ def test_accumulator_is_scipys_product_to_the_bit(case, form, dtype):
     data, indices, indptr, shape, x = case
     A = sp.csr_matrix((data, indices, indptr), shape=shape).asformat(form)
     A, x = A.astype(dtype), x.astype(dtype)
+    ours = (fem.DIA(A.data, A.offsets, shape) if form == "dia"
+            else fem.CSR(A.data, A.indices, A.indptr, shape))
     y = np.zeros(shape[0], dtype)
-    fem._accumulator(A)(x, y)
+    fem._accumulator(ours)(x, y)
     assert y.tobytes() == (A @ x).tobytes()
 
 
@@ -78,12 +80,149 @@ def test_accumulator_is_scipys_product_to_the_bit(case, form, dtype):
 @given(sparse_products())
 def test_accumulator_of_a_csr_adds_its_product(case):
     # PCG multiplies by a `CSR` K_ff, a system without a level, through
-    # the same accumulator as by a scipy one
+    # the same accumulator as by a `DIA` one
     data, indices, indptr, shape, x = case
     A = fem.CSR(data, indices, indptr, shape)
     y = np.zeros(shape[0])
     fem._accumulator(A)(x, y)
     assert y.tobytes() == (A @ x).tobytes()
+
+
+@st.composite
+def sparse_chains(draw):
+    """Random CSR matrices X (n x k), Y (k x m), W (m x p) and Z (n x m) in
+    canonical form, rows possibly empty, with values that are either small
+    integers, whose sums cancel to exactly zero, or spread over 16 orders
+    of magnitude; and a square DIA matrix of random offsets and values."""
+    n, k, m, p = (draw(st.integers(1, 25)) for _ in range(4))
+    cancel = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(rows, cols):
+        density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+        dense = rng.random((rows, cols)) < density
+        r, c = np.nonzero(dense)
+        vals = (rng.choice([-2.0, -1.0, 1.0, 2.0], r.size) if cancel else
+                rng.standard_normal(r.size) * 10.0 ** rng.integers(-8, 8,
+                                                                   r.size))
+        indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))])
+        return fem.CSR(vals, c.astype(np.int32), indptr.astype(np.int32),
+                       (rows, cols))
+
+    offsets = np.flatnonzero(rng.random(2 * n - 1) < draw(
+        st.sampled_from([0.1, 0.5, 1.0]))) - (n - 1)
+    dia = fem.DIA(rng.standard_normal((offsets.size, n)), offsets, (n, n))
+    return (matrix(n, k), matrix(k, m), matrix(m, p), matrix(n, m), dia,
+            rng.standard_normal(n))
+
+
+def _same_csr(ours, theirs):
+    """Whether a `fem.CSR` holds the arrays of a scipy CSR matrix, the
+    values to the bit and in the same order."""
+    nnz = theirs.indptr[-1]
+    return (ours.shape == theirs.shape
+            and np.array_equal(ours.indptr, theirs.indptr)
+            and np.array_equal(ours.indices, theirs.indices[:nnz])
+            and ours.data.tobytes() == theirs.data[:nnz].tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_chains())
+def test_kernel_helpers_are_scipys_operations_to_the_bit(case):
+    # the hierarchy's products, difference, transpose, float32 copies and
+    # DIA products call scipy's compiled kernels as scipy.sparse does; a
+    # product of products has unsorted rows
+    X, Y, W, Z, dia, x = case
+    XY, XYW = fem._product(X, Y), fem._product(fem._product(X, Y), W)
+    sX, sY, sW, sZ = map(scipy_csr, (X, Y, W, Z))
+    assert _same_csr(XY, sX @ sY)
+    assert _same_csr(XYW, (sX @ sY) @ sW)
+    assert _same_csr(fem._difference(Z, XY), sZ - sX @ sY)
+    assert _same_csr(fem._difference(XY, Z), sX @ sY - sZ)
+    assert _same_csr(fem._transpose(XY), (sX @ sY).T.tocsr())
+    assert _same_csr(fem._transpose(XYW), ((sX @ sY) @ sW).T.tocsr())
+    reference = (sX @ sY).astype(np.float32)
+    reference.sort_indices()
+    assert _same_csr(fem._float32(XY), reference)
+    assert _same_csr(XY, sX @ sY)  # the copy is sorted, not XY itself
+    theirs = sp.dia_matrix((dia.data, dia.offsets), shape=dia.shape)
+    assert dia.nnz == theirs.nnz
+    assert (dia @ x).tobytes() == (theirs @ x).tobytes()
+    half = fem._float32(dia)
+    assert ((half @ x.astype(np.float32)).tobytes()
+            == (theirs.astype(np.float32) @ x.astype(np.float32)).tobytes())
+
+
+def _scipy_float32(M):
+    """M in float32 with its CSR rows sorted, as the hierarchy keeps it."""
+    M = M.astype(np.float32)
+    if M.format == "csr":
+        M.sort_indices()
+    return M
+
+
+def _scipy_multilevel(A, coords):
+    """The first level's float64 storage form, the float32 levels and the
+    coarsest inverse of `fem.Multilevel` for a `CSR` A, built on
+    scipy.sparse as the hierarchy was before it moved to `fem.CSR`: each
+    level in DIA storage when that takes no more memory than CSR
+    (scipy's todia), P = T - 4 / (3 lam) D^-1 A T, P' = P.T.tocsr() and
+    the next level PT @ (A @ P)."""
+    A = scipy_csr(A)
+    matrix, levels = A, []
+    while A.shape[0] > fem.COARSEST_SIZE:
+        n, diag = A.shape[0], A.diagonal()
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        diagonals = np.unique(A.indices - rows).size
+        stored = (A.tocoo().todia()
+                  if 8 * diagonals * n <= 12 * A.nnz + 4 * (n + 1) else A)
+        if not levels:
+            matrix = stored
+        scale = 1.0 / np.sqrt(diag)
+        lam = fem.largest_eigenvalue(lambda v: scale * (stored @ (scale * v)),
+                                     n)
+        agg = fem._aggregates(coords)
+        T = sp.csr_matrix((np.ones(n), agg, np.arange(n + 1)),
+                          shape=(n, int(agg.max()) + 1))
+        P = T - sp.diags(4.0 / (3.0 * lam) / diag) @ (A @ T)
+        PT = P.T.tocsr()
+        levels.append((*map(_scipy_float32, (stored, P, PT)),
+                       (8.0 / (5.0 * lam) / diag).astype(np.float32)))
+        A = PT @ (A @ P)
+        coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
+                  / np.bincount(agg)[:, None])
+    L_inv = np.linalg.inv(np.linalg.cholesky(A.toarray()))
+    inverse = L_inv.T @ L_inv
+    return matrix, levels, inverse.astype(np.float32) if levels else inverse
+
+
+def _same_storage(ours, theirs):
+    """Whether a `fem.DIA` or `fem.CSR` holds the arrays of a scipy DIA or
+    CSR matrix, the values to the bit."""
+    if isinstance(ours, fem.DIA):
+        return (theirs.format == "dia"
+                and np.array_equal(ours.offsets, theirs.offsets)
+                and ours.data.tobytes() == theirs.data.tobytes()
+                and ours.nnz == theirs.nnz)
+    return theirs.format == "csr" and _same_csr(ours, theirs)
+
+
+@pytest.mark.parametrize("case", ["box-n112", "global-n56", "flux-n56",
+                                  "strip", "line"])
+def test_multilevel_is_the_scipy_sparse_hierarchy(case):
+    # every level, the float64 K_ff and the coarsest inverse are the arrays
+    # that scipy.sparse's operations give, to the bit
+    K, fixed, coords = _hierarchy_member(case)
+    system = fem.DirichletSystem([(K, fixed, coords)])
+    multilevel = system.multilevel[0]
+    matrix, levels, inverse = _scipy_multilevel(
+        fem.restrict(K, system.free), coords[system.free])
+    assert _same_storage(system.K_ff[0], matrix)
+    assert len(multilevel.levels) == len(levels) >= 2
+    for ours, theirs in zip(multilevel.levels, levels):
+        assert all(_same_storage(a, b) for a, b in zip(ours[:3], theirs[:3]))
+        assert ours[3].tobytes() == theirs[3].tobytes()
+    assert multilevel.coarsest_inv.tobytes() == inverse.tobytes()
 
 
 def test_rejects_nonpositive_diffusion(mesh7):
@@ -227,15 +366,22 @@ def test_pcg_breakdown_raises():
     assert err.value.iterations == 0
 
 
-def _global_system(experiment, nx):
-    """The mesh and the global system of an experiment: Dirichlet walls for
-    a source experiment, none for a flux one (all-Neumann operator)."""
+def _global_member(experiment, nx):
+    """The mesh and the global system of an experiment as a
+    `DirichletSystem` member: Dirichlet walls for a source experiment, none
+    for a flux one (all-Neumann operator)."""
     spec = problems.example_catalog()[experiment]
     m = mesh.build_mesh(nx, 2 * nx)
     K = fem.assemble(m, spec.diffusion, spec.reaction)
     fixed = (np.flatnonzero(m.boundary_mask) if spec.kind == "source"
              else np.array([], dtype=np.int64))
-    return m, fem.DirichletSystem([(K, fixed, m.nodes)])
+    return m, (K, fixed, m.nodes)
+
+
+def _global_system(experiment, nx):
+    """The mesh and the global system of an experiment."""
+    m, member = _global_member(experiment, nx)
+    return m, fem.DirichletSystem([member])
 
 
 def _random_load(m, system, seed=3):
@@ -243,17 +389,37 @@ def _random_load(m, system, seed=3):
         seed).uniform(-1.0, 1.0, system.free.size)
 
 
-def _hierarchy_case(case):
-    """A system solved by multilevel PCG: box 0 of 5.3 at nx=112
-    ("box-n112", 8001 free nodes) or the global system at nx=56 of 5.3
-    ("global-n56") or 5.1 ("flux-n56")."""
+def _thin_case(case):
+    """(K, coords) of an all-Neumann operator on thin or collinear nodes:
+    the P1 operator on 4201 x 2 nodes ("strip") or a 1-D operator on 5000
+    nodes on a line ("line")."""
+    if case == "strip":
+        m = mesh.build_mesh(4200, 1)
+        return fem.assemble(m, 1.0, 1.0), m.nodes
+    n = 5000
+    K = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+    return K, np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, 0.5)])
+
+
+def _hierarchy_member(case):
+    """A `DirichletSystem` member solved by multilevel PCG: box 0 of 5.3 at
+    nx=112 ("box-n112", 8001 free nodes), the global system at nx=56 of 5.3
+    ("global-n56") or 5.1 ("flux-n56"), or a `_thin_case`."""
     if case == "box-n112":
         spec = problems.example_catalog()["5.3"]
         m = mesh.build_mesh(112, 224)
         K = fem.assemble(m, spec.diffusion, spec.reaction)
         loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
-        return fem.DirichletSystem([loc.member(K, m.nodes)])
-    return _global_system("5.3" if case == "global-n56" else "5.1", 56)[1]
+        return loc.member(K, m.nodes)
+    if case in ("strip", "line"):
+        K, coords = _thin_case(case)
+        return K, [], coords
+    return _global_member("5.3" if case == "global-n56" else "5.1", 56)[1]
+
+
+def _hierarchy_case(case):
+    """The system of a `_hierarchy_member`."""
+    return fem.DirichletSystem([_hierarchy_member(case)])
 
 
 @pytest.mark.parametrize("experiment", ["5.3", "5.1"])
@@ -264,7 +430,7 @@ def test_two_level_pcg_matches_jacobi(experiment):
     assert system.multilevel is not None
     b = _random_load(m, system)
     K_ff = system.K_ff[0]
-    x_jac, _, it_jac = fem.pcg(K_ff, b, jacobi(K_ff))
+    x_jac, _, it_jac = fem.pcg(K_ff, b, jacobi(scipy_csr(K_ff)))
     x_two, relres, it_two = fem.pcg(K_ff, b, system.multilevel[0].apply)
     assert relres <= 1e-10
     assert np.abs(x_two - x_jac).max() <= 1e-8 * np.abs(x_jac).max()
@@ -477,7 +643,7 @@ def test_largest_eigenvalue_estimate_on_small_operators(experiment, nx):
     # the global operators of the elliptic experiments: with Dirichlet
     # walls (source) or without (all-Neumann flux), 105 to 435 unknowns
     _, system = _global_system(experiment, nx)
-    _assert_estimate_within_two_percent(system.K_ff[0])
+    _assert_estimate_within_two_percent(scipy_csr(system.K_ff[0]))
 
 
 def test_largest_eigenvalue_of_a_closed_krylov_space():
@@ -505,7 +671,7 @@ def p1_operators(draw):
     K = fem.assemble(m, lambda x, y: a, rng.uniform(0.0, 10.0))
     walls = draw(st.booleans()) and m.n_nodes > m.boundary_mask.sum()
     fixed = np.flatnonzero(m.boundary_mask) if walls else []
-    return fem.DirichletSystem([(K, fixed, m.nodes)]).K_ff[0]
+    return scipy_csr(fem.DirichletSystem([(K, fixed, m.nodes)]).K_ff[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,6 +695,7 @@ def test_smoothing_weights_keep_the_v_cycle_positive(case):
     # every level keeps w lam_max(D^-1 A) < 2
     system = _hierarchy_case(case)
     for A, _, _, scaled in system.multilevel[0].levels:
+        A = scipy_csr(A)
         weight = (scaled * A.diagonal()).max()
         assert weight * _largest_eigenvalue_bound(A) < 2.0
 
@@ -562,16 +729,8 @@ def test_multilevel_iterations_do_not_grow_with_the_mesh():
 @pytest.mark.filterwarnings("error")  # e.g. 0 / 0 in the binning
 @pytest.mark.parametrize("case", ["strip", "line"])
 def test_multilevel_on_thin_and_collinear_nodes(case):
-    if case == "strip":
-        # 4201 x 2 nodes and the all-Neumann operator
-        m = mesh.build_mesh(4200, 1)
-        K, coords = fem.assemble(m, 1.0, 1.0), m.nodes
-    else:
-        # a 1-D operator on 5000 nodes on a line: no level has extent
-        # across it
-        n = 5000
-        K = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
-        coords = np.column_stack([np.linspace(0.0, 1.0, n), np.full(n, 0.5)])
+    # on the line no level has extent across it
+    K, coords = _thin_case(case)
     system = fem.DirichletSystem([(K, [], coords)])
     assert system.multilevel is not None
     _assert_storage_by_the_memory_rule(system, K)
@@ -599,9 +758,10 @@ def _assert_storage_by_the_memory_rule(system, A, seed=0):
     level above, to float32 rounding."""
     rng = np.random.default_rng(seed)
     A = scipy_csr(A)
-    levels = system.multilevel[0].levels
+    levels = [(*map(scipy_csr, level[:3]), level[3])
+              for level in system.multilevel[0].levels]
     if levels:
-        K_ff, first = system.K_ff[0], levels[0][0]
+        K_ff, first = scipy_csr(system.K_ff[0]), levels[0][0]
         assert K_ff.dtype == np.float64 and K_ff.format == first.format
         assert abs(K_ff - A).max() == 0.0
         assert abs(first - A.astype(np.float32)).max() == 0.0
@@ -690,7 +850,7 @@ def test_diagonal_storage_memory_rule_at_its_bound(coupled, form):
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     system = fem.DirichletSystem([(K, [], coords)])
-    assert system.K_ff[0].format == form
+    assert scipy_csr(system.K_ff[0]).format == form
     _assert_storage_by_the_memory_rule(system, K)
 
 
