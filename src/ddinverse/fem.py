@@ -2,7 +2,11 @@
 
 Assembly returns `CSR` matrices, a small numpy class with the product and
 the diagonal the solvers need; variable coefficients are sampled at
-element centroids (one-point quadrature, second order for P1).  Linear
+element centroids (one-point quadrature, second order for P1).  It sorts
+the entries' keys once for the sparsity structure and then makes and sums
+the local matrices ASSEMBLY_CHUNK elements at a time, so it holds the
+terms of one chunk, not of the whole mesh, and each entry still sums its
+terms in element order.  Linear
 systems eliminate their Dirichlet conditions symmetrically, so every
 assembled operator stays symmetric positive definite.  One class,
 `DirichletSystem`, does this for all three problems, on a stack of systems
@@ -82,6 +86,11 @@ COARSEST_SIZE = 200
 # nodes times bandwidth than this is solved iteratively instead.  A square
 # grid just below the size rule, 64 x 64 nodes, has a bandwidth of about 64.
 MAX_BAND_ENTRIES = FACTOR_SIZE * 64
+# Cells whose local matrices `_assembled` makes and sums at a time.  A
+# chunk's terms take 74 kB, where the 50,176 elements of nx=112 take 3.6
+# MB; 4096 cells per chunk took no less time, and at nx=56 their temporaries
+# outweighed the structure's.
+ASSEMBLY_CHUNK = 1024
 # Block cyclic reduction stops once at most this many unknowns remain and
 # inverts the rest densely.
 DENSE_TAIL = 64
@@ -186,74 +195,72 @@ def assemble(mesh, diffusion, reaction):
     K : CSR matrix of size n_nodes x n_nodes, the discrete operator
         (diffusion stiffness plus reaction mass).
     """
-    p = mesh.nodes[mesh.elements]  # (m, 3, 2)
-    x, y = p[..., 0], p[..., 1]
     area = mesh.element_areas()
     if np.any(area <= 0):
         raise ValueError("mesh contains non-positively oriented elements")
-
-    cx = x.mean(axis=1)
-    cy = y.mean(axis=1)
+    # A callable coefficient is called once, on every centroid, and each
+    # centroid is the mean over the whole array, whose bits do not depend
+    # on the chunks of `_assembled`.
+    p = mesh.nodes[mesh.elements]  # (m, 3, 2)
+    cx = p[..., 0].mean(axis=1)
+    cy = p[..., 1].mean(axis=1)
+    del p
     a_vals = _coefficient_values(diffusion, cx, cy)
     c_vals = _coefficient_values(reaction, cx, cy)
     del cx, cy
     if np.any(a_vals <= 0):
         raise ValueError("diffusion coefficient must be positive at every centroid")
-
-    # Constant P1 gradients: grad phi_k = (bx_k, by_k).
-    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    del p, x, y
-    bx /= (2 * area)[:, None]
-    by /= (2 * area)[:, None]
-
-    # kloc = (a area) (bx bx' + by by') + c mass, built in place; the order
-    # of the operations is that of the plain expression, so K is unchanged
-    # to the bit.
-    kloc = bx[:, :, None] * bx[:, None, :]
-    work = np.multiply(by[:, :, None], by[:, None, :])
-    del bx, by
-    kloc += work
-    kloc *= (a_vals * area)[:, None, None]
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    np.multiply(area[:, None, None], mass_ref, out=work)
-    work *= c_vals[:, None, None]
-    kloc += work
-    del work
 
-    return _assembled(mesh.elements, kloc, mesh.n_nodes)
+    def local(chunk):
+        """(a area) (bx bx' + by by') + c area mass_ref of the elements
+        `chunk`, with the constant P1 gradients grad phi_k = (bx_k, by_k)."""
+        p = mesh.nodes[mesh.elements[chunk]]
+        x, y = p[..., 0], p[..., 1]
+        twice = 2 * area[chunk][:, None]
+        bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0],
+                       y[:, 0] - y[:, 1]], axis=1) / twice
+        by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2],
+                       x[:, 1] - x[:, 0]], axis=1) / twice
+        return ((bx[:, :, None] * bx[:, None, :]
+                 + by[:, :, None] * by[:, None, :])
+                * (a_vals[chunk] * area[chunk])[:, None, None]
+                + area[chunk][:, None, None] * mass_ref
+                * c_vals[chunk][:, None, None])
+
+    return _assembled(mesh.elements, local, mesh.n_nodes)
 
 
 def _assembled(cells, local, n):
-    """The n x n CSR matrix summing each local matrix local[e] into the rows
-    and columns cells[e].  Each entry sums its terms from zero in element
-    order (`np.bincount`), whatever order the sort leaves equal keys in, so
+    """The n x n CSR matrix summing each local matrix into the rows and
+    columns of its cell, cells[e]; `local(chunk)` gives the local matrices
+    of the cells of the slice `chunk`.  The sparsity structure comes from
+    one in-place sort of the row n + column keys, and the local matrices
+    are made and summed ASSEMBLY_CHUNK cells at a time, so only one
+    chunk's terms are held at once.  Each entry sums its terms from zero in
+    cell order (`np.add.at`), as one `np.bincount` over all terms would, so
     a sum of symmetric local matrices is symmetric to the bit."""
-    # row n + column keys, in int32 when they fit.  The permutation and
-    # entry numbers are int32, and each array is let go once used: at
-    # nx=112, where an array of the terms takes 3.6 MB in float64, this
-    # peaks at 8 MB.  Sorting the values themselves with a stable sort
-    # peaked at 11 MB, with the sort's buffer, and lifted the median peak
-    # resident memory of a 5.3 run at nx=112 by 4.5%.
     dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     cells = cells.astype(dtype, copy=False)
-    keys = (cells[:, :, None] * n + cells[:, None, :]).reshape(-1)
-    order = np.argsort(keys).astype(np.int32)
-    keys = keys[order]
+
+    def keys_of(c):
+        return (c[:, :, None] * n + c[:, None, :]).reshape(-1)
+
+    keys = keys_of(cells)
+    keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    entry = np.cumsum(first, dtype=np.int32)
-    entry -= 1
-    position = np.empty_like(entry)  # the entry of each term
-    position[order] = entry
-    del order, entry
     keys = keys[first]
     del first
-    data = np.bincount(position, local.reshape(-1), keys.size)
-    del position
-    rows = keys // n
-    return _csr(rows, keys - rows * n, data, (n, n))
+    data = np.zeros(keys.size)
+    for start in range(0, cells.shape[0], ASSEMBLY_CHUNK):
+        chunk = slice(start, start + ASSEMBLY_CHUNK)
+        np.add.at(data, np.searchsorted(keys, keys_of(cells[chunk])),
+                  local(chunk).reshape(-1))
+    rows, cols = np.divmod(keys, n)
+    del keys
+    return _csr(rows, cols, data, (n, n))
 
 
 def lumped_mass(mesh, elements=None) -> np.ndarray:
@@ -287,7 +294,8 @@ def assemble_boundary_mass(mesh, edges) -> CSR:
     p1 = mesh.nodes[edges[:, 1]]
     length = np.linalg.norm(p1 - p0, axis=1)
     loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    return _assembled(edges, length[:, None, None] * loc[None, :, :],
+    return _assembled(edges,
+                      lambda chunk: length[chunk, None, None] * loc[None],
                       mesh.n_nodes)
 
 
@@ -587,16 +595,25 @@ def _diagonal_form(A):
     zeros, so the products of the two are equal to the bit once A's rows
     are sorted."""
     n = A.shape[0]
-    # col - row + n - 1, in intp, which numpy indexes by without a copy
-    offset = np.repeat(np.arange(n - 1, -1, -1), np.diff(A.indptr))
-    offset += A.indices
-    offsets = np.flatnonzero(np.bincount(offset, minlength=2 * n - 1))
+    # col - row + n - 1 in A's index type, and each entry's position in the
+    # flattened data in int32 when the positions fit: no array over the
+    # entries is made in intp
+    offset = A.indices - A.rows
+    offset += n - 1
+    present = np.zeros(2 * n - 1, dtype=bool)
+    present[offset] = True
+    offsets = np.flatnonzero(present)
     if 8 * offsets.size * n > 12 * A.nnz + 4 * (n + 1):
         return A
-    start = np.empty(2 * n - 1, dtype=np.intp)  # k n on the k-th diagonal
-    start[offsets] = np.arange(0, offsets.size * n, n)
+    size = offsets.size * n
+    start = np.zeros(2 * n - 1, dtype=np.int32 if size <= np.iinfo(np.int32).max
+                     else np.int64)
+    start[offsets] = np.arange(0, size, n)  # k n on the k-th diagonal
+    position = start[offset]
+    del offset
+    position += A.indices
     data = np.zeros((offsets.size, n))
-    data.reshape(-1)[start[offset] + A.indices] = A.data
+    data.reshape(-1)[position] = A.data
     return DIA(data, offsets - (n - 1), (n, n))
 
 
@@ -763,14 +780,18 @@ class Multilevel:
             W = CSR(4.0 / (3.0 * lam) / diag, np.arange(n), np.arange(n + 1),
                     (n, n))
             P = _difference(T, _product(W, _product(A, T)))
+            del T, W
             PT = _transpose(P)
+            # the next level's matrix first, then the float32 copies, each
+            # float64 matrix let go once copied
+            A = _product(PT, _product(A, P))
             level = (_float32(stored), _float32(P), _float32(PT),
                      (8.0 / (5.0 * lam) / diag).astype(np.float32))
+            del stored, P, PT
             self.levels.append(level)
             # b, x and r of the cycle, and the products by A, P and P'
             buffers.append(tuple(np.empty(n, np.float32) for _ in range(3)))
             products.append(tuple(_accumulator(M) for M in level[:3]))
-            A = _product(PT, _product(A, P))
             coords = (np.column_stack([np.bincount(agg, c) for c in coords.T])
                       / np.bincount(agg)[:, None])
         try:
@@ -1089,10 +1110,11 @@ class DirichletSystem:
                 and n_free * bandwidth <= MAX_BAND_ENTRIES):
             self.factor = BandFactor(blocks, n_free)
             return
+        # the free-free blocks as CSR matrices, their row arrays let go
+        blocks = [_csr(*entries, (n_free, n_free)) for entries in blocks]
         self.K_ff, self.multilevel = [], []
-        for free, entries, (_, _, coords) in zip(frees, blocks, systems):
-            self.multilevel.append(Multilevel(_csr(*entries, (n_free, n_free)),
-                                              coords[free]))
+        for free, K_ff, (_, _, coords) in zip(frees, blocks, systems):
+            self.multilevel.append(Multilevel(K_ff, coords[free]))
             self.K_ff.append(self.multilevel[-1].matrix)
         self.last = [[None, None] for _ in systems]
 
