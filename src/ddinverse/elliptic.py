@@ -30,29 +30,22 @@ from . import fem
 from .mesh import flux_support
 
 
-def _box_boundary_mass(mesh, edges, nodes):
-    """Boundary mass of the edges lying in a box, restricted to the box
-    nodes; None when no edge lies in the box."""
-    edges = edges[np.all(np.isin(edges, nodes), axis=1)]
-    if not edges.size:
-        return None
-    return fem.restrict(fem.assemble_boundary_mass(mesh, edges), nodes)
-
-
 class _Operators:
     """Shared plumbing: the boxes `locals` in one Dirichlet mode, the
     `fem.DirichletSystem` of K on each in `box_systems`, built after the
     global system (built before it, they raise the setup's peak memory),
-    and `solve_count`, which counts every solve.  Each subclass holds what
-    the inversion adapter needs of its problem: per-box parameter masks
-    `supports`, the parameter mass `param_mass`, the back-projection
-    `back_boxes` of box residuals and the objective's `misfit`."""
+    and `solve_count`, which counts every solve.  Box loads and masses are
+    the global ones restricted to the box nodes, as K is.  Each subclass
+    holds what the inversion adapter needs of its problem: per-box
+    parameter masks `supports`, the parameter mass `param_mass`, the
+    back-projection `back_boxes` of box residuals and the objective's
+    `misfit`."""
 
     surrogate_scale = 1.0
 
     def __init__(self, mesh, decomp, K, dirichlet, tol):
         self.mesh, self.decomp, self.tol = mesh, decomp, tol
-        self.locals = [fem.BoxSystem(mesh, decomp, i, dirichlet)
+        self.locals = [fem.BoxSystem(decomp, i, dirichlet)
                        for i in range(decomp.n_subdomains)]
         self.box_systems = [fem.DirichletSystem([loc.member(K, mesh.nodes)])
                             for loc in self.locals]
@@ -99,7 +92,7 @@ class SourceOperators(_Operators):
         boundary part, Dirichlet `trace` on the inner boundary (zero when
         None).  Box fields are numbered by the box nodes `locals[i].nodes`."""
         loc = self.locals[i]
-        return self._solve(self.box_systems[i], loc.lumped * f,
+        return self._solve(self.box_systems[i], self.lumped[loc.nodes] * f,
                            loc.fixed_values(trace))
 
     def back_boxes(self, boxes, residuals) -> list:
@@ -130,14 +123,10 @@ class FluxOperators(_Operators):
         if np.abs(K @ np.ones(mesh.n_nodes)).max() <= 1e-12 * K.diagonal().max():
             raise ValueError("the all-Neumann flux operator is singular: the "
                              "reaction coefficient is zero, so K @ 1 = 0")
-        self.lumped = fem.lumped_mass(mesh)
-
-        gamma1_edges = mesh.side_edges("right")
-        gamma0_edges = np.vstack([mesh.side_edges(s)
-                                  for s in ("left", "bottom", "top")])
         self.gamma1_nodes = mesh.side_nodes("right")
-        self.bmass1 = fem.assemble_boundary_mass(mesh, gamma1_edges)
-        self.bmass0 = fem.assemble_boundary_mass(mesh, gamma0_edges)
+        self.bmass1 = fem.assemble_boundary_mass(mesh, mesh.side_edges("right"))
+        self.bmass0 = fem.assemble_boundary_mass(mesh, np.vstack(
+            [mesh.side_edges(s) for s in ("left", "bottom", "top")]))
         self.param_mass = self.bmass1
         self.supports = [np.isin(np.arange(mesh.n_nodes), nodes)
                          for nodes in flux_support(mesh, decomp)]
@@ -145,9 +134,9 @@ class FluxOperators(_Operators):
         self.global_system = fem.DirichletSystem(
             [(K, np.array([], dtype=np.int64), mesh.nodes)])
         super().__init__(mesh, decomp, K, "interface-closure", tol)
-        self.bmass1_loc = [_box_boundary_mass(mesh, gamma1_edges, loc.nodes)
+        self.bmass1_loc = [fem.restrict(self.bmass1, loc.nodes)
                            for loc in self.locals]
-        self.bmass0_loc = [_box_boundary_mass(mesh, gamma0_edges, loc.nodes)
+        self.bmass0_loc = [fem.restrict(self.bmass0, loc.nodes)
                            for loc in self.locals]
 
     def forward_global(self, h: np.ndarray) -> np.ndarray:
@@ -164,14 +153,12 @@ class FluxOperators(_Operators):
         return self.adjoint_volume(w)[self.gamma1_nodes]
 
     def _local_solve(self, i, bmass_loc, field, trace):
-        """Local solve on box i loaded by the box field `field` through the
-        box boundary mass `bmass_loc` (no load when the box misses that
-        boundary part).  Box fields are numbered by the box nodes."""
-        loc = self.locals[i]
-        rhs_local = (np.zeros(loc.nodes.size) if bmass_loc is None
-                     else bmass_loc @ field)
-        return self._solve(self.box_systems[i], rhs_local,
-                           loc.fixed_values(trace))
+        """Local solve on box i loaded by the box field `field` through
+        `bmass_loc`, a global boundary mass restricted to the box nodes
+        (empty when the box misses that boundary part).  Box fields are
+        numbered by the box nodes."""
+        return self._solve(self.box_systems[i], bmass_loc @ field,
+                           self.locals[i].fixed_values(trace))
 
     def forward_local(self, i: int, h: np.ndarray, trace=None) -> np.ndarray:
         """Local solve on box i with the box flux h on its right-side part,

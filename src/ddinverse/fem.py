@@ -208,6 +208,10 @@ def assemble(mesh, diffusion, reaction):
     a_vals = _coefficient_values(diffusion, cx, cy)
     c_vals = _coefficient_values(reaction, cx, cy)
     del cx, cy
+    for name, vals in (("diffusion", a_vals), ("reaction", c_vals)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} coefficient is not finite at every "
+                             "centroid")
     if np.any(a_vals <= 0):
         raise ValueError("diffusion coefficient must be positive at every centroid")
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -263,11 +267,10 @@ def _assembled(cells, local, n):
     return _csr(rows, cols, data, (n, n))
 
 
-def lumped_mass(mesh, elements=None) -> np.ndarray:
-    """Diagonal (lumped) mass over a set of elements: area/3 per vertex."""
-    elems = mesh.elements if elements is None else mesh.elements[elements]
-    area = mesh.element_areas(elements)
-    return np.bincount(elems.ravel(), weights=np.repeat(area / 3.0, 3),
+def lumped_mass(mesh) -> np.ndarray:
+    """Diagonal (lumped) mass of the mesh: area/3 per vertex."""
+    return np.bincount(mesh.elements.ravel(),
+                       weights=np.repeat(mesh.element_areas() / 3.0, 3),
                        minlength=mesh.n_nodes)
 
 
@@ -1175,17 +1178,16 @@ class BoxSystem:
     Box fields are numbered by the sorted box nodes `nodes`.  The fixed set
     `fixed` (box numbering) is the box nodes off the open box
     ("box-boundary") or the inner boundary closure ("interface-closure").
-    Every element around a free node lies in the box, so in `member`, the
-    restriction of a global operator to the box nodes, the free rows equal
-    those of the operator assembled over the box's elements; the other rows
-    only meet the fixed values.  `lumped` is the lumped mass of the box's
-    elements.  Inner-boundary values arrive on the interfaces (or their
+    Every element and boundary edge around a free node lies in the box, so
+    a global operator, mass or load restricted to the box nodes (`member`,
+    or `nodes` as an index) has the free rows of the one assembled over the
+    box's elements or edges, to the bit; the other rows only meet the fixed
+    values.  Inner-boundary values arrive on the interfaces (or their
     closures); the rest of the fixed set is held at zero.
     """
 
-    def __init__(self, mesh, decomp, index, dirichlet="box-boundary"):
+    def __init__(self, decomp, index, dirichlet="box-boundary"):
         self.nodes = np.flatnonzero(decomp.masks[index])
-        self.lumped = lumped_mass(mesh, decomp.element_masks[index])[self.nodes]
         if dirichlet == "box-boundary":
             fixed = self.nodes[~decomp.interior_masks[index][self.nodes]]
             trace_nodes = decomp.interfaces[index]

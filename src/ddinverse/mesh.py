@@ -140,10 +140,10 @@ class TriMesh:
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
-    def element_areas(self, elements=None) -> np.ndarray:
-        """Areas of all elements, or of those an int or bool array selects;
-        computed once per mesh (signed: negative for a clockwise element)."""
-        return self._areas if elements is None else self._areas[elements]
+    def element_areas(self) -> np.ndarray:
+        """Areas of the elements, computed once per mesh (signed: negative
+        for a clockwise element)."""
+        return self._areas
 
 
 def build_mesh(nx: int, ny: int) -> TriMesh:
@@ -189,7 +189,6 @@ class SubdomainDecomposition:
         self.interior_masks = np.zeros((n_sub, n), dtype=bool)
         self.interfaces: list[np.ndarray] = []
         self.interface_closures: list[np.ndarray] = []
-        self.element_masks = np.zeros((n_sub, mesh.n_elements), dtype=bool)
 
         bounds = [box.grid_bounds(mesh.nx, mesh.ny) for box in boxes]
         for k, (ix0, ix1, jy0, jy1) in enumerate(bounds):
@@ -215,9 +214,6 @@ class SubdomainDecomposition:
                 cut |= in_closed & (gj == jy1)
             closure = interface | (cut & mesh.boundary_mask)
             self.interface_closures.append(np.flatnonzero(closure))
-
-            emask = np.all(in_closed[mesh.elements], axis=1)
-            self.element_masks[k] = emask
 
         self.multiplicity = self.interior_masks.sum(axis=0).astype(np.int64)
         self.closure_count = self.masks.sum(axis=0).astype(np.int64)
@@ -252,13 +248,7 @@ def flux_support(mesh: TriMesh, decomp: SubdomainDecomposition) -> list[np.ndarr
     """Per subdomain, the nodes of the right boundary side covered by the
     closed box.  Empty for boxes that do not reach x = 1."""
     right = mesh.side_nodes("right")
-    supports = []
-    for k in range(decomp.n_subdomains):
-        if decomp.boxes[k].x1 == WIDTH:
-            supports.append(right[decomp.masks[k, right]])
-        else:
-            supports.append(right[:0])
-    return supports
+    return [right[mask[right]] for mask in decomp.masks]
 
 
 def dump_mesh(mesh: TriMesh) -> str:

@@ -147,7 +147,7 @@ class HeatOperators:
         self.global_stack = _Stack(
             [(S, np.flatnonzero(mesh.boundary_mask), mesh.nodes)],
             [self.lumped], tol)
-        self.locals = [fem.BoxSystem(mesh, decomp, i)
+        self.locals = [fem.BoxSystem(decomp, i)
                        for i in range(decomp.n_subdomains)]
         self.boxes = _Stack([loc.member(S, mesh.nodes) for loc in self.locals],
                             [self.lumped[loc.nodes] for loc in self.locals],

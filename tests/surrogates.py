@@ -20,14 +20,11 @@ def local_surrogate(prob, i, components, trace, anchor, config) -> float:
     d = u - prob.z[..., nodes]
     if prob.kind == "flux":
         b0, b1 = ops.bmass0_loc[i], ops.bmass1_loc[i]
-        value = fem.inner_product(d, d, b0) if b0 is not None else 0.0
-        if b1 is not None:
-            value += config.beta * fem.inner_product(tot, tot, b1)
-            value += config.A * fem.inner_product(diff, diff, b1)
-        if b0 is not None:
-            value -= fem.inner_product(ud, ud, b0)
-        return value
-    w = ops.locals[i].lumped
+        return (fem.inner_product(d, d, b0)
+                + config.beta * fem.inner_product(tot, tot, b1)
+                + config.A * fem.inner_product(diff, diff, b1)
+                - fem.inner_product(ud, ud, b0))
+    w = ops.lumped[nodes]
     if prob.kind == "source":
         misfit = fem.inner_product(d, d, w)
         propagated = fem.inner_product(ud, ud, w)

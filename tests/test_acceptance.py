@@ -120,8 +120,9 @@ def test_criterion_5_adjoint_identities():
         for i in range(4):
             loc = sops.locals[i]
             fb, wb = f[loc.nodes], w[loc.nodes]
-            track(fem.inner_product(sops.forward_local(i, fb), wb, loc.lumped),
-                  fem.inner_product(fb, sops.forward_local(i, wb), loc.lumped),
+            lump = sops.lumped[loc.nodes]
+            track(fem.inner_product(sops.forward_local(i, fb), wb, lump),
+                  fem.inner_product(fb, sops.forward_local(i, wb), lump),
                   nf * nw)
 
     flux = problems.make_problem(CAT["5.1"], 14, seed=0)
@@ -142,8 +143,6 @@ def test_criterion_5_adjoint_identities():
         for i in range(4):
             loc = fops.locals[i]
             b0, b1 = fops.bmass0_loc[i], fops.bmass1_loc[i]
-            if b0 is None or b1 is None:
-                continue
             lf = fops.forward_local(i, h[loc.nodes])
             la = fops.adjoint_local(i, w[loc.nodes])
             track(fem.inner_product(lf, w[loc.nodes], b0),
@@ -170,9 +169,10 @@ def test_criterion_5_adjoint_identities():
         phib, omb = phi[loc.nodes], om[loc.nodes]
         Fl = hops.forward_local(i, phib)
         Bl = hops.adjoint_local(i, omb)
+        lump = hops.lumped[loc.nodes]
         for k in range(grid.nt + 1):
-            track(fem.inner_product(Fl[k], omb, loc.lumped),
-                  fem.inner_product(phib, Bl[grid.nt - k], loc.lumped),
+            track(fem.inner_product(Fl[k], omb, lump),
+                  fem.inner_product(phib, Bl[grid.nt - k], lump),
                   np_ * no)
 
     ok = worst <= 1e-9

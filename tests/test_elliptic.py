@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import gamma0_nodes
-from ddinverse import elliptic, fem
+from ddinverse import elliptic, fem, mesh
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +120,7 @@ def test_local_source_consistency(source_ops, mesh7, decomp7):
 def test_local_source_self_adjoint(source_ops, mesh7, decomp7):
     for i in range(4):
         loc = source_ops.locals[i]
-        w_box = loc.lumped
+        w_box = source_ops.lumped[loc.nodes]
         for seed in range(5):
             f = _rand_field(mesh7, 400 + seed)[loc.nodes]
             w = _rand_field(mesh7, 500 + seed)[loc.nodes]
@@ -232,3 +234,47 @@ def test_flux_support_free_boxes_solve_trace_only(flux_ops, decomp7):
     box = flux_ops.locals[0].nodes
     local = flux_ops.forward_local(0, h[box], U[decomp7.interface_closures[0]])
     assert np.abs(local - U[box]).max() < 1e-9
+
+
+def test_box_data_is_the_restricted_global_data():
+    # A box's lumped mass and boundary masses are the global ones restricted
+    # to its nodes.  On every free row, the only rows a local solve reads,
+    # they equal to the bit the ones assembled over the box's own elements
+    # and boundary edges, the reference kept here (a zero mass when no edge
+    # of that boundary part lies in the box), in both Dirichlet modes.
+    grid = tuple(mesh.Box(Fraction(x0, 7), Fraction(x1, 7),
+                          Fraction(y0, 7), Fraction(y1, 7))
+                 for x0, x1 in ((0, 3), (2, 5), (4, 7))
+                 for y0, y1 in ((0, 6), (5, 10), (9, 14)))
+    loaded_rows = 0
+    for nx, boxes in ((7, mesh.DEFAULT_BOXES), (14, mesh.DEFAULT_BOXES),
+                      (14, grid)):
+        m = mesh.build_mesh(nx, 2 * nx)
+        decomp = mesh.build_subdomains(m, boxes)
+        sides = [m.side_edges("right"),
+                 np.vstack([m.side_edges(s) for s in ("left", "bottom", "top")])]
+        lumped = fem.lumped_mass(m)
+        bmasses = [fem.assemble_boundary_mass(m, edges) for edges in sides]
+        for k, mask in enumerate(decomp.masks):
+            inside = np.all(mask[m.elements], axis=1)
+            box_lumped = np.bincount(
+                m.elements[inside].ravel(),
+                weights=np.repeat(m.element_areas()[inside] / 3.0, 3),
+                minlength=m.n_nodes)
+            box_edges = [edges[np.all(mask[edges], axis=1)] for edges in sides]
+            for mode in ("box-boundary", "interface-closure"):
+                loc = fem.BoxSystem(decomp, k, mode)
+                n = loc.nodes.size
+                free = np.setdiff1d(np.arange(n), loc.fixed)
+                assert free.size
+                assert (lumped[loc.nodes][free].tobytes()
+                        == box_lumped[loc.nodes][free].tobytes())
+                for edges, bmass in zip(box_edges, bmasses):
+                    ours = fem.restrict(bmass, loc.nodes).toarray()[free]
+                    reference = (fem.restrict(fem.assemble_boundary_mass(
+                        m, edges), loc.nodes).toarray()[free] if edges.size
+                        else np.zeros((free.size, n)))
+                    assert ours.tobytes() == reference.tobytes()
+                    loaded_rows += np.count_nonzero(ours.any(axis=1))
+    # the boundary rows compared are not all empty
+    assert loaded_rows

@@ -356,6 +356,14 @@ def test_rejects_nonpositive_diffusion(mesh7):
         fem.assemble(mesh7, -1.0, 1.0)
     with pytest.raises(ValueError):
         fem.assemble(mesh7, lambda x, y: x - 10.0, 1.0)
+    # a non-finite coefficient, on half the domain or everywhere, is named
+    for bad in (np.nan, np.inf, -np.inf):
+        on_half = lambda x, y, bad=bad: np.where(x < 0.5, bad, 1.0)
+        for coef in (bad, on_half):
+            with pytest.raises(ValueError, match="diffusion"):
+                fem.assemble(mesh7, coef, 1.0)
+            with pytest.raises(ValueError, match="reaction"):
+                fem.assemble(mesh7, 1.0, coef)
 
 
 def test_boundary_mass_measures(mesh7):
@@ -535,7 +543,7 @@ def _hierarchy_member(case):
         spec = problems.example_catalog()["5.3"]
         m = mesh.build_mesh(112, 224)
         K = fem.assemble(m, spec.diffusion, spec.reaction)
-        loc = fem.BoxSystem(m, mesh.build_subdomains(m), 0)
+        loc = fem.BoxSystem(mesh.build_subdomains(m), 0)
         return loc.member(K, m.nodes)
     if case in ("strip", "line"):
         K, coords = _thin_case(case)
@@ -947,7 +955,7 @@ def test_diagonal_storage_multiplies_to_the_bit(case):
     box = mesh.Box(Fraction(ix0, nx), Fraction(ix1, nx),
                    Fraction(2 * jy0, ny), Fraction(2 * jy1, ny))
     whole = mesh.Box(Fraction(0), mesh.WIDTH, Fraction(0), mesh.HEIGHT)
-    loc = fem.BoxSystem(m, mesh.build_subdomains(m, (box, whole)), 0, mode)
+    loc = fem.BoxSystem(mesh.build_subdomains(m, (box, whole)), 0, mode)
     system = fem.DirichletSystem([loc.member(K, m.nodes)])
     _assert_storage_by_the_memory_rule(
         system, fem.restrict(fem.restrict(K, loc.nodes), system.free))

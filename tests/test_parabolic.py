@@ -84,7 +84,7 @@ def test_local_zero_and_duality(heat7, mesh7, decomp7):
     i = 0
     loc = heat7.locals[i]
     assert np.all(heat7.forward_local(0, np.zeros(loc.nodes.size)) == 0.0)
-    w_box = loc.lumped
+    w_box = heat7.lumped[loc.nodes]
     for seed in range(5):
         phi = _interior_field(mesh7, 300 + seed)[loc.nodes]
         om = _interior_field(mesh7, 400 + seed)[loc.nodes]
