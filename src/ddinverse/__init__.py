@@ -7,7 +7,7 @@ data synthesis), cli (command-line harness).
 """
 
 from .dd import DDConfig, DDState, IterationReport, run_asa, run_msa
-from .mesh import build_mesh, build_subdomains, flux_support
+from .mesh import build_mesh, build_subdomains
 from .problems import ExperimentSpec, example_catalog, make_problem
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "build_mesh",
     "build_subdomains",
     "example_catalog",
-    "flux_support",
     "make_problem",
     "run_asa",
     "run_msa",

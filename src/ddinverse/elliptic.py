@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem
-from .mesh import flux_support
 
 
 class _Operators:
@@ -128,8 +127,10 @@ class FluxOperators(_Operators):
         self.bmass0 = fem.assemble_boundary_mass(mesh, np.vstack(
             [mesh.side_edges(s) for s in ("left", "bottom", "top")]))
         self.param_mass = self.bmass1
-        self.supports = [np.isin(np.arange(mesh.n_nodes), nodes)
-                         for nodes in flux_support(mesh, decomp)]
+        # each closed box on the right side; empty for boxes short of x = 1
+        right = np.zeros(mesh.n_nodes, dtype=bool)
+        right[self.gamma1_nodes] = True
+        self.supports = list(decomp.masks & right)
 
         self.global_system = fem.DirichletSystem(
             [(K, np.array([], dtype=np.int64), mesh.nodes)])

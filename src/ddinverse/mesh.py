@@ -244,13 +244,6 @@ def build_subdomains(mesh: TriMesh,
     return SubdomainDecomposition(mesh, boxes)
 
 
-def flux_support(mesh: TriMesh, decomp: SubdomainDecomposition) -> list[np.ndarray]:
-    """Per subdomain, the nodes of the right boundary side covered by the
-    closed box.  Empty for boxes that do not reach x = 1."""
-    right = mesh.side_nodes("right")
-    return [right[mask[right]] for mask in decomp.masks]
-
-
 def dump_mesh(mesh: TriMesh) -> str:
     """Plain-text listing: 'nodes <count>' then one 'id x y' line per node,
     'elements <count>' then one 'id n0 n1 n2' line per element."""

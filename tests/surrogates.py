@@ -15,8 +15,8 @@ def local_surrogate(prob, i, components, trace, anchor, config) -> float:
     nodes = ops.locals[i].nodes
     tot = total_component(components)[nodes]
     diff = (components[i] - anchor)[nodes]
-    u = ops.forward_local(i, tot, trace)
-    ud = ops.forward_local(i, diff, None)
+    u = ops.forward_boxes([i], [tot], [trace])[0]
+    ud = ops.forward_boxes([i], [diff])[0]
     d = u - prob.z[..., nodes]
     if prob.kind == "flux":
         b0, b1 = ops.bmass0_loc[i], ops.bmass1_loc[i]

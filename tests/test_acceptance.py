@@ -167,7 +167,7 @@ def test_criterion_5_adjoint_identities():
         i = 0
         loc = hops.locals[i]
         phib, omb = phi[loc.nodes], om[loc.nodes]
-        Fl = hops.forward_local(i, phib)
+        Fl = hops.forward_boxes([i], [phib])[0]
         Bl = hops.adjoint_local(i, omb)
         lump = hops.lumped[loc.nodes]
         for k in range(grid.nt + 1):
@@ -329,7 +329,7 @@ def test_criterion_9_accumulation_equals_quadrature_of_solves():
     worst = 0.0
     for i in range(4):
         r_box = r[:, ops.locals[i].nodes]
-        acc = ops.accumulate(i, r_box)
+        acc = ops.back_boxes([i], [r_box])[0]
         naive = np.zeros(r_box.shape[1])
         for k in range(grid.nt + 1):
             adj = ops.adjoint_local(i, r_box[k])

@@ -97,8 +97,8 @@ def test_initial_minimizer_tiny_beta_returns_anchor(heat7):
     a[~heat7.supports[i]] = 0.0
     nt = heat7.ops.grid.nt
     z = np.zeros((nt + 1, n))
-    z[:, heat7.box_nodes[i]] = heat7.ops.forward_local(
-        i, a[heat7.box_nodes[i]], None)
+    z[:, heat7.box_nodes[i]] = heat7.ops.forward_boxes(
+        [i], [a[heat7.box_nodes[i]]])[0]
     prob = dd.InitialValueInversion(heat7.ops, z)
     comps = [np.zeros(n) for _ in range(4)]
     comps[i] = a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddinverse import mesh
+from ddinverse import elliptic, mesh
 from conftest import node_at
 
 
@@ -113,7 +113,8 @@ def test_refinement_nesting(mesh7, decomp7, mesh14, decomp14):
 
 
 def test_flux_support_sets(mesh7, decomp7):
-    sets = mesh.flux_support(mesh7, decomp7)
+    sets = [np.flatnonzero(support) for support in
+            elliptic.FluxOperators(mesh7, decomp7, 1.0, 1.0).supports]
     assert sets[0].size == 0 and sets[2].size == 0
     ys = mesh7.nodes[sets[1], 1]
     assert np.all(mesh7.nodes[sets[1], 0] == 1.0)

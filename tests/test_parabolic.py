@@ -83,12 +83,13 @@ def test_time_reversal_exact(heat7, mesh7):
 def test_local_zero_and_duality(heat7, mesh7, decomp7):
     i = 0
     loc = heat7.locals[i]
-    assert np.all(heat7.forward_local(0, np.zeros(loc.nodes.size)) == 0.0)
+    assert np.all(heat7.forward_boxes([0], [np.zeros(loc.nodes.size)])[0]
+                  == 0.0)
     w_box = heat7.lumped[loc.nodes]
     for seed in range(5):
         phi = _interior_field(mesh7, 300 + seed)[loc.nodes]
         om = _interior_field(mesh7, 400 + seed)[loc.nodes]
-        F = heat7.forward_local(i, phi)
+        F = heat7.forward_boxes([i], [phi])[0]
         B = heat7.adjoint_local(i, om)
         scale = (np.sqrt(fem.inner_product(phi, phi, w_box))
                  * np.sqrt(fem.inner_product(om, om, w_box)) + 1e-30)
@@ -104,7 +105,7 @@ def test_local_consistency(heat7, mesh7, decomp7):
     for i in range(4):
         trace = F[:, decomp7.interfaces[i]]
         box = heat7.locals[i].nodes
-        local = heat7.forward_local(i, phi[box], trace)
+        local = heat7.forward_boxes([i], [phi[box]], [trace])[0]
         assert np.abs(local - F[:, box]).max() < 1e-9
 
 
@@ -120,7 +121,7 @@ def test_local_adjoint_consistency_with_trace(heat7, mesh7, decomp7):
 
 def test_accumulate_zero(heat7, mesh7):
     r = np.zeros((heat7.grid.nt + 1, heat7.locals[0].nodes.size))
-    assert np.all(heat7.accumulate(0, r) == 0.0)
+    assert np.all(heat7.back_boxes([0], [r])[0] == 0.0)
 
 
 def test_accumulate_single_step_window(mesh7, decomp7):
@@ -128,7 +129,7 @@ def test_accumulate_single_step_window(mesh7, decomp7):
     ops = parabolic.HeatOperators(mesh7, decomp7, 1.0, grid)
     r0 = _interior_field(mesh7, 5)[ops.locals[0].nodes]
     r = np.tile(r0, (grid.nt + 1, 1))
-    acc = ops.accumulate(0, r)
+    acc = ops.back_boxes([0], [r])[0]
     # constant-in-time residual over one trailing step: half a step of the
     # aged value plus half a step of the fresh one
     adj = ops.adjoint_local(0, r0)
@@ -142,13 +143,42 @@ def test_accumulate_matches_quadrature_of_solves(mesh7, decomp7):
     ops = parabolic.HeatOperators(mesh7, decomp7, 1.0, grid)
     rng = np.random.default_rng(13)
     r = rng.standard_normal((grid.nt + 1, ops.locals[0].nodes.size))
-    acc = ops.accumulate(0, r)
+    acc = ops.back_boxes([0], [r])[0]
     w = grid.weights()
     naive = np.zeros(r.shape[1])
     for k in range(grid.nt + 1):
         adj = ops.adjoint_local(0, r[k])
         naive += w[k] * adj[grid.nt - k]
     assert np.abs(acc - naive).max() <= 1e-8 * np.abs(naive).max()
+
+
+def test_one_box_pairs_view_the_stacked_factor():
+    # box i alone marches on a view of the four boxes' band factor, not on
+    # a second factor, and a march counts one step per box and time level;
+    # at nx=28 the factor has reduction levels beyond the first
+    from ddinverse import mesh
+    m = mesh.build_mesh(28, 56)
+    grid = parabolic.TimeGrid(T=4.0, nt=6, sigma=4.0)
+    ops = parabolic.HeatOperators(m, mesh.build_subdomains(m), 1.0, grid)
+    every = tuple(range(4))
+    stacked = ops.pairs[every][0].factor
+    assert isinstance(stacked, fem.BandFactor)
+    for i in every:
+        factor = ops.pairs[i,][0].factor
+        assert factor is not stacked and factor.B == 1
+        assert len(factor.levels) == len(stacked.levels) > 0
+        for part, whole in zip(
+                [factor.tail, factor.P0, *sum(factor.levels, ())],
+                [stacked.tail, stacked.P0, *sum(stacked.levels, ())]):
+            assert np.shares_memory(part, whole)
+    phis = [np.ones(loc.nodes.size) for loc in ops.locals]
+    before = ops.step_count
+    ops.forward_boxes(every, phis)
+    assert ops.step_count - before == 4 * grid.nt
+    ops.back_boxes([2], [np.ones((grid.nt + 1, phis[2].size))])
+    assert ops.step_count - before == 5 * grid.nt
+    ops.forward_boxes([3], [phis[3]])
+    assert ops.step_count - before == 6 * grid.nt
 
 
 def test_unconditional_stability(heat7, mesh7):
@@ -200,9 +230,10 @@ def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
     factored = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
     monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
     iterative = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
-    assert isinstance(factored.boxes.system.factor, fem.BandFactor)
-    assert iterative.global_stack.system.factor is None
-    assert iterative.boxes.system.factor is None
+    every = tuple(range(4))
+    assert isinstance(factored.pairs[every][0].factor, fem.BandFactor)
+    assert iterative.global_pair[0].factor is None
+    assert iterative.pairs[every][0].factor is None
     rng = np.random.default_rng(8)
     phi = _interior_field(mesh7, 9)
     phis = [phi[loc.nodes] for loc in factored.locals]
@@ -221,8 +252,9 @@ def test_iterative_fallback_matches_the_factored_stack(monkeypatch, mesh7,
         for a, b in zip(getattr(factored, method)(*args),
                         getattr(iterative, method)(*args)):
             assert close(a, b)
-    assert close(factored.forward_local(1, phis[1], traces[1]),
-                 iterative.forward_local(1, phis[1], traces[1]))
+    assert close(
+        factored.forward_boxes([1], [phis[1]], [traces[1]])[0],
+        iterative.forward_boxes([1], [phis[1]], [traces[1]])[0])
 
 
 def test_iterative_fallback_keeps_no_non_finite_warm_start(monkeypatch,
@@ -233,7 +265,7 @@ def test_iterative_fallback_keeps_no_non_finite_warm_start(monkeypatch,
     grid = parabolic.TimeGrid(T=4.0, nt=12, sigma=4.0)
     monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 0)
     ops = parabolic.HeatOperators(mesh7, decomp7, spec.diffusion, grid)
-    assert ops.global_stack.system.factor is None
+    assert ops.global_pair[0].factor is None
     phi = np.ones(mesh7.n_nodes)
     phi[mesh7.n_nodes // 2] = np.nan
     assert not np.all(np.isfinite(ops.forward_global(phi)))
