@@ -1,46 +1,46 @@
 """P1 finite element assembly and sparse linear algebra.
 
 Assembly returns `CSR` matrices, a small numpy class with the product and
-the diagonal the solvers need; variable coefficients are sampled at
-element centroids (one-point quadrature, second order for P1).  It sorts
-the entries' keys once for the sparsity structure and then makes and sums
-the local matrices ASSEMBLY_CHUNK elements at a time, so it holds the
-terms of one chunk, not of the whole mesh, and each entry still sums its
-terms in element order.  Linear
-systems eliminate their Dirichlet conditions symmetrically, so every
-assembled operator stays symmetric positive definite.  One class,
-`DirichletSystem`, does this for all three problems, on a stack of systems
-of equal size solved together: a global system or one box alone, or the
-four heat boxes.  A stack that asks for a direct solve, whose systems have
-fewer than FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES free nodes
-times bandwidth, is factored once, by block cyclic reduction over blocks of
-its bandwidth in plain numpy, and solved directly.  Every other system is
-solved by preconditioned conjugate gradients with one V-cycle of a smoothed-
-aggregation multilevel hierarchy, whose aggregates are bins of about
-AGGREGATE_SIZE nodes on every level, whose Jacobi smoothing is weighted on
-each level by a Lanczos estimate of that level's largest eigenvalue, and
-whose coarsest matrix, of at most COARSEST_SIZE unknowns, is inverted
-densely once.  A system of at most COARSEST_SIZE unknowns is its own
-coarsest level, so PCG solves it in one iteration; on larger ones the
-V-cycle keeps the count nearly independent of the mesh size.  The
-hierarchy is built on `CSR` matrices and runs through scipy's compiled
-sparse kernels, the extension module scipy.sparse._sparsetools loaded
-alone (`_sparsetools`), without importing scipy or scipy.sparse, whose
-import adds about 22 MB of resident memory and 0.2-0.3 s to a run; the
-kernels are called in the order scipy.sparse calls them, so every level is
-the same to the bit.  A heat run never loads them.  Each level keeps its
-matrix in diagonal storage (`DIA`) when that takes no more memory than
-CSR, as the 7-diagonal grid operators do, so the K_ff that PCG multiplies
-by may be a `DIA` or a `CSR`.  The hierarchy is built in float64, but its
-levels keep their matrices, prolongations and smoothing weights in float32,
-and the V-cycle runs in float32 through the compiled products, on the
-residual scaled by a power of two so that float32 cannot overflow; the
-cycle is then symmetric only to float32 rounding; it is one loop down the
-levels and one loop up, over buffers and kernels set up once per level.
-PCG itself, its vectors, its products by the float64 K_ff and its residual
-checks stay in float64, so every solve still meets its tolerance; each
-product by K_ff is added into one buffer per solve.  No path imports a
-scipy package module.
+the diagonal the solvers need; variable coefficients are sampled at element
+centroids (one-point quadrature, second order for P1).  It sorts the
+entries' keys once for the sparsity structure and then makes and sums the
+local matrices ASSEMBLY_CHUNK elements at a time, so it holds the terms of
+one chunk, not of the whole mesh, and each entry still sums its terms in
+element order.  Linear systems eliminate their Dirichlet conditions
+symmetrically, so every assembled operator stays symmetric positive
+definite; `restrict` cuts every block of an operator that a box or a system
+uses.  One class, `DirichletSystem`, does this for all three problems, on a
+stack of systems of equal size solved together: a global system or one box
+alone, or the four heat boxes.  A stack that asks for a direct solve, whose
+systems have fewer than FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES
+free nodes times bandwidth, is factored once, by block cyclic reduction
+over blocks of its bandwidth in plain numpy, and solved directly.  Every
+other system is solved by preconditioned conjugate gradients with one
+V-cycle of a smoothed-aggregation multilevel hierarchy, whose aggregates
+are bins of about AGGREGATE_SIZE nodes on every level, whose Jacobi
+smoothing is weighted on each level by a Lanczos estimate of that level's
+largest eigenvalue, and whose coarsest matrix, of at most COARSEST_SIZE
+unknowns, is inverted densely once.  A system of at most COARSEST_SIZE
+unknowns is its own coarsest level, so PCG solves it in one iteration; on
+larger ones the V-cycle keeps the count nearly independent of the mesh
+size.  The hierarchy is built on `CSR` matrices and runs through scipy's
+compiled sparse kernels, the extension module scipy.sparse._sparsetools
+loaded alone (`_sparsetools`), without importing scipy or scipy.sparse,
+whose import adds about 22 MB of resident memory and 0.2-0.3 s to a run;
+the kernels are called in the order scipy.sparse calls them, so every level
+is the same to the bit.  A heat run never loads them.  Each level keeps its
+matrix in diagonal storage (`DIA`) when that takes no more memory than CSR,
+as the 7-diagonal grid operators do, so the free-free block that PCG
+multiplies by may be a `DIA` or a `CSR`.  The hierarchy is built in
+float64, but its levels keep their matrices, prolongations and smoothing
+weights in float32, and the V-cycle runs in float32 through the compiled
+products, on the residual scaled by a power of two so that float32 cannot
+overflow; the cycle is then symmetric only to float32 rounding; it is one
+loop down the levels and one loop up, over buffers and kernels set up once
+per level.  PCG itself, its vectors, its products by the float64 block and
+its residual checks stay in float64, so every solve still meets its
+tolerance; each product is added into one buffer per solve.  No path
+imports a scipy package module.
 
 `pcg64_random` draws the stream of numpy's default generator, PCG64
 seeded through SeedSequence, to the bit in plain numpy, for the data noise
@@ -865,13 +865,18 @@ def _block_tridiagonal(D, U):
     return A.reshape(B, m * b, m * b)
 
 
+def _bandwidth(K) -> int:
+    """The largest |row - column| of the entries a `CSR` K stores, or 0."""
+    return int(np.abs(K.rows - K.indices).max(initial=0))
+
+
 class BandFactor:
     """Direct solver for a stack of B symmetric banded matrices by block
     cyclic reduction.
 
-    Matrix k is given by all its entries (rows, cols, vals) over n unknowns,
-    as every matrix of the stack.  Cut into blocks of the largest bandwidth,
-    the last one padded with identity rows, it is block tridiagonal:
+    Matrix k is an n x n `CSR`, as every matrix of the stack.  Cut into
+    blocks of the largest bandwidth, the last one padded with identity
+    rows, it is block tridiagonal:
     blocks D_i on the diagonal, U_i coupling block i to i + 1 and their
     transposes below.  Each level of odd-even reduction eliminates the odd
     blocks, leaving the Schur complement on the even ones, which is again
@@ -889,8 +894,7 @@ class BandFactor:
     """
 
     def __init__(self, systems, n: int):
-        b = max([int(np.abs(rows - cols).max(initial=0))
-                 for rows, cols, _ in systems] + [1])
+        b = max([_bandwidth(K) for K in systems] + [1])
         m = max(-(-n // b), 1)
         B = len(systems)
         self.B, self.n, self.b, self.m = B, n, b, m
@@ -901,7 +905,8 @@ class BandFactor:
         pad = np.arange(n, m * b)
         D[:, pad // b, pad % b, pad % b] = 1.0
         first = []
-        for k, (rows, cols, vals) in enumerate(systems):
+        for k, K in enumerate(systems):
+            rows, cols, vals = K.rows, K.indices, K.data
             offset = cols - rows // b * b
             on = (offset >= 0) & (offset < b)
             D[k].reshape(-1)[rows[on] * b + offset[on]] = vals[on]
@@ -1003,19 +1008,23 @@ def _csr(rows, cols, vals, shape):
     return CSR(vals, cols, indptr, shape)
 
 
-def restrict(K, nodes):
-    """K[nodes][:, nodes] of a canonical CSR matrix for sorted `nodes`, read
-    row by row through a renumbering of the columns."""
-    position = np.full(K.shape[0], -1, dtype=K.indices.dtype)
-    position[nodes] = np.arange(nodes.size)
+def restrict(K, nodes, cols=None):
+    """K[nodes][:, cols], cols defaulting to nodes, of a canonical CSR
+    matrix (a `CSR`, or another matrix with its four attributes) for sorted
+    `nodes` and `cols`, read row by row through a renumbering of the
+    columns: the one routine that cuts a block out of an operator."""
+    if cols is None:
+        cols = nodes
+    position = np.full(K.shape[1], -1, dtype=K.indices.dtype)
+    position[cols] = np.arange(cols.size)
     starts, counts = K.indptr[nodes], np.diff(K.indptr)[nodes]
     rows = np.repeat(np.arange(nodes.size, dtype=K.indices.dtype), counts)
     entries = np.arange(rows.size) + np.repeat(starts - np.cumsum(counts)
                                                + counts, counts)
-    cols = position[K.indices[entries]]
-    keep = cols >= 0
-    return _csr(rows[keep], cols[keep], K.data[entries[keep]],
-                (nodes.size, nodes.size))
+    columns = position[K.indices[entries]]
+    keep = columns >= 0
+    return _csr(rows[keep], columns[keep], K.data[entries[keep]],
+                (nodes.size, cols.size))
 
 
 def block_diagonal(blocks, width):
@@ -1033,35 +1042,20 @@ def block_diagonal(blocks, width):
 
 
 def eliminate(K, fixed):
-    """Split a CSR matrix K (a `CSR`, or another matrix with its four
-    attributes), columns sorted in each row and without duplicates, by a
-    fixed Dirichlet node set, in one pass over its entries.
+    """Split a canonical CSR matrix K (as `restrict` takes it) by a fixed
+    Dirichlet node set.
 
-    Returns (free, fixed, entries, K_fd): the sorted free and fixed nodes,
-    the entries (rows, cols, vals) of the free-free block K_ff listed row by
-    row, and the free-fixed coupling as a CSR matrix.  Both blocks number
-    the free and the fixed nodes in the order of K's rows and columns.
-    Raises ValueError when a free diagonal entry is not positive.
+    Returns (free, fixed, K_ff, K_fd): the sorted free and fixed nodes,
+    the free-free block restrict(K, free) and the free-fixed coupling
+    restrict(K, free, fixed), both `CSR` matrices.  Raises ValueError when
+    a free diagonal entry is not positive.
     """
-    K = CSR(K.data, K.indices, K.indptr, K.shape)
-    n = K.shape[0]
     fixed = np.unique(np.asarray(fixed, dtype=np.int64))
-    is_free = np.ones(n, dtype=bool)
-    is_free[fixed] = False
-    free = np.flatnonzero(is_free)
-    if np.any(K.diagonal()[free] <= 0):
+    free = np.delete(np.arange(K.shape[0]), fixed)
+    K_ff = restrict(K, free)
+    if not np.all(K_ff.diagonal() > 0):
         raise ValueError("operator is not positive definite on free nodes")
-    position = np.empty(n, dtype=K.indices.dtype)
-    position[free] = np.arange(free.size)
-    position[fixed] = np.arange(fixed.size)
-    keep = is_free[K.rows]
-    rows, cols, vals = position[K.rows[keep]], K.indices[keep], K.data[keep]
-    to_free = is_free[cols]
-    cols = position[cols]
-    to_fixed = ~to_free
-    K_fd = _csr(rows[to_fixed], cols[to_fixed], vals[to_fixed],
-                (free.size, fixed.size))
-    return free, fixed, (rows[to_free], cols[to_free], vals[to_free]), K_fd
+    return free, fixed, K_ff, restrict(K, free, fixed)
 
 
 class DirichletSystem:
@@ -1073,17 +1067,18 @@ class DirichletSystem:
 
     Fields are flattened, member k's at [k n, (k + 1) n): `free` and `fixed`
     are the flattened free and fixed nodes, and `K_fd` the block-diagonal
-    free-fixed coupling of the members' `couplings`, split off once
-    (`eliminate`).  With direct=True, a
+    free-fixed coupling of the members' `couplings`.  Both blocks of a
+    member are cut from its operator once, by `eliminate`, as `CSR`
+    matrices.  With direct=True, a
     stack whose members have fewer than FACTOR_SIZE free nodes and at most
     MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free blocks
     once, as one `BandFactor`, and solves directly.  Every other stack
     solves each member by PCG, preconditioned by the `Multilevel` hierarchy
     of its free-free block, binned by the coordinates of its free nodes;
-    K_ff[k] is that block in float64 in the storage form of the hierarchy's
-    first level (`Multilevel.matrix`), a `DIA` or a `CSR` (always a `CSR`
-    when the hierarchy has no level), while the hierarchy keeps its own
-    levels in float32.  PCG starts from the member's last
+    PCG multiplies by `multilevel[k].matrix`, that block in float64 in the
+    storage form of the hierarchy's first level, a `DIA` or a `CSR` (always
+    a `CSR` when the hierarchy has no level), while the hierarchy keeps its
+    own levels in float32.  PCG starts from the member's last
     solution of the same kind, with homogeneous or with given fixed values
     (`last[k]`, one slot each), so repeated solves of one kind, such as the
     local solves of successive Schwarz sweeps or the steps of a march,
@@ -1106,19 +1101,13 @@ class DirichletSystem:
         self.couplings = couplings
         self.K_fd = (couplings[0] if self.B == 1
                      else block_diagonal(couplings, n_fixed))
-        bandwidth = max(int(np.abs(rows - cols).max(initial=0))
-                        for rows, cols, _ in blocks)
-        self.factor = self.K_ff = self.multilevel = None
+        self.factor = self.multilevel = None
         if (direct and n_free < FACTOR_SIZE
-                and n_free * bandwidth <= MAX_BAND_ENTRIES):
+                and n_free * max(map(_bandwidth, blocks)) <= MAX_BAND_ENTRIES):
             self.factor = BandFactor(blocks, n_free)
             return
-        # the free-free blocks as CSR matrices, their row arrays let go
-        blocks = [_csr(*entries, (n_free, n_free)) for entries in blocks]
-        self.K_ff, self.multilevel = [], []
-        for free, K_ff, (_, _, coords) in zip(frees, blocks, systems):
-            self.multilevel.append(Multilevel(K_ff, coords[free]))
-            self.K_ff.append(self.multilevel[-1].matrix)
+        self.multilevel = [Multilevel(K_ff, coords[free]) for free, K_ff,
+                           (_, _, coords) in zip(frees, blocks, systems)]
         self.last = [[None, None] for _ in systems]
 
     def box(self, k: int) -> "DirichletSystem":
@@ -1134,7 +1123,6 @@ class DirichletSystem:
         if self.factor is not None:
             view.factor = self.factor.box(k)
         else:
-            view.K_ff = self.K_ff[k:k + 1]
             view.multilevel = self.multilevel[k:k + 1]
             view.last = self.last[k:k + 1]
         return view
@@ -1155,11 +1143,10 @@ class DirichletSystem:
         else:
             slot = fixed_values is not None
             parts = []
-            for K_ff, multilevel, last, part in zip(
-                    self.K_ff, self.multilevel, self.last,
-                    np.split(b, self.B)):
-                x, relres, _ = pcg(K_ff, part, multilevel.apply, tol=tol,
-                                   x0=last[slot])
+            for multilevel, last, part in zip(self.multilevel, self.last,
+                                              np.split(b, self.B)):
+                x, relres, _ = pcg(multilevel.matrix, part, multilevel.apply,
+                                   tol=tol, x0=last[slot])
                 if math.isfinite(relres):  # a non-finite load leaves no start
                     last[slot] = x
                 parts.append(x)

@@ -127,11 +127,9 @@ class TriMesh:
         return np.flatnonzero(self._side_masks[side])
 
     def side_edges(self, side: str) -> np.ndarray:
-        """Consecutive node pairs forming the edges of one side."""
+        """Consecutive node pairs forming the edges of one side, from corner
+        to corner in the node order, which increases along every side."""
         nodes = self.side_nodes(side)
-        order = np.argsort(self.nodes[nodes, 1] if side in ("left", "right")
-                           else self.nodes[nodes, 0], kind="stable")
-        nodes = nodes[order]
         return np.column_stack([nodes[:-1], nodes[1:]])
 
     @functools.cached_property

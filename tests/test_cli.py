@@ -304,7 +304,8 @@ for args in (["--experiment", "5.3", "--nx", "7"],
 side = np.arange(64.0)
 coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
 system = fem.DirichletSystem([(sp.identity(4096, format="csr"), [], coords)])
-assert system.multilevel is not None and isinstance(system.K_ff[0], fem.DIA)
+assert system.multilevel is not None and isinstance(
+    system.multilevel[0].matrix, fem.DIA)
 system.solve(np.ones(4096))
 print(sorted(m for m in sys.modules
              if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))))

@@ -279,6 +279,138 @@ def test_kernel_helpers_are_scipys_operations_to_the_bit(case):
             == (theirs.astype(np.float32) @ x.astype(np.float32)).tobytes())
 
 
+@st.composite
+def restrictions(draw):
+    """A matrix of `sparse_products` and sorted subsets of its rows and of
+    its columns, each possibly empty or whole."""
+    data, indices, indptr, shape, _ = draw(sparse_products())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = (np.flatnonzero(rng.random(size) < draw(
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]))) for size in shape)
+    return fem.CSR(data, indices, indptr, shape), rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrictions())
+def test_restrict_cuts_the_dense_block(case):
+    # restrict(K, rows, cols) is K[rows][:, cols] in canonical form, square
+    # or rectangular, and restrict(K, nodes) is restrict(K, nodes, nodes)
+    K, rows, cols = case
+    block = fem.restrict(K, rows, cols)
+    assert block.shape == (rows.size, cols.size)
+    assert np.array_equal(block.toarray(), K.toarray()[np.ix_(rows, cols)])
+    assert block.nnz == np.count_nonzero(block.toarray())
+    assert block.indices.dtype == K.indices.dtype
+    assert block.data.dtype == K.data.dtype
+    for i in range(rows.size):
+        assert np.all(np.diff(block.indices[block.indptr[i]:
+                                            block.indptr[i + 1]]) > 0)
+    nodes = rows[rows < K.shape[1]]
+    square, twice = fem.restrict(K, nodes), fem.restrict(K, nodes, nodes)
+    assert square.shape == (nodes.size, nodes.size)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(square, name), getattr(twice, name))
+
+
+def _reference_eliminate(K, fixed):
+    """The one-pass Dirichlet split that `fem.eliminate` replaced by two
+    `fem.restrict` calls, kept as its reference: returns the free and the
+    fixed nodes, the entries (rows, cols, vals) of the free-free block
+    listed row by row and the free-fixed block as a `fem.CSR`."""
+    K = fem.CSR(K.data, K.indices, K.indptr, K.shape)
+    n = K.shape[0]
+    fixed = np.unique(np.asarray(fixed, dtype=np.int64))
+    is_free = np.ones(n, dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    if np.any(K.diagonal()[free] <= 0):
+        raise ValueError("operator is not positive definite on free nodes")
+    position = np.empty(n, dtype=K.indices.dtype)
+    position[free] = np.arange(free.size)
+    position[fixed] = np.arange(fixed.size)
+    keep = is_free[K.rows]
+    rows, cols, vals = position[K.rows[keep]], K.indices[keep], K.data[keep]
+    to_free = is_free[cols]
+    cols = position[cols]
+    to_fixed = ~to_free
+    K_fd = fem._csr(rows[to_fixed], cols[to_fixed], vals[to_fixed],
+                    (free.size, fixed.size))
+    return free, fixed, (rows[to_free], cols[to_free], vals[to_free]), K_fd
+
+
+def _assert_split_is_the_reference(K, fixed):
+    """`fem.eliminate(K, fixed)` holds `_reference_eliminate`'s arrays, in
+    the same order and dtypes, or raises its ValueError."""
+    try:
+        free, fixed_ref, entries, K_fd = _reference_eliminate(K, fixed)
+    except ValueError:
+        with pytest.raises(ValueError,
+                           match="not positive definite on free nodes"):
+            fem.eliminate(K, fixed)
+        return
+    K_ff = fem._csr(*entries, (free.size, free.size))
+    ours = fem.eliminate(K, fixed)
+    for theirs, mine in zip((free, fixed_ref, entries[0]),
+                            (*ours[:2], ours[2].rows)):
+        assert theirs.dtype == mine.dtype
+        assert theirs.tobytes() == mine.tobytes()
+    for theirs, mine in zip((K_ff, K_fd), ours[2:]):
+        assert isinstance(mine, fem.CSR) and mine.shape == theirs.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(theirs, name).dtype == getattr(mine, name).dtype
+            assert (getattr(theirs, name).tobytes()
+                    == getattr(mine, name).tobytes())
+
+
+@st.composite
+def dirichlet_splits(draw):
+    """A random square matrix in canonical CSR form with values as in
+    `sparse_products` and a positive diagonal, one diagonal entry of which
+    may be zero or negative; a `fem.CSR` or a scipy matrix, with a fixed
+    node list that is unsorted and may repeat nodes."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    dense[np.diag_indices(n)] = True
+    rows, cols = np.nonzero(dense)
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-8, 8,
+                                                                 rows.size)
+    on = rows == cols
+    vals[on] = np.abs(vals[on]) + 1.0
+    if draw(st.booleans()):
+        vals[np.flatnonzero(on)[rng.integers(n)]] = draw(
+            st.sampled_from([0.0, -1.0]))
+    indptr = np.concatenate([[0], np.cumsum(dense.sum(axis=1))])
+    K = fem.CSR(vals, cols.astype(np.int32), indptr.astype(np.int32), (n, n))
+    fixed = list(rng.integers(0, n, draw(st.integers(0, n))))
+    return (scipy_csr(K) if draw(st.booleans()) else K), fixed
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirichlet_splits())
+@example((fem.CSR(np.array([2.0, -1.0, -1.0, 0.0]),
+                  np.array([0, 1, 0, 1], dtype=np.int32),
+                  np.array([0, 2, 4], dtype=np.int32), (2, 2)), [0]))
+@example((fem.CSR(np.array([2.0, -1.0, -1.0, -3.0]),
+                  np.array([0, 1, 0, 1], dtype=np.int32),
+                  np.array([0, 2, 4], dtype=np.int32), (2, 2)), [1, 1]))
+def test_eliminate_is_the_one_pass_split(case):
+    _assert_split_is_the_reference(*case)
+
+
+@pytest.mark.parametrize("nx", [7, 14, 28, 112])
+def test_eliminate_is_the_one_pass_split_on_the_operators(nx):
+    # 5.3's operator with and without its boundary fixed, and every box
+    # member in both Dirichlet modes
+    m, (K, fixed, _) = _global_member("5.3", nx)
+    _assert_split_is_the_reference(K, fixed)
+    _assert_split_is_the_reference(K, [])
+    for mode in ("box-boundary", "interface-closure"):
+        for i in range(4):
+            loc = fem.BoxSystem(mesh.build_subdomains(m), i, mode)
+            _assert_split_is_the_reference(*loc.member(K, m.nodes)[:2])
+
+
 def _scipy_float32(M):
     """M in float32 with its CSR rows sorted, as the hierarchy keeps it."""
     M = M.astype(np.float32)
@@ -343,7 +475,7 @@ def test_multilevel_is_the_scipy_sparse_hierarchy(case):
     multilevel = system.multilevel[0]
     matrix, levels, inverse = _scipy_multilevel(
         fem.restrict(K, system.free), coords[system.free])
-    assert _same_storage(system.K_ff[0], matrix)
+    assert _same_storage(system.multilevel[0].matrix, matrix)
     assert len(multilevel.levels) == len(levels) >= 2
     for ours, theirs in zip(multilevel.levels, levels):
         assert all(_same_storage(a, b) for a, b in zip(ours[:3], theirs[:3]))
@@ -472,7 +604,7 @@ def test_spd_after_elimination(mesh7):
     rng = np.random.default_rng(11)
     for _ in range(10):
         v = rng.standard_normal(system.free.size)
-        assert v @ (system.K_ff[0] @ v) > 0
+        assert v @ (system.multilevel[0].matrix @ v) > 0
 
 
 def test_solver_residual_contract(mesh7):
@@ -563,7 +695,7 @@ def test_two_level_pcg_matches_jacobi(experiment):
     m, system = _global_system(experiment, 56)
     assert system.multilevel is not None
     b = _random_load(m, system)
-    K_ff = system.K_ff[0]
+    K_ff = system.multilevel[0].matrix
     x_jac, _, it_jac = fem.pcg(K_ff, b, jacobi(scipy_csr(K_ff)))
     x_two, relres, it_two = fem.pcg(K_ff, b, system.multilevel[0].apply)
     assert relres <= 1e-10
@@ -591,12 +723,12 @@ def test_coarse_space_size_rule():
     # one node fewer: factored when a direct solve is asked for, and solved
     # by PCG on the same kind of hierarchy otherwise
     smaller = fem.DirichletSystem([(K, [0], coords)], direct=True)
-    assert smaller.multilevel is None and smaller.K_ff is None
+    assert smaller.multilevel is None
     assert smaller.factor is not None
     x = smaller.solve(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
     iterative = fem.DirichletSystem([(K, [0], coords)])
-    assert iterative.factor is None and iterative.K_ff is not None
+    assert iterative.factor is None
     assert len(iterative.multilevel[0].levels) == 2
     x = iterative.solve(b, np.array([5.0]))
     assert x[0] == 5.0
@@ -614,7 +746,7 @@ def test_band_budget_rule(nx, ny, factored):
                                    m.nodes)], direct=True)
     assert system.free.size == 3774
     assert (system.factor is not None) == factored
-    assert (system.K_ff is None) == (system.multilevel is None) == factored
+    assert (system.multilevel is None) == factored
     x = system.solve(np.ones(m.n_nodes))
     residual = (K @ x - np.ones(m.n_nodes))[system.free]
     assert np.abs(residual).max() <= 1e-8
@@ -631,9 +763,9 @@ def test_multilevel_on_small_systems(experiment, nx, levels, max_iterations):
     m, system = _global_system(experiment, nx)
     assert len(system.multilevel[0].levels) == levels
     b = _random_load(m, system)
-    x, relres, it = fem.pcg(system.K_ff[0], b, system.multilevel[0].apply)
+    x, relres, it = fem.pcg(system.multilevel[0].matrix, b, system.multilevel[0].apply)
     assert relres <= 1e-10 and it <= max_iterations
-    assert (np.linalg.norm(system.K_ff[0] @ x - b)
+    assert (np.linalg.norm(system.multilevel[0].matrix @ x - b)
             <= 1e-10 * np.linalg.norm(b))
 
 
@@ -777,7 +909,7 @@ def test_largest_eigenvalue_estimate_on_small_operators(experiment, nx):
     # the global operators of the elliptic experiments: with Dirichlet
     # walls (source) or without (all-Neumann flux), 105 to 435 unknowns
     _, system = _global_system(experiment, nx)
-    _assert_estimate_within_two_percent(scipy_csr(system.K_ff[0]))
+    _assert_estimate_within_two_percent(scipy_csr(system.multilevel[0].matrix))
 
 
 def test_largest_eigenvalue_of_a_closed_krylov_space():
@@ -805,7 +937,8 @@ def p1_operators(draw):
     K = fem.assemble(m, lambda x, y: a, rng.uniform(0.0, 10.0))
     walls = draw(st.booleans()) and m.n_nodes > m.boundary_mask.sum()
     fixed = np.flatnonzero(m.boundary_mask) if walls else []
-    return scipy_csr(fem.DirichletSystem([(K, fixed, m.nodes)]).K_ff[0])
+    return scipy_csr(
+        fem.DirichletSystem([(K, fixed, m.nodes)]).multilevel[0].matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -843,7 +976,7 @@ def test_indefinite_v_cycle_breaks_pcg_down():
     levels[0] = (A, P, PT, 2.0 * scaled)
     with pytest.raises(fem.SolverError,
                        match="preconditioner is not positive definite"):
-        fem.pcg(system.K_ff[0], _random_load(m, system),
+        fem.pcg(system.multilevel[0].matrix, _random_load(m, system),
                 system.multilevel[0].apply)
 
 
@@ -853,7 +986,7 @@ def test_multilevel_iterations_do_not_grow_with_the_mesh():
     counts = []
     for nx in (56, 112):
         m, system = _global_system("5.3", nx)
-        _, relres, it = fem.pcg(system.K_ff[0], _random_load(m, system),
+        _, relres, it = fem.pcg(system.multilevel[0].matrix, _random_load(m, system),
                                 system.multilevel[0].apply)
         assert relres <= 1e-10
         counts.append(it)
@@ -869,7 +1002,7 @@ def test_multilevel_on_thin_and_collinear_nodes(case):
     assert system.multilevel is not None
     _assert_storage_by_the_memory_rule(system, K)
     b = np.cos(3.0 * coords[:, 0])
-    x, relres, it = fem.pcg(system.K_ff[0], b, system.multilevel[0].apply)
+    x, relres, it = fem.pcg(system.multilevel[0].matrix, b, system.multilevel[0].apply)
     assert relres <= 1e-10 and np.all(np.isfinite(x))
     # each axis gets at most one bin per distinct coordinate, so the strip's
     # aggregates are 9-node bins along it (76 iterations; 567 with bins
@@ -895,7 +1028,7 @@ def _assert_storage_by_the_memory_rule(system, A, seed=0):
     levels = [(*map(scipy_csr, level[:3]), level[3])
               for level in system.multilevel[0].levels]
     if levels:
-        K_ff, first = scipy_csr(system.K_ff[0]), levels[0][0]
+        K_ff, first = scipy_csr(system.multilevel[0].matrix), levels[0][0]
         assert K_ff.dtype == np.float64 and K_ff.format == first.format
         assert abs(K_ff - A).max() == 0.0
         assert abs(first - A.astype(np.float32)).max() == 0.0
@@ -984,7 +1117,7 @@ def test_diagonal_storage_memory_rule_at_its_bound(coupled, form):
     side = np.arange(64.0)
     coords = np.column_stack([np.repeat(side, 64), np.tile(side, 64)])
     system = fem.DirichletSystem([(K, [], coords)])
-    assert scipy_csr(system.K_ff[0]).format == form
+    assert scipy_csr(system.multilevel[0].matrix).format == form
     _assert_storage_by_the_memory_rule(system, K)
 
 
@@ -1058,7 +1191,7 @@ def test_factored_solve_matches_dense(case):
 
 def _band_entries(A):
     rows, cols = np.nonzero(A)
-    return rows, cols, A[rows, cols]
+    return fem._csr(rows, cols, A[rows, cols], A.shape)
 
 
 def _random_band(rng, n, bw):

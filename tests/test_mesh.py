@@ -48,6 +48,26 @@ def test_boundary_sides(mesh7):
     assert n_boundary == 2 * 7 + 2 * 14  # perimeter nodes of an 8x15 grid
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (7, 14), (14, 7), (3, 21)])
+def test_side_edges_run_from_corner_to_corner(nx, ny):
+    # each side's edges are consecutive, in increasing coordinate along the
+    # side, from one corner to the other, and one cell side long
+    m = mesh.build_mesh(nx, ny)
+    for side, along, at, end, h, count in (
+            ("left", 1, 0.0, 2.0, m.hy, ny), ("right", 1, 1.0, 2.0, m.hy, ny),
+            ("bottom", 0, 0.0, 1.0, m.hx, nx), ("top", 0, 2.0, 1.0, m.hx, nx)):
+        edges = m.side_edges(side)
+        assert edges.shape == (count, 2)
+        assert np.array_equal(edges[1:, 0], edges[:-1, 1])
+        first, last = m.nodes[edges[:, 0]], m.nodes[edges[:, 1]]
+        assert np.all(first[:, 1 - along] == at)
+        assert np.all(last[:, 1 - along] == at)
+        assert first[0, along] == 0.0 and last[-1, along] == end
+        assert np.all(last[:, along] > first[:, along])
+        assert np.allclose(np.linalg.norm(last - first, axis=1), h,
+                           rtol=1e-12, atol=0.0)
+
+
 def test_cross_point_multiplicity(decomp14, mesh14):
     # the point (1/2, 1) lies in all four open boxes
     k = node_at(mesh14, 0.5, 1.0)

@@ -47,8 +47,10 @@ ALLOWED_PARAMETERS = {
 # Attributes and dataclass fields the library stores although it never
 # reads them.
 ALLOWED_UNREAD = {
-    "iterations": "fault data for the caller that catches a SolverError",
-    "residual": "fault data for the caller that catches a SolverError",
+    "SolverError.iterations":
+        "fault data for the caller that catches a SolverError",
+    "SolverError.residual":
+        "fault data for the caller that catches a SolverError",
     "DDState.components":
         "test_support_preservation checks the final per-box components",
     "ExperimentSpec.mesh_sizes": "the catalog meshes that the tests sweep",
@@ -109,14 +111,58 @@ def _is_dataclass(cls) -> bool:
     return False
 
 
+def _on_self(node) -> bool:
+    """Whether the attribute node `node` is `self.name`."""
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def _relatives(bases, name) -> set:
+    """The class `name`, its ancestors and its descendants among the
+    classes of `bases` (class name -> names of its base classes)."""
+    def closure(step):
+        out, todo = set(), [name]
+        while todo:
+            new = step(todo.pop()) - out
+            out |= new
+            todo.extend(new)
+        return out
+
+    return ({name} | closure(lambda c: bases.get(c, set()))
+            | closure(lambda c: {d for d, b in bases.items() if c in b}))
+
+
 def unread_attributes(src=SRC) -> list:
-    """The attribute names that the modules under `src` store
-    (`obj.name = ...`) and never load, on any object, and, as
-    "Class.field", the fields of their dataclasses that they never load."""
-    stored, fields, loaded = set(), set(), set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    """The attributes that the modules under `src` store and never load.
+    An attribute that class C stores on `self` is read when `self.name` is
+    loaded in C, in an ancestor or in a descendant of C, or `obj.name` on
+    any object but `self` anywhere; unread, it is reported as "C.name".
+    An attribute stored on another object is read when its name is loaded
+    on any object, and is reported as "name".  The fields of their
+    dataclasses that they never load, on any object, are reported as
+    "Class.field"."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    bases = {cls.name: {getattr(base, "id", getattr(base, "attr", None))
+                        for base in cls.bases} for cls in classes}
+    # per class, the names it stores and loads on `self`
+    self_stores = {cls.name: set() for cls in classes}
+    self_loads = {cls.name: set() for cls in classes}
+    for cls in classes:
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and _on_self(node):
+                if isinstance(node.ctx, ast.Store):
+                    self_stores[cls.name].add(node.attr)
+                elif isinstance(node.ctx, ast.Load):
+                    self_loads[cls.name].add(node.attr)
+    stored, fields, loaded, loaded_anywhere = set(), set(), set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loaded_anywhere.add(node.attr)
+                if _on_self(node):
+                    continue
                 if isinstance(node.ctx, ast.Store):
                     stored.add(node.attr)
                 elif isinstance(node.ctx, ast.Load):
@@ -125,8 +171,13 @@ def unread_attributes(src=SRC) -> list:
                 fields |= {(node.name, item.target.id) for item in node.body
                            if isinstance(item, ast.AnnAssign)
                            and isinstance(item.target, ast.Name)}
-    return sorted(stored - loaded) + sorted(
-        f"{cls}.{name}" for cls, name in fields if name not in loaded)
+    unread = {f"{cls}.{name}" for cls, name in fields
+              if name not in loaded_anywhere}
+    for cls, stores in self_stores.items():
+        read = loaded.union(*(self_loads.get(relative, set())
+                              for relative in _relatives(bases, cls)))
+        unread |= {f"{cls}.{name}" for name in stores - read}
+    return sorted(stored - loaded_anywhere) + sorted(unread)
 
 
 def test_every_stored_attribute_is_read_in_the_library():
@@ -142,8 +193,16 @@ def test_unread_attributes_of_a_sample_module(tmp_path):
         "@dataclasses.dataclass(frozen=True)\nclass Q:\n    c: int\n"
         "class R:\n    d: int\n"
         "def f(p, q, r):\n    p.kept = p.b\n    r.e = 1\n"
-        "    return p.kept + r.d\n")
-    assert unread_attributes(tmp_path) == ["e", "P.a", "Q.c"]
+        "    return p.kept + r.d + r.w\n"
+        # siblings A and B: B's read of `u` does not read A's store, while
+        # a base or a subclass reading `self.t` or `self.v` does
+        "class S:\n    def __init__(self):\n        self.s = self.v = 1\n"
+        "class A(S):\n    def __init__(self):\n"
+        "        self.t = self.u = self.w = 2\n"
+        "class B(S):\n    def f(self):\n        return self.u\n"
+        "class C(A):\n    def f(self):\n        return self.t\n"
+        "class D(C):\n    def g(self):\n        return self.v\n")
+    assert unread_attributes(tmp_path) == ["e", "A.u", "P.a", "Q.c", "S.s"]
 
 
 def _callee(call):
