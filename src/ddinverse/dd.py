@@ -321,9 +321,9 @@ class _InversionBase:
         """Components of param: the partition of unity restricted to each
         support.  On the right side, where the flux supports lie, chi is
         one over the number of closed boxes containing the node."""
-        comps = []
+        comps, chi = [], self.decomp.chi
         for i in range(self.decomp.n_subdomains):
-            c = self.decomp.chi[i] * param
+            c = chi[i] * param
             c[~self.supports[i]] = 0.0
             comps.append(c)
         return comps

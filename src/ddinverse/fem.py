@@ -1012,19 +1012,26 @@ def restrict(K, nodes, cols=None):
     """K[nodes][:, cols], cols defaulting to nodes, of a canonical CSR
     matrix (a `CSR`, or another matrix with its four attributes) for sorted
     `nodes` and `cols`, read row by row through a renumbering of the
-    columns: the one routine that cuts a block out of an operator."""
+    columns: the one routine that cuts a block out of an operator.  Its
+    arrays over the entries are in the index type of K, not in intp."""
     if cols is None:
         cols = nodes
-    position = np.full(K.shape[1], -1, dtype=K.indices.dtype)
+    index = K.indices.dtype
+    position = np.full(K.shape[1], -1, dtype=index)
     position[cols] = np.arange(cols.size)
     starts, counts = K.indptr[nodes], np.diff(K.indptr)[nodes]
-    rows = np.repeat(np.arange(nodes.size, dtype=K.indices.dtype), counts)
-    entries = np.arange(rows.size) + np.repeat(starts - np.cumsum(counts)
-                                               + counts, counts)
+    rows = np.repeat(np.arange(nodes.size, dtype=index), counts)
+    # entry k of the cut rows is entry k - (entries before its row) + (its
+    # row's start) of K
+    entries = np.repeat(starts - np.cumsum(counts, dtype=index) + counts,
+                        counts)
+    entries += np.arange(rows.size, dtype=index)
     columns = position[K.indices[entries]]
     keep = columns >= 0
-    return _csr(rows[keep], columns[keep], K.data[entries[keep]],
-                (nodes.size, cols.size))
+    # the kept rows and columns replace the full ones before the values are
+    # gathered, which numpy indexes through an intp copy of the positions
+    rows, columns = rows[keep], columns[keep]
+    return _csr(rows, columns, K.data[entries[keep]], (nodes.size, cols.size))
 
 
 def block_diagonal(blocks, width):
@@ -1106,8 +1113,15 @@ class DirichletSystem:
                 and n_free * max(map(_bandwidth, blocks)) <= MAX_BAND_ENTRIES):
             self.factor = BandFactor(blocks, n_free)
             return
-        self.multilevel = [Multilevel(K_ff, coords[free]) for free, K_ff,
-                           (_, _, coords) in zip(frees, blocks, systems)]
+        # Each hierarchy takes the only reference to its block, so the block
+        # is freed once the hierarchy's next level exists.  A call of the
+        # class would keep a reference in this frame until the build
+        # returns; a method call hands its arguments over.
+        blocks, self.multilevel = list(blocks), []
+        for free, (_, _, coords) in zip(frees, systems):
+            hierarchy = Multilevel.__new__(Multilevel)
+            hierarchy.__init__(blocks.pop(0), coords[free])
+            self.multilevel.append(hierarchy)
         self.last = [[None, None] for _ in systems]
 
     def box(self, k: int) -> "DirichletSystem":
@@ -1184,6 +1198,9 @@ class BoxSystem:
             raise ValueError(f"unknown dirichlet mode {dirichlet!r}")
         self.fixed = np.unique(np.searchsorted(self.nodes, fixed))
         self.trace_local = np.searchsorted(self.nodes, trace_nodes)
+        # where the trace nodes sit in the fixed set, which holds them all
+        assert np.isin(self.trace_local, self.fixed).all()
+        self.trace_fixed = np.searchsorted(self.fixed, self.trace_local)
 
     def member(self, K, coords):
         """The global operator K on this box as a `DirichletSystem` member:
@@ -1198,6 +1215,6 @@ class BoxSystem:
         passed through."""
         if trace is None:
             return None
-        vals = np.zeros(np.shape(trace)[:-1] + (self.nodes.size,))
-        vals[..., self.trace_local] = trace
-        return vals[..., self.fixed]
+        vals = np.zeros(np.shape(trace)[:-1] + (self.fixed.size,))
+        vals[..., self.trace_fixed] = trace
+        return vals

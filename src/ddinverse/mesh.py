@@ -66,7 +66,9 @@ class TriMesh:
         Cell counts along x and y.
     nodes : (n_nodes, 2) float array
         Node coordinates, row-major by y: node (i, j) has index j*(nx+1)+i.
-    elements : (n_elements, 3) int array
+    grid_i, grid_j : (n_nodes,) int32 arrays
+        Grid column and row of each node.
+    elements : (n_elements, 3) int32 array
         Node index triples, counterclockwise.
     boundary_mask : (n_nodes,) bool array
         Node lies on the boundary of the rectangle.
@@ -80,8 +82,8 @@ class TriMesh:
         self.hx = float(WIDTH) / nx
         self.hy = float(HEIGHT) / ny
 
-        cols = np.arange(nx + 1)
-        rows = np.arange(ny + 1)
+        cols = np.arange(nx + 1, dtype=np.int32)
+        rows = np.arange(ny + 1, dtype=np.int32)
         ii, jj = np.meshgrid(cols, rows)  # shape (ny+1, nx+1), row-major by y
         self.grid_i = ii.ravel()
         self.grid_j = jj.ravel()
@@ -92,7 +94,8 @@ class TriMesh:
         # Two triangles per cell, split along the lower-left/upper-right
         # diagonal: (A,B,C) and (A,C,D) for A=(i,j), B=(i+1,j), C=(i+1,j+1),
         # D=(i,j+1).
-        ci, cj = np.meshgrid(np.arange(nx), np.arange(ny))
+        ci, cj = np.meshgrid(np.arange(nx, dtype=np.int32),
+                             np.arange(ny, dtype=np.int32))
         ci = ci.ravel()
         cj = cj.ravel()
         a = cj * (nx + 1) + ci
@@ -101,7 +104,7 @@ class TriMesh:
         d = a + (nx + 1)
         lower = np.column_stack([a, b, c])
         upper = np.column_stack([a, c, d])
-        self.elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
+        self.elements = np.empty((2 * nx * ny, 3), dtype=np.int32)
         self.elements[0::2] = lower
         self.elements[1::2] = upper
 
@@ -165,15 +168,14 @@ class SubdomainDecomposition:
         The inner-boundary nodes plus the junction nodes where the inner
         boundary meets the outer boundary.  These are the Dirichlet sets used
         by local solvers that keep natural conditions on the outer boundary.
-    multiplicity : (n_nodes,) int
-        Number of open boxes containing the node (0 on the outer boundary).
-    closure_count : (n_nodes,) int
-        Number of closed boxes containing the node.
+    multiplicity : (n_nodes,) unsigned int
+        Number of open boxes containing the node (0 on the outer boundary),
+        in the smallest unsigned type that holds the box count.
+    closure_count : (n_nodes,) unsigned int
+        Number of closed boxes containing the node, in the same type.
     chi : (n_sub, n_nodes) float
-        Partition of unity: 1/multiplicity on the open box, 0 on the rest of
-        the closure interior to the domain; on outer-boundary nodes the
-        closure count is used instead so the weights still sum to one at
-        every node.
+        Partition of unity, computed from the counts and the masks on each
+        access (`chi` is a property, not stored).
     """
 
     def __init__(self, mesh: TriMesh, boxes: tuple[Box, ...]):
@@ -213,23 +215,32 @@ class SubdomainDecomposition:
             closure = interface | (cut & mesh.boundary_mask)
             self.interface_closures.append(np.flatnonzero(closure))
 
-        self.multiplicity = self.interior_masks.sum(axis=0).astype(np.int64)
-        self.closure_count = self.masks.sum(axis=0).astype(np.int64)
+        count = np.min_scalar_type(n_sub)
+        self.multiplicity = self.interior_masks.sum(axis=0, dtype=count)
+        self.closure_count = self.masks.sum(axis=0, dtype=count)
 
         interior = ~mesh.boundary_mask
         if np.any(interior & (self.multiplicity == 0)):
             raise ValueError("subdomain boxes do not cover the domain interior")
 
-        self.chi = np.zeros((n_sub, n))
-        for k in range(n_sub):
-            inside = self.interior_masks[k]
-            self.chi[k, inside] = 1.0 / self.multiplicity[inside]
-            rim = self.masks[k] & mesh.boundary_mask
-            self.chi[k, rim] = 1.0 / self.closure_count[rim]
-
     @property
     def n_subdomains(self) -> int:
         return len(self.boxes)
+
+    @property
+    def chi(self) -> np.ndarray:
+        """Partition of unity, shape (n_sub, n_nodes): 1/multiplicity on
+        the open box, 0 on the rest of the closure interior to the domain;
+        on outer-boundary nodes the closure count is used instead so the
+        weights still sum to one at every node.  Computed on each access."""
+        boundary = self.mesh.boundary_mask
+        chi = np.zeros(self.masks.shape)
+        for k in range(self.n_subdomains):
+            inside = self.interior_masks[k]
+            chi[k, inside] = 1.0 / self.multiplicity[inside]
+            rim = self.masks[k] & boundary
+            chi[k, rim] = 1.0 / self.closure_count[rim]
+        return chi
 
 
 def build_subdomains(mesh: TriMesh,

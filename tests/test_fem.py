@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -155,6 +157,23 @@ def test_setup_temporaries_stay_within_a_small_multiple_of_k():
     fixed = np.flatnonzero(m.boundary_mask)
     _, held = _temporaries(lambda: fem.DirichletSystem([(K, fixed, m.nodes)]))
     assert held < 3.5 * _csr_bytes(K)
+    # cutting the free-free block held 2.4 times K's bytes with its arrays
+    # over the entries in intp, 1.5 times in K's index type with the full
+    # rows and columns let go before the values are gathered
+    free = np.delete(np.arange(m.n_nodes), fixed)
+    _, held = _temporaries(lambda: fem.restrict(K, free))
+    assert held < 2.0 * _csr_bytes(K)
+    # the whole setup peaked at 4.81 MB with int64 mesh indices and counts
+    # and a stored partition of unity, and peaks at 4.25 MB without them
+    # (traced after a first, smaller problem has loaded the kernels)
+    problems.make_problem(spec, 7)
+    tracemalloc.start()
+    try:
+        problems.make_problem(spec, 56)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 @st.composite
@@ -281,13 +300,16 @@ def test_kernel_helpers_are_scipys_operations_to_the_bit(case):
 
 @st.composite
 def restrictions(draw):
-    """A matrix of `sparse_products` and sorted subsets of its rows and of
-    its columns, each possibly empty or whole."""
+    """A matrix of `sparse_products`, its index arrays in int32 or int64,
+    and sorted subsets of its rows and of its columns, each possibly empty
+    or whole."""
     data, indices, indptr, shape, _ = draw(sparse_products())
+    index = draw(st.sampled_from([np.int32, np.int64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, cols = (np.flatnonzero(rng.random(size) < draw(
         st.sampled_from([0.0, 0.3, 0.7, 1.0]))) for size in shape)
-    return fem.CSR(data, indices, indptr, shape), rows, cols
+    return (fem.CSR(data, indices.astype(index), indptr.astype(index), shape),
+            rows, cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,7 +322,7 @@ def test_restrict_cuts_the_dense_block(case):
     assert block.shape == (rows.size, cols.size)
     assert np.array_equal(block.toarray(), K.toarray()[np.ix_(rows, cols)])
     assert block.nnz == np.count_nonzero(block.toarray())
-    assert block.indices.dtype == K.indices.dtype
+    assert block.indices.dtype == block.indptr.dtype == K.indices.dtype
     assert block.data.dtype == K.data.dtype
     for i in range(rows.size):
         assert np.all(np.diff(block.indices[block.indptr[i]:
@@ -686,6 +708,32 @@ def _hierarchy_member(case):
 def _hierarchy_case(case):
     """The system of a `_hierarchy_member`."""
     return fem.DirichletSystem([_hierarchy_member(case)])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a "
+                    "method call keeps its arguments in the caller's frame")
+def test_each_hierarchy_owns_its_block():
+    # the free-free block that `eliminate` cuts is held by its hierarchy
+    # alone, so it is gone once the next level's matrix exists: before the
+    # first level's float32 copies, while the hierarchy still builds
+    m, member = _global_member("5.3", 28)
+    blocks, alive = [], []
+    eliminate, float32 = fem.eliminate, fem._float32
+
+    def spy_eliminate(K, fixed):
+        out = eliminate(K, fixed)
+        blocks.append(weakref.ref(out[2]))
+        return out
+
+    def spy_float32(A):
+        alive.append(blocks[0]() is not None)
+        return float32(A)
+
+    with mock.patch.object(fem, "eliminate", spy_eliminate), \
+            mock.patch.object(fem, "_float32", spy_float32):
+        system = fem.DirichletSystem([member])
+    assert len(system.multilevel[0].levels) == 1
+    assert alive == [False, False, False]
 
 
 @pytest.mark.parametrize("experiment", ["5.3", "5.1"])

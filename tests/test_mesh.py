@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,48 @@ def test_partition_of_unity_everywhere(decomp7, mesh7):
         inside = decomp7.interior_masks[i]
         assert np.allclose(decomp7.chi[i][inside],
                            1.0 / decomp7.multiplicity[inside])
+
+
+def _reference_chi(decomp):
+    """The partition of unity as `SubdomainDecomposition` stored it before
+    `chi` became a property: 1/multiplicity on each open box, then
+    1/closure_count on its outer-boundary nodes, from int64 counts."""
+    boundary = decomp.mesh.boundary_mask
+    multiplicity = decomp.interior_masks.sum(axis=0).astype(np.int64)
+    closure_count = decomp.masks.sum(axis=0).astype(np.int64)
+    chi = np.zeros((decomp.n_subdomains, decomp.mesh.n_nodes))
+    for k in range(decomp.n_subdomains):
+        inside = decomp.interior_masks[k]
+        chi[k, inside] = 1.0 / multiplicity[inside]
+        rim = decomp.masks[k] & boundary
+        chi[k, rim] = 1.0 / closure_count[rim]
+    return chi
+
+
+# Three columns and three rows of boxes, each overlapping the next two, so
+# that three closed boxes meet on stretches of the outer boundary.
+TRIPLE_GRID = tuple(mesh.Box(Fraction(x0, 7), Fraction(x1, 7),
+                             Fraction(y0, 7), Fraction(y1, 7))
+                    for x0, x1 in ((0, 4), (2, 6), (3, 7))
+                    for y0, y1 in ((0, 8), (4, 12), (6, 14)))
+
+
+@pytest.mark.parametrize("nx, boxes", [(7, mesh.DEFAULT_BOXES),
+                                       (14, mesh.DEFAULT_BOXES),
+                                       (28, mesh.DEFAULT_BOXES),
+                                       (14, TRIPLE_GRID)])
+def test_chi_is_the_stored_partition_to_the_bit(nx, boxes):
+    m = mesh.build_mesh(nx, 2 * nx)
+    decomp = mesh.build_subdomains(m, boxes)
+    chi = decomp.chi
+    reference = _reference_chi(decomp)
+    assert chi.dtype == reference.dtype and chi.shape == reference.shape
+    assert chi.tobytes() == reference.tobytes()
+    # the counts are in the smallest unsigned type that holds the box count
+    for counts in (decomp.multiplicity, decomp.closure_count):
+        assert counts.dtype == np.min_scalar_type(len(boxes))
+    if boxes is TRIPLE_GRID:
+        assert decomp.closure_count[m.boundary_mask].max() == 3
 
 
 def test_interface_nodes_interior_and_covered(decomp7, mesh7):

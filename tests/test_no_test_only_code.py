@@ -111,9 +111,32 @@ def _is_dataclass(cls) -> bool:
     return False
 
 
-def _on_self(node) -> bool:
-    """Whether the attribute node `node` is `self.name`."""
-    return isinstance(node.value, ast.Name) and node.value.id == "self"
+def _is_copy_of_self(node) -> bool:
+    """Whether the expression `node` is `copy.copy(self)` or `copy(self)`."""
+    return (isinstance(node, ast.Call) and len(node.args) == 1
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "copy" and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "self")
+
+
+def _self_attributes(cls) -> list:
+    """The attribute nodes on `self` in the methods of the class definition
+    `cls`, and on the names that a method binds to `copy.copy(self)`: a
+    view of the instance stores and loads the class's own attributes."""
+    out = []
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {"self"} | {target.id for node in ast.walk(method)
+                            if isinstance(node, ast.Assign)
+                            and _is_copy_of_self(node.value)
+                            for target in node.targets
+                            if isinstance(target, ast.Name)}
+        out += [node for node in ast.walk(method)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in names]
+    return out
 
 
 def _relatives(bases, name) -> set:
@@ -133,9 +156,10 @@ def _relatives(bases, name) -> set:
 
 def unread_attributes(src=SRC) -> list:
     """The attributes that the modules under `src` store and never load.
-    An attribute that class C stores on `self` is read when `self.name` is
-    loaded in C, in an ancestor or in a descendant of C, or `obj.name` on
-    any object but `self` anywhere; unread, it is reported as "C.name".
+    An attribute that class C stores on `self`, or on a view of it that a
+    method of C binds to `copy.copy(self)`, is read when it is loaded on
+    `self` or on such a view in C, in an ancestor or in a descendant of C,
+    or on any other object anywhere; unread, it is reported as "C.name".
     An attribute stored on another object is read when its name is loaded
     on any object, and is reported as "name".  The fields of their
     dataclasses that they never load, on any object, are reported as
@@ -145,23 +169,24 @@ def unread_attributes(src=SRC) -> list:
                if isinstance(node, ast.ClassDef)]
     bases = {cls.name: {getattr(base, "id", getattr(base, "attr", None))
                         for base in cls.bases} for cls in classes}
-    # per class, the names it stores and loads on `self`
+    # per class, the names it stores and loads on `self` and its views
     self_stores = {cls.name: set() for cls in classes}
     self_loads = {cls.name: set() for cls in classes}
+    on_self = set()
     for cls in classes:
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Attribute) and _on_self(node):
-                if isinstance(node.ctx, ast.Store):
-                    self_stores[cls.name].add(node.attr)
-                elif isinstance(node.ctx, ast.Load):
-                    self_loads[cls.name].add(node.attr)
+        for node in _self_attributes(cls):
+            on_self.add(node)
+            if isinstance(node.ctx, ast.Store):
+                self_stores[cls.name].add(node.attr)
+            elif isinstance(node.ctx, ast.Load):
+                self_loads[cls.name].add(node.attr)
     stored, fields, loaded, loaded_anywhere = set(), set(), set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 if isinstance(node.ctx, ast.Load):
                     loaded_anywhere.add(node.attr)
-                if _on_self(node):
+                if node in on_self:
                     continue
                 if isinstance(node.ctx, ast.Store):
                     stored.add(node.attr)
@@ -201,8 +226,18 @@ def test_unread_attributes_of_a_sample_module(tmp_path):
         "        self.t = self.u = self.w = 2\n"
         "class B(S):\n    def f(self):\n        return self.u\n"
         "class C(A):\n    def f(self):\n        return self.t\n"
-        "class D(C):\n    def g(self):\n        return self.v\n")
-    assert unread_attributes(tmp_path) == ["e", "A.u", "P.a", "Q.c", "S.s"]
+        "class D(C):\n    def g(self):\n        return self.v\n"
+        # a view bound to copy.copy(self) stores and loads V's own
+        # attributes: `y` and `z` are read in V, while `x` is read only on
+        # the `self` of the unrelated class W, which does not read V's store
+        "import copy\n"
+        "class V:\n    def __init__(self):\n        self.z = 0\n"
+        "    def view(self):\n        out = copy.copy(self)\n"
+        "        out.x = out.y = out.z + 1\n        return out\n"
+        "    def f(self):\n        return self.y\n"
+        "class W:\n    def g(self):\n        return self.x\n")
+    assert unread_attributes(tmp_path) == ["e", "A.u", "P.a", "Q.c", "S.s",
+                                           "V.x"]
 
 
 def _callee(call):
