@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dd, problems
+from . import dd, fem, problems
 from .mesh import build_mesh, dump_mesh
 
 # Every key a config file may set, with its default.
@@ -68,12 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additive relaxation weight in (0,1)")
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--tol", type=float,
-                   help="relative residual of the PCG solves, in (0, 1): "
-                        "every elliptic system, and the heat systems with at "
-                        "least 4096 free nodes or whose free nodes times "
-                        "bandwidth exceed 4096 x 64 (a wide, short mesh set "
-                        "through --config); the other heat systems are "
-                        "factored and solved directly")
+                   help="relative residual of the PCG solves, at least the "
+                        "float64 machine epsilon and below 1: every elliptic "
+                        "system, and the heat systems with at least "
+                        f"fem.FACTOR_SIZE = {fem.FACTOR_SIZE} free nodes or "
+                        "whose free nodes times bandwidth exceed "
+                        f"fem.MAX_BAND_ENTRIES = {fem.FACTOR_SIZE} x "
+                        f"{fem.MAX_BAND_ENTRIES // fem.FACTOR_SIZE} (a wide, "
+                        "short mesh set through --config); the other heat "
+                        "systems are factored and solved directly")
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--nt", type=int, help="time steps (heat problem)")
     p.add_argument("--sigma", type=float,
@@ -126,6 +129,9 @@ def _validate(cfg: dict) -> None:
                                  f"{_TYPES[key].__name__}, got {item!r}")
     if not 0.0 < cfg["tol"] < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {cfg['tol']}")
+    if cfg["tol"] < np.finfo(float).eps:  # no solve can reach it
+        raise ValueError(f"tol must be at least the float64 machine epsilon "
+                         f"{np.finfo(float).eps}, got {cfg['tol']}")
     if cfg["delta"] is not None and not 0.0 <= cfg["delta"] < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {cfg['delta']}")
     if cfg["seed"] < 0:

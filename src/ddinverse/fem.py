@@ -319,6 +319,17 @@ def inner_product(u, v, mass) -> float:
     return float(0.5 * (np.dot(u, mass @ v) + np.dot(v, mass @ u)))
 
 
+def apply_mass(mass, v) -> np.ndarray:
+    """M v for a mass as `inner_product` takes it."""
+    return mass * v if isinstance(mass, np.ndarray) else mass @ v
+
+
+def restrict_mass(mass, nodes):
+    """The mass of the sorted `nodes` alone, in the format of `mass`."""
+    return (mass[nodes] if isinstance(mass, np.ndarray)
+            else restrict(mass, nodes))
+
+
 def pcg(A, b, precondition, *, tol=1e-10, max_iter=None, x0=None):
     """Preconditioned conjugate gradients for SPD A from x0 (zero when
     None).
@@ -914,8 +925,8 @@ class BandFactor:
             U[k].reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
             block_row = rows // b
             even = (block_row % 2 == 0) & (block_row != cols // b)
-            first.append((rows[even] + k * m * b, cols[even] + k * m * b,
-                          vals[even]))
+            shift = np.intp(k * m * b)
+            first.append((rows[even] + shift, cols[even] + shift, vals[even]))
         # Per level: P, the inverses of the odd pivot blocks, and the
         # couplings Ua from each even block to the next odd one and Ub from
         # each odd block to the next even one, with their transposes.
@@ -941,8 +952,8 @@ class BandFactor:
                              "nodes") from None
         # The first level keeps its couplings sparse: (E_rows, E_cols,
         # E_vals) are the entries from even to odd blocks, numbered in the
-        # flattened stack.  Its dense Ua and Ub would add about half to the
-        # size of the factor.
+        # flattened stack, in intp so that `solve` copies no index.  Its dense
+        # Ua and Ub would add about half to the size of the factor.
         self.P0 = levels[0][0] if levels else None
         self.levels = levels[1:]
         self.E_rows, self.E_cols, self.E_vals = (

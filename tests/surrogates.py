@@ -19,7 +19,7 @@ def local_surrogate(prob, i, components, trace, anchor, config) -> float:
     ud = ops.forward_boxes([i], [diff])[0]
     d = u - prob.z[..., nodes]
     if prob.kind == "flux":
-        b0, b1 = ops.bmass0_loc[i], ops.bmass1_loc[i]
+        b0, b1 = ops.box_data_mass[i], ops.box_param_mass[i]
         return (fem.inner_product(d, d, b0)
                 + config.beta * fem.inner_product(tot, tot, b1)
                 + config.A * fem.inner_product(diff, diff, b1)

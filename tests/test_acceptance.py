@@ -142,7 +142,7 @@ def test_criterion_5_adjoint_identities():
               nh * nw)
         for i in range(4):
             loc = fops.locals[i]
-            b0, b1 = fops.bmass0_loc[i], fops.bmass1_loc[i]
+            b0, b1 = fops.box_data_mass[i], fops.box_param_mass[i]
             lf = fops.forward_local(i, h[loc.nodes])
             la = fops.adjoint_local(i, w[loc.nodes])
             track(fem.inner_product(lf, w[loc.nodes], b0),

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ddinverse import cli, problems
+from ddinverse import cli, fem, problems
 
 
 def run_cli(args):
@@ -165,6 +166,40 @@ def test_tol_outside_the_unit_interval_exits_1(tmp_path, capsys, tol):
     err = capsys.readouterr().err.strip().split("\n")
     assert err == [f"error: tol must lie in (0, 1), got {float(tol)}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["5.3", "5.6"])
+@pytest.mark.parametrize("tol", ["1e-300", "1e-16"])
+def test_tol_below_machine_epsilon_exits_1(tmp_path, capsys, experiment, tol):
+    # no solve reaches a relative residual below the float64 epsilon: 5.3
+    # at nx=7 failed in PCG, while the factored heat systems ignored tol
+    out = tmp_path / "x"
+    code = run_cli(["--experiment", experiment, "--nx", "7", f"--tol={tol}",
+                    "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == ["error: tol must be at least the float64 machine epsilon "
+                   f"{np.finfo(float).eps}, got {float(tol)}"]
+    assert not out.exists()
+
+
+def test_tol_at_machine_epsilon_is_accepted(tmp_path):
+    # the bound is inclusive; the nx=7 heat systems are factored
+    eps = float(np.finfo(float).eps)
+    assert run_cli(["--experiment", "5.6", "--nx", "7", f"--tol={eps!r}",
+                    "--out", str(tmp_path / "x")]) == 0
+
+
+def test_help_names_the_factor_size_rule(monkeypatch, capsys):
+    # --tol's help derives the size rule from the fem constants
+    monkeypatch.setattr(fem, "FACTOR_SIZE", 1000)
+    monkeypatch.setattr(fem, "MAX_BAND_ENTRIES", 1000 * 5)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "fem.FACTOR_SIZE = 1000 free nodes" in text
+    assert "fem.MAX_BAND_ENTRIES = 1000 x 5" in text
 
 
 @pytest.mark.parametrize("entry", [

@@ -38,7 +38,7 @@ ALLOWED_PARAMETERS = {
     "main(argv=)": "the benchmark and the tests call the CLI in-process",
     "pcg(max_iter=)": "the stall test caps the iterations",
     "build_subdomains(boxes=)": "tests build other box layouts",
-    "FluxOperators.adjoint_local(trace=)":
+    "SourceOperators.adjoint_local(trace=)":
         "the local-adjoint-with-trace consistency checks",
     "HeatOperators.adjoint_local(trace=)":
         "the local-adjoint-with-trace consistency checks",
