@@ -8,9 +8,9 @@ sizes nests per-mesh output directories under the output root and aggregates
 the table rows.
 
 Exit codes: 0 converged, 1 configuration error (nothing written), 2 a run
-hit the iteration cap, turned non-finite or failed in a solver (partial
-artifacts kept; the row of a non-finite or failed run is flagged with an
-empty error and k = -1).
+hit the iteration cap, turned non-finite, failed in a solver or missed a
+compiled routine it loads (partial artifacts kept; the row of a non-finite
+or failed run is flagged with an empty error and k = -1).
 
 Numbers in CSV files carry 6 significant digits; identical configurations,
 including the seed, reproduce byte-identical files.
@@ -258,7 +258,8 @@ def main(argv=None) -> int:
         ny = 2 * nx if cfg["ny"] is None else cfg["ny"]
         try:
             report, row = _run_one(spec, cfg, config, nx, ny, outdir)
-        except (RuntimeError, ValueError) as exc:  # solver failure mid-sweep
+        # a solver failure mid-sweep, or a compiled routine that is missing
+        except (ImportError, RuntimeError, ValueError) as exc:
             print(f"error: run at N={nx} failed: {exc}", file=sys.stderr)
             rows.append(_table_row(cfg["algorithm"], nx, ny, config.beta,
                                    float("nan"), -1))

@@ -13,8 +13,8 @@ uses.  One class, `DirichletSystem`, does this for all three problems, on a
 stack of systems of equal size solved together: a global system or one box
 alone, or the four heat boxes.  A stack that asks for a direct solve, whose
 systems have fewer than FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES
-free nodes times bandwidth, is factored once, by block cyclic reduction
-over blocks of its bandwidth in plain numpy, and solved directly.  Every
+free nodes times bandwidth, is factored once, by LAPACK's banded Cholesky
+factorization from the LAPACK numpy links, and solved directly.  Every
 other system is solved by preconditioned conjugate gradients with one
 V-cycle of a smoothed-aggregation multilevel hierarchy, whose aggregates
 are bins of about AGGREGATE_SIZE nodes on every level, whose Jacobi
@@ -57,6 +57,7 @@ products of P1 traces exactly.
 from __future__ import annotations
 
 import copy
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -80,8 +81,7 @@ LANCZOS_STEPS = 20
 # Coarsening stops once a level has at most this many unknowns; that
 # level's matrix is inverted densely.
 COARSEST_SIZE = 200
-# A band factor holds about twice (free nodes) x (bandwidth) numbers (2.0
-# times on the global heat system at nx=28, 2.2 times per box) and takes
+# A band factor holds (free nodes) x (bandwidth + 1) numbers and takes
 # about (free nodes) x (bandwidth)^2 operations; a system with more free
 # nodes times bandwidth than this is solved iteratively instead.  A square
 # grid just below the size rule, 64 x 64 nodes, has a bandwidth of about 64.
@@ -91,9 +91,6 @@ MAX_BAND_ENTRIES = FACTOR_SIZE * 64
 # MB; 4096 cells per chunk took no less time, and at nx=56 their temporaries
 # outweighed the structure's.
 ASSEMBLY_CHUNK = 1024
-# Block cyclic reduction stops once at most this many unknowns remain and
-# inverts the rest densely.
-DENSE_TAIL = 64
 # PCG stops on its recursively updated residual, which can drift below the
 # true one; a solve whose true relative residual exceeds the tolerance by
 # more than this factor fails.
@@ -101,8 +98,16 @@ TRUE_RESIDUAL_FACTOR = 100.0
 # The multiplier of numpy's PCG64 and masks of 32, 64 and 128 bits.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-# scipy's compiled sparse kernels, once `_sparsetools` has loaded them.
-_KERNELS = None
+# scipy's compiled sparse kernels, and LAPACK's band routines with the type
+# of their integers, once `_sparsetools` and `_lapack` have found them.
+_KERNELS = _ROUTINES = None
+# The names of dpbtrf and dpbtrs and the type of their integers in numpy
+# 2's OpenBLAS, in numpy 1's (both with 64-bit integers) and in a plain
+# LAPACK.
+_LAPACK_SPELLINGS = (
+    ("scipy_dpbtrf_64_", "scipy_dpbtrs_64_", ctypes.c_int64),
+    ("dpbtrf_64_", "dpbtrs_64_", ctypes.c_int64),
+    ("dpbtrf_", "dpbtrs_", ctypes.c_int32))
 
 
 class SolverError(RuntimeError):
@@ -655,6 +660,26 @@ def _sparsetools():
     return _KERNELS
 
 
+def _lapack():
+    """(dpbtrf, dpbtrs, integer): LAPACK's banded Cholesky factorization
+    and solve and the ctypes type of their integers, under the first of
+    _LAPACK_SPELLINGS that numpy.linalg's extension module exports, found
+    once per process.  dlsym also searches the libraries a module links, so
+    this finds numpy's LAPACK and maps nothing new.  Raises ImportError
+    naming every spelling when none is found."""
+    global _ROUTINES
+    if _ROUTINES is None:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        found = [spelling for spelling in _LAPACK_SPELLINGS
+                 if hasattr(library, spelling[0])]
+        if not found:
+            raise ImportError("numpy's LAPACK exports none of " + ", ".join(
+                name for *names, _ in _LAPACK_SPELLINGS for name in names))
+        factor, solve, integer = found[0]
+        _ROUTINES = library[factor], library[solve], integer
+    return _ROUTINES
+
+
 def _accumulator(A):
     """y += A x for a `DIA` or a `CSR` A (or another matrix with the CSR
     arrays), as a function add(x, y), so that add(x, zeros) is A @ x to the
@@ -863,153 +888,63 @@ class Multilevel:
                            dtype=np.float64)
 
 
-def _block_tridiagonal(D, U):
-    """The dense symmetric matrices with diagonal blocks D[k] and blocks
-    U[k] above them, one per matrix k of a stack."""
-    B, m, b, _ = D.shape
-    A = np.zeros((B, m, b, m, b))
-    i = np.arange(m)
-    for A_k, D_k, U_k in zip(A, D, U):
-        A_k[i, :, i, :] = D_k
-        A_k[i[:-1], :, i[1:], :] = U_k
-        A_k[i[1:], :, i[:-1], :] = U_k.transpose(0, 2, 1)
-    return A.reshape(B, m * b, m * b)
-
-
 def _bandwidth(K) -> int:
     """The largest |row - column| of the entries a `CSR` K stores, or 0."""
     return int(np.abs(K.rows - K.indices).max(initial=0))
 
 
 class BandFactor:
-    """Direct solver for a stack of B symmetric banded matrices by block
-    cyclic reduction.
-
-    Matrix k is an n x n `CSR`, as every matrix of the stack.  Cut into
-    blocks of the largest bandwidth, the last one padded with identity
-    rows, it is block tridiagonal:
-    blocks D_i on the diagonal, U_i coupling block i to i + 1 and their
-    transposes below.  Each level of odd-even reduction eliminates the odd
-    blocks, leaving the Schur complement on the even ones, which is again
-    block tridiagonal with half as many blocks (Buzbee, Golub and Nielson,
-    SIAM J. Numer. Anal. 7, 1970).  All blocks of a level, of all B
-    matrices, are processed by a few stacked numpy calls, so a solve costs
-    about log2(n / bandwidth) levels of about ten calls each, whatever B
-    is; the last DENSE_TAIL or fewer unknowns (or the last block) are
-    inverted densely.  The first level's couplings are the matrices' own
-    entries, applied by one `bincount` over the stack.  Matrices of equal
-    bandwidth are solved to the bit as each one alone.  Each
-    reduction step is a congruence, so a matrix is positive definite
-    exactly when every pivot block and the dense tail are; each is checked
-    by a Cholesky factorization, and ValueError is raised when one fails.
-    """
+    """Direct solver for a stack of B symmetric positive definite band
+    matrices, n x n `CSR`s of largest bandwidth b, by LAPACK's banded
+    Cholesky factorization A_k = U_k' U_k (`dpbtrf` once, `dpbtrs` per
+    solve; Anderson et al., LAPACK Users' Guide, 3rd ed., 1999) from
+    numpy's LAPACK (`_lapack`).  `bands[k]` holds the upper band of A_k in
+    LAPACK's storage, row j holding column j from row j - b down to the
+    diagonal, and then U_k in its place.  One call per matrix solves each
+    to the bit as it alone; `box(k)` is a view of band k.  Raises
+    ValueError when a matrix is not positive definite; a right-hand side
+    holding inf or nan comes out non-finite."""
 
     def __init__(self, systems, n: int):
-        b = max([_bandwidth(K) for K in systems] + [1])
-        m = max(-(-n // b), 1)
-        B = len(systems)
-        self.B, self.n, self.b, self.m = B, n, b, m
-        # Entry (r, c) sits in block r // b at offset (r % b, c - (r // b) b);
-        # an offset column of b or more falls in the coupling block U.
-        D = np.zeros((B, m, b, b))
-        U = np.zeros((B, m - 1, b, b))
-        pad = np.arange(n, m * b)
-        D[:, pad // b, pad % b, pad % b] = 1.0
-        first = []
-        for k, K in enumerate(systems):
-            rows, cols, vals = K.rows, K.indices, K.data
-            offset = cols - rows // b * b
-            on = (offset >= 0) & (offset < b)
-            D[k].reshape(-1)[rows[on] * b + offset[on]] = vals[on]
-            up = offset >= b
-            U[k].reshape(-1)[rows[up] * b + offset[up] - b] = vals[up]
-            block_row = rows // b
-            even = (block_row % 2 == 0) & (block_row != cols // b)
-            shift = np.intp(k * m * b)
-            first.append((rows[even] + shift, cols[even] + shift, vals[even]))
-        # Per level: P, the inverses of the odd pivot blocks, and the
-        # couplings Ua from each even block to the next odd one and Ub from
-        # each odd block to the next even one, with their transposes.
-        levels = []
-        try:
-            while D.shape[1] > 1 and D.shape[1] * b > DENSE_TAIL:
-                half = D.shape[1] // 2
-                Ua, Ub = U[:, 0::2], U[:, 1::2]
-                UaT, UbT = Ua.transpose(0, 1, 3, 2), Ub.transpose(0, 1, 3, 2)
-                np.linalg.cholesky(D[:, 1::2])
-                P = np.linalg.inv(D[:, 1::2])
-                V = P[:, :Ub.shape[1]] @ Ub
-                D = D[:, 0::2].copy()
-                D[:, :half] -= Ua @ (P @ UaT)
-                D[:, 1:] -= UbT @ V
-                levels.append((P, Ua, UaT, Ub, UbT))
-                U = -(Ua[:, :V.shape[1]] @ V)
-            tail = _block_tridiagonal(D, U)
-            np.linalg.cholesky(tail)
-            self.tail = np.linalg.inv(tail)
-        except np.linalg.LinAlgError:
-            raise ValueError("operator is not positive definite on free "
-                             "nodes") from None
-        # The first level keeps its couplings sparse: (E_rows, E_cols,
-        # E_vals) are the entries from even to odd blocks, numbered in the
-        # flattened stack, in intp so that `solve` copies no index.  Its dense
-        # Ua and Ub would add about half to the size of the factor.
-        self.P0 = levels[0][0] if levels else None
-        self.levels = levels[1:]
-        self.E_rows, self.E_cols, self.E_vals = (
-            np.concatenate(parts) for parts in zip(*first))
-        self.E_split = np.cumsum([0] + [rows.size for rows, _, _ in first])
+        b = max([_bandwidth(K) for K in systems] + [0])
+        self.bands = np.zeros((len(systems), n, b + 1))
+        dpbtrf, dpbtrs, integer = _lapack()
+        # Each argument is a ctypes object of its C type, so no argtypes,
+        # whose conversions take about 1.5 us a call: "U" and its hidden
+        # length, addresses, and by reference n, b, one right-hand side,
+        # the leading dimensions of a band and of a right-hand side, info.
+        info, length = integer(), ctypes.c_size_t(1)
+        n_, b_, one, ldab, ldx, info_ = map(ctypes.byref, [
+            *map(integer, (n, b, 1, b + 1, max(n, 1))), info])
+        self.substitute = lambda band, x: dpbtrs(
+            b"U", n_, b_, one, band, ldab, x, ldx, info_, length)
+        self.pointers = [ctypes.c_void_p(band.ctypes.data)
+                         for band in self.bands]
+        for band, pointer, K in zip(self.bands, self.pointers, systems):
+            up = K.indices >= K.rows
+            band[K.indices[up], (b + K.rows - K.indices)[up]] = K.data[up]
+            dpbtrf(b"U", n_, b_, pointer, ldab, info_, length)
+            if info.value > 0:
+                raise ValueError("operator is not positive definite on free "
+                                 "nodes")
 
     def box(self, k: int) -> "BandFactor":
-        """The factor of matrix k alone: a view of this one's arrays."""
+        """The factor of matrix k alone: a view of this one's bands."""
         view = copy.copy(self)
-        one = slice(k, k + 1)
-        view.B = 1
-        view.P0 = None if self.P0 is None else self.P0[one]
-        view.levels = [tuple(a[one] for a in level) for level in self.levels]
-        view.tail = self.tail[one]
-        lo, hi = self.E_split[k], self.E_split[k + 1]
-        shift = k * self.m * self.b
-        view.E_rows = self.E_rows[lo:hi] - shift
-        view.E_cols = self.E_cols[lo:hi] - shift
-        view.E_vals = self.E_vals[lo:hi]
-        view.E_split = np.array([0, hi - lo])
+        view.bands = self.bands[k:k + 1]
+        view.pointers = self.pointers[k:k + 1]
         return view
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solutions x[k] of A_k x[k] = rhs[k], rhs of shape (B, n)."""
-        B = self.B
-        x = np.zeros((B, self.m * self.b))
-        x[:, :self.n] = rhs
-        flat = x.reshape(-1)
-        blocks = x.reshape(B, self.m, self.b, 1)
-        # Forward: fold each level's odd blocks into the even ones, keeping
-        # P r_odd in place of r_odd; the even blocks are the next level.
-        even = blocks
-        if self.P0 is not None:
-            odd, even = blocks[:, 1::2], blocks[:, 0::2]
-            odd[...] = self.P0 @ odd
-            flat -= np.bincount(self.E_rows, self.E_vals * flat[self.E_cols],
-                                flat.size)
-        split = []
-        for P, Ua, UaT, Ub, UbT in self.levels:
-            odd, even = even[:, 1::2], even[:, 0::2]
-            odd[...] = P @ odd
-            even[:, :Ua.shape[1]] -= Ua @ odd
-            even[:, 1:] -= UbT @ odd[:, :Ub.shape[1]]
-            split.append((odd, even))
-        even[...] = (self.tail @ even.reshape(B, -1, 1)).reshape(even.shape)
-        # Back: x_odd = P (r_odd - Ua' x_prev - Ub x_next).
-        for (P, Ua, UaT, Ub, UbT), (odd, even) in zip(reversed(self.levels),
-                                                      reversed(split)):
-            s = UaT @ even[:, :Ua.shape[1]]
-            s[:, :Ub.shape[1]] += Ub @ even[:, 1:]
-            odd -= P @ s
-        if self.P0 is not None:
-            s = np.bincount(self.E_cols, self.E_vals * flat[self.E_rows],
-                            flat.size)
-            blocks[:, 1::2] -= self.P0 @ s.reshape(blocks.shape)[:, 1::2]
-        return x[:, :self.n]
+        x = np.array(rhs, dtype=np.float64, order="C")
+        if x.shape != self.bands.shape[:2]:
+            raise ValueError(f"right-hand sides of shape {x.shape} for "
+                             f"matrices of shape {self.bands.shape[:2]}")
+        address, step = x.ctypes.data, x.strides[0]
+        for k, band in enumerate(self.pointers):
+            self.substitute(band, ctypes.c_void_p(address + k * step))
+        return x
 
 
 def _csr(rows, cols, vals, shape):
@@ -1047,14 +982,17 @@ def restrict(K, nodes, cols=None):
 
 def block_diagonal(blocks, width):
     """CSR matrix with the CSR `blocks` of `width` columns each on its
-    diagonal; each row keeps its entry order."""
+    diagonal; each row keeps its entry order.  Its columns, and so its
+    cached rows, are in intp, which numpy's indexing would copy them into:
+    a march with traces multiplies by it at every step."""
     indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
     for block in blocks:
         indptr.append(block.indptr[1:] + nnz)
         nnz += block.indptr[-1]
     return CSR(np.concatenate([block.data for block in blocks]),
                np.concatenate([block.indices + k * width
-                               for k, block in enumerate(blocks)]),
+                               for k, block in enumerate(blocks)],
+                              dtype=np.intp),
                np.concatenate(indptr),
                (sum(block.shape[0] for block in blocks), len(blocks) * width))
 

@@ -85,12 +85,12 @@ class HeatOperators:
     solved by warm-started PCG otherwise.  `global_pair` is the global
     (system, 2M) pair, and `pairs` maps each group of boxes the loops pass
     to its pair: every box to the four boxes' stack (one `fem.BandFactor`
-    with a box axis when factored), and box i alone to its view of that
-    stack.  `step_count` counts one step per member and time level, and is
-    the `solve_count` of the loops.  For the inversion adapter the initial
-    value lives on the open boxes, the misfit is integrated over the
-    observation window, and the surrogate constant is scaled by its length
-    (`surrogate_scale`).
+    of four bands, each solved by its own call, when factored), and box i
+    alone to its view of that stack.  `step_count` counts one step per
+    member and time level, and is the `solve_count` of the loops.  For the
+    inversion adapter the initial value lives on the open boxes, the misfit
+    is integrated over the observation window, and the surrogate constant
+    is scaled by its length (`surrogate_scale`).
     """
 
     def __init__(self, mesh, decomp, diffusion, grid: TimeGrid, tol=1e-10):

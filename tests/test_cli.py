@@ -246,11 +246,12 @@ def _last_line_of_fresh_run(script):
 
 def test_heat_runs_and_dump_mesh_load_no_scipy(tmp_path):
     # Importing scipy.sparse adds about 22 MB of resident memory and 0.3 s
-    # to a run.  Heat systems are factored in numpy and every fem matrix is
-    # a numpy CSR; only PCG and the multilevel hierarchy load scipy's
-    # compiled kernels, alone, as `_sparsetools`, and a heat run not even
-    # those.  numpy.random adds 6.2 MB, half of it OpenSSL through secrets
-    # and hashlib; the data noise comes from fem.pcg64_random instead.
+    # to a run.  Heat systems are factored by numpy's LAPACK and every fem
+    # matrix is a numpy CSR; only PCG and the multilevel hierarchy load
+    # scipy's compiled kernels, alone, as `_sparsetools`, and a heat run not
+    # even those.  numpy.random adds 6.2 MB, half of it OpenSSL through
+    # secrets and hashlib; the data noise comes from fem.pcg64_random
+    # instead.
     out = str(tmp_path)
     script = f"""
 import sys
@@ -398,3 +399,25 @@ def test_failed_run_row_reports_configured_ny(tmp_path, capsys, monkeypatch):
     assert run_cli(["--experiment", "5.3", "--nx", "7", "--config", str(path),
                     "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().out == "msa,7,21,0.001,,-1\n"
+
+
+def _missing(name):
+    def missing():
+        raise ImportError(f"{name} is missing")
+    return missing
+
+
+@pytest.mark.parametrize("routine, experiment, nx", [
+    ("_sparsetools", "5.3", "14"), ("_lapack", "5.6", "7")])
+def test_missing_compiled_routine_fails_the_run(tmp_path, capsys, monkeypatch,
+                                                 routine, experiment, nx):
+    # a missing compiled routine fails the run like a solver failure: one
+    # error line, the row flagged, exit 2, and no traceback
+    monkeypatch.setattr(fem, routine, _missing(routine))
+    assert run_cli(["--experiment", experiment, "--algorithm", "msa",
+                    "--nx", nx, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: run at N={nx} failed: {routine} is "
+                            "missing\n")
+    row = captured.out.split(",")
+    assert row[:3] == ["msa", nx, str(2 * int(nx))] and row[4:] == ["", "-1\n"]

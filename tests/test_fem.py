@@ -1217,11 +1217,11 @@ def _banded_case(n, bw, seed=0, fixed=()):
 @given(banded_spd())
 @example(_banded_case(1, 0))            # a single unknown
 @example(_banded_case(1, 0, fixed=[0]))  # no free unknown
-@example(_banded_case(10, 3))           # n not a multiple of the block size
-@example(_banded_case(157, 4, 1))       # several levels, ragged last block
+@example(_banded_case(10, 3))           # n not a multiple of the bandwidth
+@example(_banded_case(157, 4, 1))       # a long, narrow band
 @example(_banded_case(200, 0, 2))       # a diagonal matrix
 @example(_banded_case(120, 5, 3, fixed=[0, 7, 119]))
-@example(_banded_case(150, fem.DENSE_TAIL + 2, 4))  # blocks above the tail
+@example(_banded_case(150, 66, 4))  # a wide band: 66 of 150 rows
 def test_factored_solve_matches_dense(case):
     A, rhs, vals, fixed = case
     n = A.shape[0]
@@ -1271,7 +1271,7 @@ def band_stacks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(band_stacks())
-@example(_band_stack(5, 4, 465, 15))  # as the nx=28 heat boxes: 3 levels
+@example(_band_stack(5, 4, 465, 15))  # as the nx=28 heat boxes
 def test_stacked_factor_matches_one_matrix_factors(case):
     # a stack solves to the bit as each matrix alone, and through its
     # one-matrix views
@@ -1294,6 +1294,42 @@ def test_stacked_factor_rejects_an_indefinite_member(where):
     matrices[where][40, 40] = -5.0
     with pytest.raises(ValueError, match="not positive definite"):
         fem.BandFactor([_band_entries(A) for A in matrices], 90)
+
+
+def test_stacked_factor_keeps_a_non_finite_load_to_its_member():
+    # a nan in one member's load makes that member's solution non-finite
+    # and leaves the others finite and as each one solves alone
+    matrices, rhs = _band_stack(6, 3, 120, 7)
+    rhs[1, 50] = np.nan
+    factor = fem.BandFactor([_band_entries(A) for A in matrices], 120)
+    x = factor.solve(rhs)
+    assert not np.isfinite(x[1]).all()
+    for k in (0, 2):
+        alone = fem.BandFactor([_band_entries(matrices[k])], 120)
+        assert np.isfinite(x[k]).all()
+        assert np.array_equal(x[k], alone.solve(rhs[k:k + 1])[0])
+
+
+def test_stacked_factor_rejects_right_hand_sides_of_another_shape():
+    # LAPACK would read and write past the right-hand sides
+    matrices, rhs = _band_stack(7, 3, 40, 3)
+    factor = fem.BandFactor([_band_entries(A) for A in matrices], 40)
+    for wrong in (rhs[:2], rhs[:, :39], rhs.reshape(-1)):
+        with pytest.raises(ValueError, match="shape"):
+            factor.solve(wrong)
+    with pytest.raises(ValueError, match="shape"):
+        factor.box(1).solve(rhs)
+
+
+def test_lapack_names_the_spellings_it_tried(monkeypatch):
+    # a library that exports nothing
+    monkeypatch.setattr(fem, "_ROUTINES", None)
+    monkeypatch.setattr(fem.ctypes, "CDLL", lambda path: object())
+    with pytest.raises(ImportError) as err:
+        fem._lapack()
+    assert str(err.value).split(" of ")[1].split(", ") == [
+        "scipy_dpbtrf_64_", "scipy_dpbtrs_64_", "dpbtrf_64_", "dpbtrs_64_",
+        "dpbtrf_", "dpbtrs_"]
 
 
 def _equal_row_pairs(n):

@@ -23,8 +23,8 @@ for line in (Path(__file__).parent / "golden" / "outputs.sha256").read_text(
     run, file = name.split("/")
     DIGESTS.setdefault(run, {})[file] = digest
 
-# At nx=7 the heat boxes' band factor has no cyclic-reduction level; at
-# nx=28 it has several, and the source boxes a multilevel hierarchy.
+# At nx=28 the heat boxes' band factors are twice as wide as at nx=7, and
+# the source boxes have a multilevel hierarchy.
 RUNS = CATALOG_RUNS + [("5.3", "msa", 28), ("5.6", "asa", 28),
                       ("5.6", "msa", 28)]
 # Every heat system at nx=84 has more free nodes than fem.FACTOR_SIZE.

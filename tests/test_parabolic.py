@@ -154,8 +154,8 @@ def test_accumulate_matches_quadrature_of_solves(mesh7, decomp7):
 
 def test_one_box_pairs_view_the_stacked_factor():
     # box i alone marches on a view of the four boxes' band factor, not on
-    # a second factor, and a march counts one step per box and time level;
-    # at nx=28 the factor has reduction levels beyond the first
+    # a second factor, and solves to the bit as the stack does; a march
+    # counts one step per box and time level
     from ddinverse import mesh
     m = mesh.build_mesh(28, 56)
     grid = parabolic.TimeGrid(T=4.0, nt=6, sigma=4.0)
@@ -163,14 +163,13 @@ def test_one_box_pairs_view_the_stacked_factor():
     every = tuple(range(4))
     stacked = ops.pairs[every][0].factor
     assert isinstance(stacked, fem.BandFactor)
+    rhs = np.random.default_rng(4).standard_normal(stacked.bands.shape[:2])
+    x = stacked.solve(rhs)
     for i in every:
         factor = ops.pairs[i,][0].factor
-        assert factor is not stacked and factor.B == 1
-        assert len(factor.levels) == len(stacked.levels) > 0
-        for part, whole in zip(
-                [factor.tail, factor.P0, *sum(factor.levels, ())],
-                [stacked.tail, stacked.P0, *sum(stacked.levels, ())]):
-            assert np.shares_memory(part, whole)
+        assert factor is not stacked and len(factor.bands) == 1
+        assert np.shares_memory(factor.bands, stacked.bands)
+        assert np.array_equal(factor.solve(rhs[i:i + 1])[0], x[i])
     phis = [np.ones(loc.nodes.size) for loc in ops.locals]
     before = ops.step_count
     ops.forward_boxes(every, phis)
