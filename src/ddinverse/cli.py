@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +41,20 @@ _DEFAULTS = {
     "tol": 1e-10, "max_iter": 200, "nt": None, "sigma": None,
     "out": "runs", "target_rel_error": 0.1, "eps1": None,
 }
+# The smallest --tol accepted.  Every catalog elliptic run (5.1-5.5, both
+# loops, at their mesh sizes) and 5.1, 5.2 and 5.3 at nx=112 pass PCG's
+# true-residual check (fem.TRUE_RESIDUAL_FACTOR) from tol = 1.4e-14 up:
+# 5.1 at nx=112 reaches a true relative residual of 1.32e-12 at best, so
+# it fails at 1.3e-14.  1.5e-14 leaves that run a margin of 12%.
+TOL_FLOOR = 1.5e-14
+# A run's peak resident memory: about 32 MiB for the interpreter and
+# numpy, 1 KiB per mesh node (0.74-0.86 KiB measured for source and flux
+# runs at nx 7-112, 1.1 KiB besides the trajectories for heat), and for heat
+# 56 bytes per node and time level, for the trajectories the loops hold
+# (54-55 measured at nx 28 and 56, nt 12-192).
+_PROCESS_BYTES = 32 * 2**20
+_NODE_BYTES = 1024
+_LEVEL_BYTES = 56
 # The type of every value (of each mesh size for nx): float takes an int
 # too, and no type takes a bool.  None passes for the keys that default to
 # None and for target_rel_error.
@@ -68,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additive relaxation weight in (0,1)")
     p.add_argument("--seed", type=int, help="noise seed")
     p.add_argument("--tol", type=float,
-                   help="relative residual of the PCG solves, at least the "
-                        "float64 machine epsilon and below 1: every elliptic "
+                   help="relative residual of the PCG solves, at least "
+                        f"{TOL_FLOOR} and below 1: every elliptic "
                         "system, and the heat systems with at least "
                         f"fem.FACTOR_SIZE = {fem.FACTOR_SIZE} free nodes or "
                         "whose free nodes times bandwidth exceed "
@@ -129,9 +144,10 @@ def _validate(cfg: dict) -> None:
                                  f"{_TYPES[key].__name__}, got {item!r}")
     if not 0.0 < cfg["tol"] < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {cfg['tol']}")
-    if cfg["tol"] < np.finfo(float).eps:  # no solve can reach it
-        raise ValueError(f"tol must be at least the float64 machine epsilon "
-                         f"{np.finfo(float).eps}, got {cfg['tol']}")
+    if cfg["tol"] < TOL_FLOOR:  # PCG's true residual cannot reach it
+        raise ValueError(f"tol must be at least {TOL_FLOOR}, the smallest "
+                         f"that PCG reaches on every catalog elliptic system, "
+                         f"got {cfg['tol']}")
     if cfg["delta"] is not None and not 0.0 <= cfg["delta"] < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {cfg['delta']}")
     if cfg["seed"] < 0:
@@ -154,6 +170,30 @@ def _validate(cfg: dict) -> None:
                 f"cut lines would not be mesh lines")
     if cfg["ny"] is not None and len(cfg["nx"]) != 1:
         raise ValueError("an explicit ny is only meaningful for a single run")
+    heat = catalog[cfg["experiment"]].kind == "initial_value"
+    nt = problems.DEFAULT_NT if cfg["nt"] is None else cfg["nt"]
+    memory = _physical_memory()
+    for nx in cfg["nx"]:
+        ny = 2 * nx if cfg["ny"] is None else cfg["ny"]
+        need = _run_bytes(nx, ny, nt if heat else None)
+        if need > memory:
+            raise ValueError(
+                f"a run at N={nx}, M={ny} needs about {need / 2**30:.1f} GiB "
+                f"of memory, more than the {memory / 2**30:.1f} GiB of this "
+                f"host")
+
+
+def _run_bytes(nx: int, ny: int, nt) -> int:
+    """The estimated peak resident memory of a run on the nx x ny mesh, in
+    bytes: a heat run with nt time steps, an elliptic run when nt is
+    None."""
+    per_node = _NODE_BYTES + (0 if nt is None else _LEVEL_BYTES * (nt + 1))
+    return _PROCESS_BYTES + (nx + 1) * (ny + 1) * per_node
+
+
+def _physical_memory() -> int:
+    """The host's physical memory in bytes (`os.sysconf`)."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _fmt(value: float) -> str:

@@ -78,7 +78,7 @@ class SourceOperators:
 
     def _solve(self, system, rhs, fixed_values=None):
         self.solve_count += 1
-        return system.solve(rhs, fixed_values, tol=self.tol)
+        return system.solution(rhs, fixed_values, tol=self.tol)
 
     def forward_global(self, f: np.ndarray) -> np.ndarray:
         """Solve loaded by the parameter f through `param_mass`, zero on the

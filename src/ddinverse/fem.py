@@ -138,11 +138,22 @@ class CSR:
         return np.repeat(np.arange(self.shape[0], dtype=self.indices.dtype),
                          np.diff(self.indptr))
 
+    @functools.cached_property
+    def _product_indices(self) -> tuple:
+        """`rows` and `indices` in intp, which numpy gathers and counts by
+        without a copy: made at the first product, so that `rows` and
+        `indices` stay in the index type that setup allocates."""
+        return (self.rows.astype(np.intp, copy=False),
+                self.indices.astype(np.intp, copy=False))
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x for a vector x.  Each row is summed from zero in entry order,
-        as scipy's CSR product does, so the two agree to the bit."""
-        return np.bincount(self.rows, self.data * x[self.indices],
-                           self.shape[0])
+        as scipy's CSR product does, so the two agree to the bit.  Zeros in
+        float64 when A stores no entry, where `np.bincount` gives ints."""
+        if not self.nnz:
+            return np.zeros(self.shape[0])
+        rows, indices = self._product_indices
+        return np.bincount(rows, self.data * x[indices], self.shape[0])
 
     def diagonal(self) -> np.ndarray:
         """The stored diagonal entries, zero where none is stored."""
@@ -901,7 +912,7 @@ class BandFactor:
     numpy's LAPACK (`_lapack`).  `bands[k]` holds the upper band of A_k in
     LAPACK's storage, row j holding column j from row j - b down to the
     diagonal, and then U_k in its place.  One call per matrix solves each
-    to the bit as it alone; `box(k)` is a view of band k.  Raises
+    to the bit as it alone, in place; `box(k)` is a view of band k.  Raises
     ValueError when a matrix is not positive definite; a right-hand side
     holding inf or nan comes out non-finite."""
 
@@ -935,13 +946,24 @@ class BandFactor:
         view.pointers = self.pointers[k:k + 1]
         return view
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solutions x[k] of A_k x[k] = rhs[k], rhs of shape (B, n)."""
-        x = np.array(rhs, dtype=np.float64, order="C")
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """Overwrite each right-hand side x[k] by the solution of
+        A_k y = x[k], in place, and return x.  x must be a writeable
+        C-contiguous float64 array of shape (B, n); any other raises
+        ValueError before LAPACK runs, since LAPACK reads and writes the
+        buffer by its address alone."""
         if x.shape != self.bands.shape[:2]:
             raise ValueError(f"right-hand sides of shape {x.shape} for "
                              f"matrices of shape {self.bands.shape[:2]}")
-        address, step = x.ctypes.data, x.strides[0]
+        if (x.dtype != np.float64 or not x.flags.c_contiguous
+                or not x.flags.writeable):
+            raise ValueError("right-hand sides must be a writeable "
+                             "C-contiguous float64 array")
+        if not x.size:  # no unknown; from_buffer needs a byte
+            return x
+        # from_buffer takes the address in a third of the time x.ctypes does
+        address = ctypes.addressof(ctypes.c_char.from_buffer(x))
+        step = x.strides[0]
         for k, band in enumerate(self.pointers):
             self.substitute(band, ctypes.c_void_p(address + k * step))
         return x
@@ -982,17 +1004,14 @@ def restrict(K, nodes, cols=None):
 
 def block_diagonal(blocks, width):
     """CSR matrix with the CSR `blocks` of `width` columns each on its
-    diagonal; each row keeps its entry order.  Its columns, and so its
-    cached rows, are in intp, which numpy's indexing would copy them into:
-    a march with traces multiplies by it at every step."""
+    diagonal; each row keeps its entry order."""
     indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
     for block in blocks:
         indptr.append(block.indptr[1:] + nnz)
         nnz += block.indptr[-1]
     return CSR(np.concatenate([block.data for block in blocks]),
                np.concatenate([block.indices + k * width
-                               for k, block in enumerate(blocks)],
-                              dtype=np.intp),
+                               for k, block in enumerate(blocks)]),
                np.concatenate(indptr),
                (sum(block.shape[0] for block in blocks), len(blocks) * width))
 
@@ -1025,10 +1044,12 @@ class DirichletSystem:
     are the flattened free and fixed nodes, and `K_fd` the block-diagonal
     free-fixed coupling of the members' `couplings`.  Both blocks of a
     member are cut from its operator once, by `eliminate`, as `CSR`
-    matrices.  With direct=True, a
-    stack whose members have fewer than FACTOR_SIZE free nodes and at most
-    MAX_BAND_ENTRIES free nodes times bandwidth factors its free-free blocks
-    once, as one `BandFactor`, and solves directly.  Every other stack
+    matrices.  `solve` works in free coordinates, in place on the free
+    load, as a march keeps its states; `solution` takes and returns full
+    fields through one `solve`.  With direct=True, a stack whose members
+    have fewer than FACTOR_SIZE free nodes and at most MAX_BAND_ENTRIES
+    free nodes times bandwidth factors its free-free blocks once, as one
+    `BandFactor`, and solves directly.  Every other stack
     solves each member by PCG, preconditioned by the `Multilevel` hierarchy
     of its free-free block, binned by the coordinates of its free nodes;
     PCG multiplies by `multilevel[k].matrix`, that block in float64 in the
@@ -1090,32 +1111,44 @@ class DirichletSystem:
             view.last = self.last[k:k + 1]
         return view
 
-    def solve(self, rhs, fixed_values=None, *, tol=1e-10):
-        """Solve K x = rhs with x = fixed_values on the fixed set, for every
-        member, and return x on the full flattened index set.
+    def solve(self, b, fixed_values=None, *, tol=1e-10):
+        """Solve K_ff x = b - K_fd fixed_values for every member, in place:
+        b is the flattened free load, of shape (B n_free,), and is
+        overwritten by x on the free nodes and returned.
 
-        rhs is the flattened load; fixed_values is an array over the
-        flattened fixed set (or None for homogeneous).  tol is the relative
-        residual of PCG; factored stacks solve directly and ignore it.
+        fixed_values is an array over the flattened fixed set (or None for
+        homogeneous).  tol is the relative residual of PCG; factored stacks
+        solve directly and ignore it.  A factored stack solves b itself, so
+        b must be a writeable C-contiguous float64 array (ValueError
+        otherwise, from `BandFactor.solve`).
         """
-        b = rhs[self.free]
+        if b.shape != self.free.shape:
+            raise ValueError(f"a free load of shape {b.shape} for "
+                             f"{self.free.size} free nodes")
         if fixed_values is not None:
-            b = b - self.K_fd @ fixed_values
+            b -= self.K_fd @ fixed_values
         if self.factor is not None:
-            xf = self.factor.solve(b.reshape(self.B, -1)).reshape(-1)
-        else:
-            slot = fixed_values is not None
-            parts = []
-            for multilevel, last, part in zip(self.multilevel, self.last,
-                                              np.split(b, self.B)):
-                x, relres, _ = pcg(multilevel.matrix, part, multilevel.apply,
-                                   tol=tol, x0=last[slot])
-                if math.isfinite(relres):  # a non-finite load leaves no start
-                    last[slot] = x
-                parts.append(x)
-            xf = np.concatenate(parts)
+            self.factor.solve(b.reshape(self.B, -1))
+            return b
+        slot = fixed_values is not None
+        for multilevel, last, part in zip(self.multilevel, self.last,
+                                          np.split(b, self.B)):
+            x, relres, _ = pcg(multilevel.matrix, part, multilevel.apply,
+                               tol=tol, x0=last[slot])
+            if math.isfinite(relres):  # a non-finite load leaves no start
+                last[slot] = x
+            part[:] = x
+        return b
+
+    def solution(self, rhs, fixed_values=None, *, tol=1e-10):
+        """x on the full flattened index set with K x = rhs on the free
+        nodes and x = fixed_values on the fixed set (zero when None): one
+        `solve` of rhs on the free nodes."""
+        # the full field is allocated after the solve, as PCG's vectors are
+        # freed, which keeps it out of the solve's peak
+        free_values = self.solve(rhs[self.free], fixed_values, tol=tol)
         x = np.zeros(self.B * self.n)
-        x[self.free] = xf
+        x[self.free] = free_values
         if fixed_values is not None:
             x[self.fixed] = fixed_values
         return x

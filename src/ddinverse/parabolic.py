@@ -18,11 +18,18 @@ per observation time.
 Every march advances one `fem.DirichletSystem` a time level at a time,
 with one solve per level: the global system alone, the subdomain boxes
 together, or one box on its view of the boxes' system, with box-local
-trajectories.
+trajectories.  With y = u^k + u^(k-1) a step reads S y = 2 M u^(k-1), and
+y holds the sum of both levels' fixed values g^(k-1) + g^k.  So a march
+keeps only the free values of each level, one row per level, and computes
+a step on the free nodes in place: the row takes 2 M_f u_f^(k-1), the
+system's `solve` subtracts the coupling S_fd (g^(k-1) + g^k) and solves
+with S_ff in place, and the row then loses u_f^(k-1).  The sums of the
+fixed values are formed once per march, and so are the full trajectories.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,15 +85,16 @@ class HeatOperators:
     `locals[i].nodes`, and are never embedded in full-length arrays.
 
     A march advances a `fem.DirichletSystem` of the step matrices
-    S = M + dt/2 K and the doubled lumped masses 2M of its members, one
-    solve per time level, with the members' states flattened into one
-    array.  A march solves the same S at every time step, so every system
-    asks for a direct solve: it is factored once when small enough and
-    solved by warm-started PCG otherwise.  `global_pair` is the global
-    (system, 2M) pair, and `pairs` maps each group of boxes the loops pass
-    to its pair: every box to the four boxes' stack (one `fem.BandFactor`
-    of four bands, each solved by its own call, when factored), and box i
-    alone to its view of that stack.  `step_count` counts one step per
+    S = M + dt/2 K with the doubled lumped masses 2M of its members on its
+    free nodes, one in-place solve per time level, with the members' free
+    values flattened into one row per level (see the module notes).  A
+    march solves the same S at every time step, so every system asks for a
+    direct solve: it is factored once when small enough and solved by
+    warm-started PCG otherwise.  `global_pair` is the global (system, 2M_f)
+    pair, and `pairs` maps each group of boxes the loops pass to its pair:
+    every box to the four boxes' stack (one `fem.BandFactor` of four
+    bands, each solved by its own call, when factored), and box i alone to
+    its view of that stack.  `step_count` counts one step per
     member and time level, and is the `solve_count` of the loops.  For the
     inversion adapter the initial value lives on the open boxes, the misfit
     is integrated over the observation window, and the surrogate constant
@@ -105,18 +113,20 @@ class HeatOperators:
         self.supports = list(decomp.interior_masks)
         self.surrogate_scale = grid.sigma
         S = fem.crank_nicolson(K, self.lumped, grid.dt)
-        self.global_pair = (fem.DirichletSystem(
+        doubled = 2.0 * self.lumped
+        system = fem.DirichletSystem(
             [(S, np.flatnonzero(mesh.boundary_mask), mesh.nodes)],
-            direct=True), 2.0 * self.lumped)
+            direct=True)
+        self.global_pair = (system, doubled[system.free])
         self.locals = [fem.BoxSystem(decomp, i)
                        for i in range(decomp.n_subdomains)]
         stack = fem.DirichletSystem(
             [loc.member(S, mesh.nodes) for loc in self.locals], direct=True)
-        masses = [2.0 * self.lumped[loc.nodes] for loc in self.locals]
-        self.pairs = {tuple(range(len(self.locals))):
-                      (stack, np.concatenate(masses))}
-        for i, mass in enumerate(masses):
-            self.pairs[i,] = (stack.box(i), mass)
+        mass = np.concatenate([doubled[loc.nodes]
+                               for loc in self.locals])[stack.free]
+        self.pairs = {tuple(range(len(self.locals))): (stack, mass)}
+        for i, box_mass in enumerate(np.split(mass, len(self.locals))):
+            self.pairs[i,] = (stack.box(i), box_mass)
         self.step_count = 0
 
     @property
@@ -124,39 +134,30 @@ class HeatOperators:
         """`step_count`."""
         return self.step_count
 
-    # -- stepping kernels -------------------------------------------------
-
-    def _step(self, pair, state, fixed_values=None):
-        """One step of every member of the (system, 2M) pair from the
-        flattened states `state`, which hold the previous fixed values on
-        the fixed nodes: S^-1 ((2 M - S) state), with `fixed_values` (all
-        members, concatenated; None for zero) on the fixed nodes.  Taken as
-        y = S^-1 (2 M state), with the sum of both levels' fixed values on
-        the fixed nodes, and y - state."""
-        system, mass = pair
-        fixed = system.fixed
-        both = None if fixed_values is None else state[fixed] + fixed_values
-        x = system.solve(mass * state, both, tol=self.tol)
-        x -= state
-        if fixed_values is not None:
-            x[fixed] = fixed_values
-        self.step_count += system.B
-        return x
+    # -- marches ----------------------------------------------------------
 
     def _march(self, pair, start, fixed_series):
         """March nt Crank-Nicolson steps of every member of `pair` from the
         flattened states `start`; fixed_series gives the fixed values of all
         members per level, shape (nt+1, total fixed), or None for zero.
-        Returns the flattened trajectories, shape (nt+1, B * size)."""
+        Returns the flattened trajectories, shape (nt+1, B * size), put
+        together from the free values of the levels, one row of `levels`
+        each, and the fixed series."""
+        system, mass = pair
         nt = self.grid.nt
+        levels = np.empty((nt + 1, system.free.size))
+        levels[0] = start[system.free]
+        both = (itertools.repeat(None) if fixed_series is None
+                else fixed_series[:-1] + fixed_series[1:])
+        for previous, level, fixed in zip(levels, levels[1:], both):
+            np.multiply(mass, previous, out=level)
+            system.solve(level, fixed, tol=self.tol)
+            level -= previous
+        self.step_count += nt * system.B
         traj = np.zeros((nt + 1, start.size))
-        traj[0] = start
-        traj[0, pair[0].fixed] = (0.0 if fixed_series is None
-                                  else fixed_series[0])
-        for k in range(1, nt + 1):
-            traj[k] = self._step(pair, traj[k - 1],
-                                 None if fixed_series is None
-                                 else fixed_series[k])
+        traj[:, system.free] = levels
+        if fixed_series is not None:
+            traj[:, system.fixed] = fixed_series
         return traj
 
     # -- global operators --------------------------------------------------
@@ -187,9 +188,9 @@ class HeatOperators:
         if traces is not None:
             fixed = np.concatenate([self.locals[i].fixed_values(t)
                                     for i, t in zip(boxes, traces)], axis=-1)
-        return np.split(self._march(self.pairs[tuple(boxes)],
-                                    np.concatenate(phis, axis=-1), fixed),
-                        len(phis), axis=-1)
+        traj = self._march(self.pairs[tuple(boxes)],
+                           np.concatenate(phis, axis=-1), fixed)
+        return list(traj.reshape(len(traj), len(phis), -1).swapaxes(0, 1))
 
     def adjoint_local(self, i: int, omega: np.ndarray, trace=None) -> np.ndarray:
         """Local backward evolution on box i from the terminal box field
@@ -204,19 +205,26 @@ class HeatOperators:
         """Weighted time integral of zero-trace backward solves of the box
         residual trajectories residuals[k] of box boxes[k], evaluated at
         time 0, as one backward sweep on the pair of the group, with the
-        residual injected level by level.
+        weighted residual, gathered on the free nodes once, injected level
+        by level.  The sweep keeps the free values only and steps them in
+        place, as `_march` does.
 
         Equals sum_k w_k E^k r_k where E is one zero-Dirichlet step and w are
         the observation-window weights.
         """
-        pair = self.pairs[tuple(boxes)]
-        residual = np.concatenate(residuals, axis=-1)
+        system, mass = self.pairs[tuple(boxes)]
         w = self.grid.weights()
-        psi = np.zeros(residual.shape[1])
-        free = pair[0].free
+        injected = np.concatenate(residuals, axis=-1)[:, system.free]
+        injected *= w[:, None]
+        psi, work = np.zeros(system.free.size), np.empty(system.free.size)
         for k in range(self.grid.nt, -1, -1):
             if k < self.grid.nt:
-                psi = self._step(pair, psi)
+                system.solve(np.multiply(mass, psi, out=work), tol=self.tol)
+                work -= psi
+                psi, work = work, psi
             if w[k] != 0.0:
-                psi[free] += w[k] * residual[k, free]
-        return np.split(psi, len(residuals))
+                psi += injected[k]
+        self.step_count += self.grid.nt * system.B
+        out = np.zeros(system.B * system.n)
+        out[system.free] = psi
+        return list(out.reshape(system.B, -1))

@@ -168,26 +168,97 @@ def test_tol_outside_the_unit_interval_exits_1(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def _assert_tol_refused(tmp_path, capsys, experiment, nx, tol):
+    out = tmp_path / "x"
+    code = run_cli(["--experiment", experiment, "--nx", str(nx),
+                    f"--tol={tol}", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"error: tol must be at least {cli.TOL_FLOOR}, the "
+                   "smallest that PCG reaches on every catalog elliptic "
+                   f"system, got {float(tol)}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["5.3", "5.6"])
 @pytest.mark.parametrize("tol", ["1e-300", "1e-16"])
 def test_tol_below_machine_epsilon_exits_1(tmp_path, capsys, experiment, tol):
     # no solve reaches a relative residual below the float64 epsilon: 5.3
     # at nx=7 failed in PCG, while the factored heat systems ignored tol
-    out = tmp_path / "x"
-    code = run_cli(["--experiment", experiment, "--nx", "7", f"--tol={tol}",
-                    "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err.strip().split("\n")
-    assert err == ["error: tol must be at least the float64 machine epsilon "
-                   f"{np.finfo(float).eps}, got {float(tol)}"]
+    _assert_tol_refused(tmp_path, capsys, experiment, 7, tol)
+
+
+@pytest.mark.parametrize("tol", ["2.3e-16", "5e-16", "1.4e-14"])
+def test_tol_below_the_floor_exits_1(tmp_path, capsys, tol):
+    # 5.1 at nx=14 exited 2 after solving with tol 2.3e-16 or 5e-16 (a true
+    # relative residual of 5.0e-14); 5.1 at nx=112 reaches 1.32e-12 at
+    # best, so below 1.3e-14 it fails too, and the floor keeps a margin
+    _assert_tol_refused(tmp_path, capsys, "5.1", 14, tol)
+
+
+def test_tol_at_the_floor_is_accepted(tmp_path):
+    # the bound is inclusive
+    assert run_cli(["--experiment", "5.1", "--nx", "14",
+                    f"--tol={cli.TOL_FLOOR!r}",
+                    "--out", str(tmp_path / "x")]) == 0
+
+
+def test_a_run_the_host_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
+    # the estimate is arithmetic on nx, ny and nt, so nothing is allocated:
+    # nx = 700,000 asks for about a petabyte, and a host one byte short of
+    # an nx=7 run refuses that run too
+    for args in (["--experiment", "5.3", "--nx", "700000"],
+                 ["--experiment", "5.6", "--nx", "7", "--nt", "10000000000"]):
+        out = tmp_path / "x"
+        assert run_cli(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: a run at N=")
+        assert "GiB of memory, more than the" in err[0]
+        assert not out.exists()
+    need = cli._run_bytes(14, 28, problems.DEFAULT_NT)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "y"
+    assert run_cli(["--experiment", "5.6", "--nx", "7", "14",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().split("\n") == [
+        f"error: a run at N=14, M=28 needs about {need / 2**30:.1f} GiB of "
+        f"memory, more than the {(need - 1) / 2**30:.1f} GiB of this host"]
     assert not out.exists()
 
 
-def test_tol_at_machine_epsilon_is_accepted(tmp_path):
-    # the bound is inclusive; the nx=7 heat systems are factored
-    eps = float(np.finfo(float).eps)
-    assert run_cli(["--experiment", "5.6", "--nx", "7", f"--tol={eps!r}",
-                    "--out", str(tmp_path / "x")]) == 0
+def _peak_rss(args, out):
+    """The peak resident memory, in bytes, of a fresh process that makes
+    the CLI run `args` for two iterations: its VmHWM, which, unlike
+    ru_maxrss, does not carry the forking process's peak over the exec."""
+    script = f"""
+import re
+from ddinverse import cli
+cli.main({args!r} + ["--max-iter", "2", "--out", {str(out)!r}])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+"""
+    return 1024 * int(_last_line_of_fresh_run(script))
+
+
+@pytest.mark.parametrize("small, large", [
+    (("5.3", 7, None), ("5.3", 56, None)),
+    (("5.6", 28, 12), ("5.6", 28, 96))])
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak from /proc/self/status")
+def test_memory_estimate_follows_measured_peaks(tmp_path, small, large):
+    # between two small runs, the growth of the peak resident memory is
+    # within a factor of 1.5 of the growth of the estimate: about 1 KiB
+    # per node from nx=7 to nx=56, 56 bytes per node and time level from
+    # nt=12 to nt=96 at nx=28 (6.3 and 7.6 MB measured, 0.98 times the
+    # estimate's growth both)
+    peaks, estimates = [], []
+    for experiment, nx, nt in (small, large):
+        args = ["--experiment", experiment, "--algorithm", "asa",
+                "--nx", str(nx)] + ([] if nt is None else ["--nt", str(nt)])
+        peaks.append(_peak_rss(args, tmp_path / f"{nx}-{nt}"))
+        estimates.append(cli._run_bytes(nx, 2 * nx, nt))
+    ratio = (peaks[1] - peaks[0]) / (estimates[1] - estimates[0])
+    assert 1 / 1.5 <= ratio <= 1.5, (peaks, estimates)
 
 
 def test_help_names_the_factor_size_rule(monkeypatch, capsys):

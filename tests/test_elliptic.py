@@ -59,7 +59,7 @@ def test_u0_residual_for_unit_dirichlet(mesh7):
     # the zero-source solve with unit boundary values
     K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
-    u0 = fem.DirichletSystem([(K, bnd, mesh7.nodes)]).solve(
+    u0 = fem.DirichletSystem([(K, bnd, mesh7.nodes)]).solution(
         np.zeros(mesh7.n_nodes), np.ones(bnd.size))
     assert np.all(u0[bnd] == 1.0)
     res = (K @ u0)[~mesh7.boundary_mask]
@@ -76,7 +76,7 @@ def test_affine_split(mesh7):
     load = fem.lumped_mass(mesh7) * _rand_field(mesh7, 21)
 
     def solve(rhs, fixed_values):
-        return fem.DirichletSystem([(K, bnd, mesh7.nodes)]).solve(
+        return fem.DirichletSystem([(K, bnd, mesh7.nodes)]).solution(
             rhs, fixed_values, tol=1e-12)
 
     u0 = solve(np.zeros(mesh7.n_nodes), xb + 0.5 * yb)

@@ -560,7 +560,7 @@ def test_solve_zero_rhs(mesh7):
     K = fem.assemble(mesh7, 1.0, 1.0)
     bnd = np.flatnonzero(mesh7.boundary_mask)
     system = fem.DirichletSystem([(K, bnd, mesh7.nodes)])
-    u = system.solve(np.zeros(mesh7.n_nodes), np.zeros(bnd.size))
+    u = system.solution(np.zeros(mesh7.n_nodes), np.zeros(bnd.size))
     assert np.all(u == 0.0)
 
 
@@ -574,7 +574,7 @@ def test_manufactured_convergence_order():
         ustar = np.sin(np.pi * x) * np.sin(np.pi * y / 2)
         rhs = fem.lumped_mass(m) * (lam + 1.0) * ustar
         bnd = np.flatnonzero(m.boundary_mask)
-        u = fem.DirichletSystem([(K, bnd, m.nodes)]).solve(
+        u = fem.DirichletSystem([(K, bnd, m.nodes)]).solution(
             rhs, np.zeros(bnd.size), tol=1e-12)
         d = u - ustar
         errors.append(np.sqrt(fem.inner_product(d, d, fem.lumped_mass(m))))
@@ -766,19 +766,19 @@ def test_coarse_space_size_rule():
     # K = I: the error is the residual, within PCG's relative-residual
     # contract; the float32 V-cycle leaves it near 5e-7 elementwise
     b = np.arange(4096.0)
-    x = system.solve(b)
+    x = system.solution(b)
     assert np.linalg.norm(x - b) <= 1e-10 * np.linalg.norm(b)
     # one node fewer: factored when a direct solve is asked for, and solved
     # by PCG on the same kind of hierarchy otherwise
     smaller = fem.DirichletSystem([(K, [0], coords)], direct=True)
     assert smaller.multilevel is None
     assert smaller.factor is not None
-    x = smaller.solve(np.arange(4096.0), np.array([5.0]))
+    x = smaller.solution(np.arange(4096.0), np.array([5.0]))
     assert x[0] == 5.0 and np.array_equal(x[1:], np.arange(1.0, 4096.0))
     iterative = fem.DirichletSystem([(K, [0], coords)])
     assert iterative.factor is None
     assert len(iterative.multilevel[0].levels) == 2
-    x = iterative.solve(b, np.array([5.0]))
+    x = iterative.solution(b, np.array([5.0]))
     assert x[0] == 5.0
     assert np.linalg.norm(x[1:] - b[1:]) <= 1e-10 * np.linalg.norm(b[1:])
 
@@ -795,7 +795,7 @@ def test_band_budget_rule(nx, ny, factored):
     assert system.free.size == 3774
     assert (system.factor is not None) == factored
     assert (system.multilevel is None) == factored
-    x = system.solve(np.ones(m.n_nodes))
+    x = system.solution(np.ones(m.n_nodes))
     residual = (K @ x - np.ones(m.n_nodes))[system.free]
     assert np.abs(residual).max() <= 1e-8
 
@@ -1228,7 +1228,7 @@ def test_factored_solve_matches_dense(case):
     system = fem.DirichletSystem([(sp.csr_matrix(A), fixed,
                                    np.zeros((n, 2)))], direct=True)
     assert system.factor is not None
-    x = system.solve(rhs, vals if fixed.size else None)
+    x = system.solution(rhs, vals if fixed.size else None)
     free = system.free
     ref = np.linalg.solve(A[np.ix_(free, free)],
                           rhs[free] - A[np.ix_(free, fixed)] @ vals)
@@ -1274,14 +1274,16 @@ def band_stacks(draw):
 @example(_band_stack(5, 4, 465, 15))  # as the nx=28 heat boxes
 def test_stacked_factor_matches_one_matrix_factors(case):
     # a stack solves to the bit as each matrix alone, and through its
-    # one-matrix views
+    # one-matrix views; each solve overwrites its own copy of the loads
     matrices, rhs = case
     n = rhs.shape[1]
     factor = fem.BandFactor([_band_entries(A) for A in matrices], n)
-    x = factor.solve(rhs)
+    x = rhs.copy()
+    assert factor.solve(x) is x
     for k, (A, b) in enumerate(zip(matrices, rhs)):
-        assert np.array_equal(factor.box(k).solve(rhs[k:k + 1])[0], x[k])
-        alone = fem.BandFactor([_band_entries(A)], n).solve(b[None])[0]
+        assert np.array_equal(factor.box(k).solve(rhs[k:k + 1].copy())[0],
+                              x[k])
+        alone = fem.BandFactor([_band_entries(A)], n).solve(b[None].copy())[0]
         assert np.array_equal(x[k], alone)
         ref = np.linalg.solve(A, b)
         assert np.abs(x[k] - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -1302,12 +1304,12 @@ def test_stacked_factor_keeps_a_non_finite_load_to_its_member():
     matrices, rhs = _band_stack(6, 3, 120, 7)
     rhs[1, 50] = np.nan
     factor = fem.BandFactor([_band_entries(A) for A in matrices], 120)
-    x = factor.solve(rhs)
+    x = factor.solve(rhs.copy())
     assert not np.isfinite(x[1]).all()
     for k in (0, 2):
         alone = fem.BandFactor([_band_entries(matrices[k])], 120)
         assert np.isfinite(x[k]).all()
-        assert np.array_equal(x[k], alone.solve(rhs[k:k + 1])[0])
+        assert np.array_equal(x[k], alone.solve(rhs[k:k + 1].copy())[0])
 
 
 def test_stacked_factor_rejects_right_hand_sides_of_another_shape():
@@ -1319,6 +1321,37 @@ def test_stacked_factor_rejects_right_hand_sides_of_another_shape():
             factor.solve(wrong)
     with pytest.raises(ValueError, match="shape"):
         factor.box(1).solve(rhs)
+
+
+def test_in_place_solve_rejects_a_buffer_lapack_cannot_take():
+    # LAPACK solves the buffer at its address, so a strided, Fortran-ordered,
+    # float32 or read-only buffer of the right shape is refused before any
+    # LAPACK call, and left as it was
+    matrices, rhs = _band_stack(7, 3, 40, 3)
+    factor = fem.BandFactor([_band_entries(A) for A in matrices], 40)
+    calls = []
+    factor.substitute = lambda *args: calls.append(args)
+    read_only = rhs.copy()
+    read_only.flags.writeable = False
+    for wrong in (np.repeat(rhs, 2, axis=1)[:, ::2], np.asfortranarray(rhs),
+                  rhs.astype(np.float32), read_only):
+        assert wrong.shape == rhs.shape
+        before = wrong.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            factor.solve(wrong)
+        assert np.array_equal(wrong, before)
+    # the free loads of a factored stack reach the band solve as they are
+    system = fem.DirichletSystem([(sp.csr_matrix(A), [], np.zeros((40, 2)))
+                                  for A in matrices], direct=True)
+    system.factor.substitute = factor.substitute
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        system.solve(np.repeat(rhs.reshape(-1), 2)[::2])
+    with pytest.raises(ValueError, match="free load of shape"):
+        system.solve(rhs.reshape(-1)[1:])
+    assert calls == []
+    # a right buffer goes through, one call per matrix
+    factor.solve(rhs.copy())
+    assert len(calls) == 3
 
 
 def test_lapack_names_the_spellings_it_tried(monkeypatch):
@@ -1407,7 +1440,7 @@ def test_factored_solve_matches_pcg(factored_cases, name):
     rhs = np.random.default_rng(7).standard_normal(system.n)
     x_pcg, relres, _ = fem.pcg(K_ff, rhs[free], jacobi(K_ff), tol=1e-12)
     assert relres <= 1e-12
-    x = system.solve(rhs)
+    x = system.solution(rhs)
     assert np.all(x[system.fixed] == 0.0)
     assert np.abs(x[free] - x_pcg).max() <= 1e-9 * np.abs(x_pcg).max()
 

@@ -119,6 +119,30 @@ def test_local_adjoint_consistency_with_trace(heat7, mesh7, decomp7):
         assert np.abs(local - B[:, box]).max() < 1e-9
 
 
+def test_successive_marches_share_no_memory(heat7, mesh7, decomp7):
+    # a march keeps no buffer from one call to the next, so a caller may
+    # hold and change one call's results while it makes the next call
+    phi = _interior_field(mesh7, 5)
+    traj = heat7.forward_global(phi)
+    assert not np.shares_memory(traj, heat7.forward_global(phi))
+    nt = heat7.grid.nt
+    for boxes in ([0, 1, 2, 3], [2]):
+        phis = [phi[heat7.locals[i].nodes] for i in boxes]
+        traces = [np.ones((nt + 1, decomp7.interfaces[i].size))
+                  for i in boxes]
+        residuals = [np.ones((nt + 1, heat7.locals[i].nodes.size))
+                     for i in boxes]
+        for method, args in (("forward_boxes", (boxes, phis)),
+                             ("forward_boxes", (boxes, phis, traces)),
+                             ("back_boxes", (boxes, residuals))):
+            first = getattr(heat7, method)(*args)
+            second = getattr(heat7, method)(*args)
+            for a in first:
+                assert not any(np.shares_memory(a, b) for b in second)
+            for a, b in zip(first, second):
+                assert np.array_equal(a, b)
+
+
 def test_accumulate_zero(heat7, mesh7):
     r = np.zeros((heat7.grid.nt + 1, heat7.locals[0].nodes.size))
     assert np.all(heat7.back_boxes([0], [r])[0] == 0.0)
@@ -164,12 +188,12 @@ def test_one_box_pairs_view_the_stacked_factor():
     stacked = ops.pairs[every][0].factor
     assert isinstance(stacked, fem.BandFactor)
     rhs = np.random.default_rng(4).standard_normal(stacked.bands.shape[:2])
-    x = stacked.solve(rhs)
+    x = stacked.solve(rhs.copy())
     for i in every:
         factor = ops.pairs[i,][0].factor
         assert factor is not stacked and len(factor.bands) == 1
         assert np.shares_memory(factor.bands, stacked.bands)
-        assert np.array_equal(factor.solve(rhs[i:i + 1])[0], x[i])
+        assert np.array_equal(factor.solve(rhs[i:i + 1].copy())[0], x[i])
     phis = [np.ones(loc.nodes.size) for loc in ops.locals]
     before = ops.step_count
     ops.forward_boxes(every, phis)
